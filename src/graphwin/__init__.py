@@ -30,6 +30,7 @@ from .harness import (
     TASKS,
     CellResult,
     CurveSet,
+    EvalParams,
     ExperimentReport,
     IntervalPlan,
     choose_test_windowing,
@@ -54,12 +55,9 @@ from .linkpred import (
     online_step_score,
 )
 from .selectors import (
-    AdageOnlineSelector,
-    FixedOnlineSelector,
     KatzTask,
     OfflineSelection,
     OnlineWindowSelector,
-    RandomOnlineSelector,
     ScoreLedger,
     SelectorParams,
     StepRecord,
@@ -68,7 +66,6 @@ from .selectors import (
     attr_window_quality,
     cp_window_quality,
     entropy_select,
-    fixed_select,
     fourier_select,
     graph_entropy,
     jaccard_select,

@@ -26,7 +26,9 @@ from .harness import (
     ONLINE_SELECTORS,
     TASKS,
     CurveSet,
+    EvalParams,
     ExperimentReport,
+    _as_count,
     _jsonable,
     choose_test_windowing,
     cross_task_matrix,
@@ -39,7 +41,6 @@ from .harness import (
     stability_diff,
 )
 from .linkpred import KatzParams
-from .selectors import SelectorParams
 from .temporal import (
     DataFormatError,
     bin_initial,
@@ -187,11 +188,13 @@ def cmd_select(args: argparse.Namespace) -> int:
         task=args.task,
         train_cp=train_cp,
         attrs=attrs,
-        kernel=KernelParams(args.theta),
-        batch_size=args.batch_size,
-        tau=args.tau,
-        adage_tol=args.adage_tol,
-        adage_patience=args.adage_patience,
+        params=EvalParams(
+            kernel=KernelParams(args.theta),
+            batch_size=args.batch_size,
+            tau=args.tau,
+            adage_tol=args.adage_tol,
+            adage_patience=args.adage_patience,
+        ),
         seed=args.seed,
     )
     sizes = windowing.sizes()
@@ -257,9 +260,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         tasks,
         attrs=attrs,
         cp_truth=cp_truth,
-        katz=KatzParams(args.beta),
-        kernel=KernelParams(args.theta),
-        batch_size=args.batch_size,
+        params=EvalParams(
+            katz=KatzParams(args.beta),
+            kernel=KernelParams(args.theta),
+            batch_size=args.batch_size,
+        ),
         dataset_id=arch.dataset_id,
         jobs=args.jobs,
     )
@@ -293,20 +298,6 @@ _CONFIG_KEYS = {
     "params",
     "hyperparams",
 }
-
-_PARAM_KEYS = {
-    "beta",
-    "theta",
-    "batch_size",
-    "min_tests",
-    "top_count",
-    "alpha",
-    "tau",
-    "adage_tol",
-    "adage_patience",
-    "carry_ledger",
-}
-
 
 def _validate_config(config: dict, config_path: str) -> list[str]:
     errors = []
@@ -349,9 +340,10 @@ def _validate_config(config: dict, config_path: str) -> list[str]:
     if not isinstance(params, dict):
         errors.append(f"{config_path}: 'params' must be an object")
     else:
-        unknown = sorted(set(params) - _PARAM_KEYS)
-        if unknown:
-            errors.append(f"{config_path}: unknown params keys {unknown}")
+        try:
+            EvalParams.from_flat(params)
+        except ValueError as exc:
+            errors.append(f"{config_path}: {exc}")
     intervals = config.get("intervals")
     if intervals is not None and (not isinstance(intervals, int) or intervals < 2):
         errors.append(f"{config_path}: intervals must be an integer >= 2")
@@ -374,10 +366,6 @@ def _validate_config(config: dict, config_path: str) -> list[str]:
     return errors
 
 
-def _as_count(value) -> float:
-    return float("inf") if value == "inf" else float(value)
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if not Path(args.config).exists():
         raise ValidationFailure([f"config {args.config} does not exist"])
@@ -395,16 +383,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     seed = int(config.get("seed", 0))
     mode = config["mode"]
     task = config["task"]
-    p = config.get("params", {})
-    katz = KatzParams(float(p.get("beta", 0.005)))
-    kernel = KernelParams(float(p.get("theta", 0.5)))
-    batch_size = p.get("batch_size")
-    sel_params = SelectorParams(
-        min_tests=_as_count(p.get("min_tests", 10)),
-        top_count=_as_count(p.get("top_count", 10)),
-        alpha=float(p.get("alpha", 0.5)),
-        seed=seed,
-    )
+    params = EvalParams.from_flat(config.get("params", {}))
     attrs = None
     cp_truth = None
     if config.get("attributes"):
@@ -423,15 +402,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         task,
         attrs=attrs,
         cp_truth=cp_truth,
-        katz=katz,
-        kernel=kernel,
-        batch_size=batch_size,
-        tau=float(p.get("tau", 0.05)),
-        adage_tol=float(p.get("adage_tol", 0.01)),
-        adage_patience=int(p.get("adage_patience", 3)),
-        params=sel_params,
+        params=params,
         seed=seed,
-        carry_ledger=bool(p.get("carry_ledger", False)),
         jobs=args.jobs,
     )
     config_hash = _config_hash(config)
@@ -450,8 +422,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             top_count_values=[_as_count(v) for v in hyper.get("top_count_values", [])],
             fixed=_as_count(hyper.get("fixed", 10)),
             selector=hyper.get("selector", "online"),
-            katz=katz,
-            alpha=float(p.get("alpha", 0.5)),
+            params=params,
             seed=seed,
             jobs=args.jobs,
         )
@@ -623,6 +594,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = EvalParams()
     parser = argparse.ArgumentParser(
         prog="graphwin",
         description="Window dynamic-network streams and pick window sizes by task quality.",
@@ -648,11 +620,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attributes", default=None)
     p.add_argument("--target", default=None)
     p.add_argument("--changepoints", default=None)
-    p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--tau", type=float, default=0.05)
-    p.add_argument("--adage-tol", type=float, default=0.01)
-    p.add_argument("--adage-patience", type=int, default=3)
+    p.add_argument("--theta", type=float, default=defaults.kernel.theta)
+    p.add_argument("--batch-size", type=int, default=defaults.batch_size)
+    p.add_argument("--tau", type=float, default=defaults.tau)
+    p.add_argument("--adage-tol", type=float, default=defaults.adage_tol)
+    p.add_argument("--adage-patience", type=int, default=defaults.adage_patience)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_select)
@@ -664,9 +636,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attributes", default=None)
     p.add_argument("--target", default=None)
     p.add_argument("--changepoints", default=None)
-    p.add_argument("--beta", type=float, default=0.005)
-    p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--batch-size", type=int, default=None)
+    p.add_argument("--beta", type=float, default=defaults.katz.beta)
+    p.add_argument("--theta", type=float, default=defaults.kernel.theta)
+    p.add_argument("--batch-size", type=int, default=defaults.batch_size)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=_default_jobs())
     p.add_argument("--out", required=True, help="curve report JSON path")

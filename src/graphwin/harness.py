@@ -16,7 +16,8 @@ import logging
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -27,18 +28,15 @@ from .attrpred import KernelParams, leave_out_scores, roc_auc
 from .changepoint import cp_pr_auc, detect_change_points
 from .linkpred import KatzParams, average_precision
 from .selectors import (
-    AdageOnlineSelector,
-    FixedOnlineSelector,
     KatzTask,
     OnlineWindowSelector,
-    RandomOnlineSelector,
+    ScoreLedger,
     SelectorParams,
     adage_select,
     attr_split_window_quality,
     attr_window_quality,
     cp_window_quality,
     entropy_select,
-    fixed_select,
     fourier_select,
     jaccard_select,
     linkpred_window_quality,
@@ -46,9 +44,10 @@ from .selectors import (
     supervised_offline_select,
 )
 from .temporal import ChangePointLabels, GraphSequence, VertexAttributes
-from .windows import Windowing, apply_windowing, uniform_windowing, windowed_at
+from .windows import Windowing, apply_windowing, uniform_windowing
 
 __all__ = [
+    "EvalParams",
     "IntervalPlan",
     "split_intervals",
     "OFFLINE_SELECTORS",
@@ -94,6 +93,73 @@ ONLINE_SELECTORS = (
     "random",
     "adage",
 )
+
+# keys of a run config's flat `params` object
+_FLAT_KEYS = (
+    "beta",
+    "theta",
+    "batch_size",
+    "min_tests",
+    "top_count",
+    "alpha",
+    "tau",
+    "adage_tol",
+    "adage_patience",
+    "carry_ledger",
+)
+
+
+def _as_count(value) -> float:
+    """A retest budget from a config value; the string "inf" means unbounded."""
+    return float("inf") if value == "inf" else float(value)
+
+
+@dataclass(frozen=True)
+class EvalParams:
+    """Every tuning value of an evaluation, with its default.
+
+    katz: Katz scoring for link prediction.
+    kernel: recency kernel for attribute prediction.
+    batch_size: attribute leave-out batch size (None = the default size).
+    tau: the jaccard baseline's rise threshold.
+    adage_tol, adage_patience: the adage baseline's convergence test.
+    selector: the online ledger's knobs.
+    carry_ledger: each online interval pair starts from the ledger the
+        previous pair left instead of an empty one.
+    """
+
+    katz: KatzParams = KatzParams()
+    kernel: KernelParams = KernelParams()
+    batch_size: int | None = None
+    tau: float = 0.05
+    adage_tol: float = 0.01
+    adage_patience: int = 3
+    selector: SelectorParams = SelectorParams()
+    carry_ledger: bool = False
+
+    @classmethod
+    def from_flat(cls, flat: Mapping[str, object]) -> "EvalParams":
+        """Build from a run config's flat `params` object (`beta`, `theta`,
+        `min_tests`, ...); absent keys keep their defaults."""
+        unknown = sorted(set(flat) - set(_FLAT_KEYS))
+        if unknown:
+            raise ValueError(f"unknown params keys {unknown}")
+        d = cls()
+        get = flat.get
+        return cls(
+            katz=KatzParams(beta=float(get("beta", d.katz.beta))),
+            kernel=KernelParams(theta=float(get("theta", d.kernel.theta))),
+            batch_size=get("batch_size", d.batch_size),
+            tau=float(get("tau", d.tau)),
+            adage_tol=float(get("adage_tol", d.adage_tol)),
+            adage_patience=int(get("adage_patience", d.adage_patience)),
+            selector=SelectorParams(
+                min_tests=_as_count(get("min_tests", d.selector.min_tests)),
+                top_count=_as_count(get("top_count", d.selector.top_count)),
+                alpha=float(get("alpha", d.selector.alpha)),
+            ),
+            carry_ledger=bool(get("carry_ledger", d.carry_ledger)),
+        )
 
 
 @dataclass(frozen=True)
@@ -148,11 +214,7 @@ def choose_test_windowing(
     task: str | None = None,
     train_cp: ChangePointLabels | None = None,
     attrs: VertexAttributes | None = None,
-    kernel: KernelParams = KernelParams(),
-    batch_size: int | None = None,
-    tau: float = 0.05,
-    adage_tol: float = 0.01,
-    adage_patience: int = 3,
+    params: EvalParams = EvalParams(),
     seed: int = 0,
 ) -> Windowing:
     """Pick a windowing of the test interval.
@@ -170,11 +232,11 @@ def choose_test_windowing(
     if selector == "fourier":
         return uniform_windowing(test.length, min(fourier_select(test), test.length))
     if selector == "jaccard":
-        return uniform_windowing(test.length, min(jaccard_select(test, tau), test.length))
+        return uniform_windowing(test.length, min(jaccard_select(test, params.tau), test.length))
     if selector == "entropy":
         return entropy_select(test)
     if selector == "adage":
-        size = adage_select(test, adage_tol, adage_patience)
+        size = adage_select(test, params.adage_tol, params.adage_patience)
         return uniform_windowing(test.length, min(size, test.length))
     if selector == "supervised":
         if task == "changepoint":
@@ -190,7 +252,9 @@ def choose_test_windowing(
                 raise ValueError("supervised attribute selection needs attributes")
             selection = supervised_offline_select(
                 train,
-                lambda s, w: attr_split_window_quality(s, w, attrs, kernel, batch_size),
+                lambda s, w: attr_split_window_quality(
+                    s, w, attrs, params.kernel, params.batch_size
+                ),
             )
         else:
             raise ValueError(f"no offline supervised selection for task {task!r}")
@@ -271,23 +335,19 @@ def _jsonable(value):
     return value
 
 
-def _offline_cell(args: tuple) -> tuple[int, float | None, dict]:
-    (
-        seq,
-        selector,
-        task,
-        pair_index,
-        train_span,
-        test_span,
-        attrs,
-        cp_truth,
-        kernel,
-        batch_size,
-        tau,
-        adage_tol,
-        adage_patience,
-        seed,
-    ) = args
+def _offline_cell(
+    seq: GraphSequence,
+    plan: IntervalPlan,
+    selector: str,
+    task: str,
+    attrs: VertexAttributes | None,
+    cp_truth: ChangePointLabels | None,
+    params: EvalParams,
+    seed: int,
+    pair_index: int,
+) -> tuple[float | None, dict]:
+    a, b = plan.pairs[pair_index]
+    train_span, test_span = plan.spans[a], plan.spans[b]
     train = seq.slice_steps(*train_span)
     test = seq.slice_steps(*test_span)
     train_cp = cp_truth.restrict(*train_span) if cp_truth is not None else None
@@ -299,12 +359,8 @@ def _offline_cell(args: tuple) -> tuple[int, float | None, dict]:
         task=task,
         train_cp=train_cp,
         attrs=attrs,
-        kernel=kernel,
-        batch_size=batch_size,
-        tau=tau,
-        adage_tol=adage_tol,
-        adage_patience=adage_patience,
-        seed=seed,
+        params=params,
+        seed=derive_seed(seed, selector, task, pair_index),
     )
     ws = apply_windowing(test, windowing)
     detail: dict = {"windowing": list(windowing.cuts), "window_sizes": list(windowing.sizes())}
@@ -313,14 +369,21 @@ def _offline_cell(args: tuple) -> tuple[int, float | None, dict]:
         score = cp_pr_auc(result.times, test_cp.times, test.length)
         detail["detected"] = list(result.times)
         detail["truth"] = list(test_cp.times)
-        return pair_index, score, detail
+        return score, detail
     # attribute task: per-pair AUC plus raw pairs for pooling
-    pairs = leave_out_scores(ws, attrs, batch_size, kernel)
+    pairs = leave_out_scores(ws, attrs, params.batch_size, params.kernel)
     _, positive = attrs.classes
     flags = [lab == positive for _, lab in pairs]
     score = roc_auc([s for s, _ in pairs], flags)
     detail["pairs"] = [[s, lab] for s, lab in pairs]
-    return pair_index, score, detail
+    return score, detail
+
+
+def _cells(selector: str, task: str, plan: IntervalPlan, results: list) -> list[CellResult]:
+    return [
+        CellResult(selector, task, idx, plan.spans[a], plan.spans[b], score, detail)
+        for idx, ((a, b), (score, detail)) in enumerate(zip(plan.pairs, results))
+    ]
 
 
 def run_offline(
@@ -331,11 +394,7 @@ def run_offline(
     *,
     attrs: VertexAttributes | None = None,
     cp_truth: ChangePointLabels | None = None,
-    kernel: KernelParams = KernelParams(),
-    batch_size: int | None = None,
-    tau: float = 0.05,
-    adage_tol: float = 0.01,
-    adage_patience: int = 3,
+    params: EvalParams = EvalParams(),
     seed: int = 0,
     jobs: int = 1,
 ) -> ExperimentReport:
@@ -353,31 +412,8 @@ def run_offline(
         raise ValueError("attribute evaluation needs attributes")
     if task == "changepoint" and cp_truth is None:
         raise ValueError("change-point evaluation needs ground-truth labels")
-    args = [
-        (
-            seq,
-            selector,
-            task,
-            idx,
-            plan.spans[a],
-            plan.spans[b],
-            attrs,
-            cp_truth,
-            kernel,
-            batch_size,
-            tau,
-            adage_tol,
-            adage_patience,
-            derive_seed(seed, selector, task, idx),
-        )
-        for idx, (a, b) in enumerate(plan.pairs)
-    ]
-    results = _pmap(_offline_cell, args, jobs)
-    cells = []
-    for (pair_index, score, detail), (a, b) in zip(results, plan.pairs):
-        cells.append(
-            CellResult(selector, task, pair_index, plan.spans[a], plan.spans[b], score, detail)
-        )
+    cell = partial(_offline_cell, seq, plan, selector, task, attrs, cp_truth, params, seed)
+    cells = _cells(selector, task, plan, _pmap(cell, range(len(plan.pairs)), jobs))
     if task == "changepoint":
         scores = [c.score for c in cells if c.score is not None]
         aggregate = math.fsum(scores) / len(scores) if scores else None
@@ -406,47 +442,56 @@ def run_offline(
 def _make_online_selector(
     name: str,
     n: int,
-    katz: KatzParams,
-    params: SelectorParams,
-    train_length: int,
+    params: EvalParams,
+    train_span: tuple[int, int],
     seed: int,
     resolution: int,
-):
-    task = KatzTask(katz)
-    if name == "online":
-        flat = SelectorParams(params.min_tests, params.top_count, 1.0, params.seed)
-        return OnlineWindowSelector(n, task, flat, resolution=resolution)
-    if name == "online-weighted":
-        return OnlineWindowSelector(n, task, params, resolution=resolution)
-    if name == "training-only":
-        flat = SelectorParams(params.min_tests, params.top_count, 1.0, params.seed)
-        return OnlineWindowSelector(n, task, flat, freeze_after=train_length, resolution=resolution)
-    if name == "hand-picked":
-        return FixedOnlineSelector(n, task, size=1, resolution=resolution)
-    if name == "random":
-        return RandomOnlineSelector(n, task, seed=seed, resolution=resolution)
-    if name == "adage":
-        return AdageOnlineSelector(n, task, resolution=resolution)
-    raise ValueError(f"unknown online selector {name!r}")
+) -> OnlineWindowSelector:
+    rng = np.random.default_rng(seed)
+    flat = replace(params.selector, alpha=1.0)
+    train_length = train_span[1] - train_span[0] + 1
+    # name -> (windowing policy, ledger knobs, freeze step); no policy = the ledger
+    table = {
+        "online": (None, flat, None),
+        "online-weighted": (None, params.selector, None),
+        "training-only": (None, flat, train_length),
+        "hand-picked": (lambda history: 1, params.selector, None),
+        "random": (lambda history: random_windowing(history.length, rng), params.selector, None),
+        "adage": (
+            lambda history: adage_select(history, params.adage_tol, params.adage_patience),
+            params.selector,
+            None,
+        ),
+    }
+    policy, knobs, freeze_after = table[name]
+    return OnlineWindowSelector(
+        n,
+        KatzTask(params.katz),
+        knobs,
+        freeze_after,
+        resolution,
+        policy=policy,
+        first_step=train_span[0],
+    )
 
 
 def _online_pair(
     seq: GraphSequence,
+    plan: IntervalPlan,
     selector: str,
-    train_span: tuple[int, int],
-    test_span: tuple[int, int],
-    katz: KatzParams,
-    params: SelectorParams,
+    params: EvalParams,
     seed: int,
-    shared_ledger=None,
-) -> tuple[float | None, dict, object]:
+    pair_index: int,
+    ledger: ScoreLedger | None = None,
+) -> tuple[float | None, dict, ScoreLedger | None]:
+    a, b = plan.pairs[pair_index]
+    train_span, test_span = plan.spans[a], plan.spans[b]
     stream = seq.slice_steps(train_span[0], test_span[1])
     train_length = train_span[1] - train_span[0] + 1
-    sel = _make_online_selector(
-        selector, seq.n, katz, params, train_length, seed, seq.resolution
-    )
-    if shared_ledger is not None and hasattr(sel, "ledger"):
-        sel.ledger = shared_ledger
+    pair_seed = derive_seed(seed, selector, "linkpred", pair_index)
+    sel = _make_online_selector(selector, seq.n, params, train_span, pair_seed, seq.resolution)
+    if ledger is not None:
+        sel.ledger = ledger
     scores: list[float] = []
     scored: list[dict] = []
     run_log: list[dict] = []
@@ -468,16 +513,12 @@ def _online_pair(
                 "chosen": previous.chosen,
             }
         )
-    ledger = getattr(sel, "ledger", None)
+    kept = sel.ledger if sel.policy is None else None
     detail = {"scored": scored, "log": run_log}
     if not scores:
         log.info("pair %s->%s has no scoreable steps; skipped", train_span, test_span)
-        return None, detail, ledger
-    return math.fsum(scores) / len(scores), detail, ledger
-
-
-def _online_pair_args(args: tuple) -> tuple[float | None, dict, object]:
-    return _online_pair(*args)
+        return None, detail, kept
+    return math.fsum(scores) / len(scores), detail, kept
 
 
 def run_online(
@@ -485,10 +526,8 @@ def run_online(
     plan: IntervalPlan,
     selector: str,
     *,
-    katz: KatzParams = KatzParams(),
-    params: SelectorParams = SelectorParams(),
+    params: EvalParams = EvalParams(),
     seed: int = 0,
-    carry_ledger: bool = False,
     jobs: int = 1,
 ) -> ExperimentReport:
     """One-step-ahead link prediction with per-step size selection.
@@ -496,51 +535,24 @@ def run_online(
     For each (train, test) pair the selector consumes the whole contiguous
     stream; predictions targeting test-interval steps are scored by average
     precision against that step's new links. The ledger resets per pair
-    unless `carry_ledger` is set. Pairs without a single scoreable step are
-    skipped; the aggregate is the mean of pair means.
+    unless `params.carry_ledger` is set. Pairs without a single scoreable
+    step are skipped; the aggregate is the mean of pair means.
     """
     if selector not in ONLINE_SELECTORS:
         raise ValueError(f"unknown online selector {selector!r}")
-    cells: list[CellResult] = []
-    if carry_ledger or jobs <= 1:
-        shared_ledger = None
-        for idx, (a, b) in enumerate(plan.pairs):
-            pair_seed = derive_seed(seed, selector, "linkpred", idx)
-            score, detail, ledger = _online_pair(
-                seq,
-                selector,
-                plan.spans[a],
-                plan.spans[b],
-                katz,
-                params,
-                pair_seed,
-                shared_ledger,
-            )
-            if carry_ledger:
-                detail["carried_ledger"] = shared_ledger is not None
-                shared_ledger = ledger
-            cells.append(
-                CellResult(selector, "linkpred", idx, plan.spans[a], plan.spans[b], score, detail)
-            )
+    cell = partial(_online_pair, seq, plan, selector, params, seed)
+    pairs = range(len(plan.pairs))
+    if params.carry_ledger:
+        # each pair starts from the ledger the previous pair left
+        results, ledger = [], None
+        for idx in pairs:
+            score, detail, next_ledger = cell(idx, ledger)
+            detail["carried_ledger"] = ledger is not None
+            results.append((score, detail))
+            ledger = next_ledger
     else:
-        args = [
-            (
-                seq,
-                selector,
-                plan.spans[a],
-                plan.spans[b],
-                katz,
-                params,
-                derive_seed(seed, selector, "linkpred", idx),
-                None,
-            )
-            for idx, (a, b) in enumerate(plan.pairs)
-        ]
-        results = _pmap(_online_pair_args, args, jobs)
-        for idx, ((a, b), (score, detail, _)) in enumerate(zip(plan.pairs, results)):
-            cells.append(
-                CellResult(selector, "linkpred", idx, plan.spans[a], plan.spans[b], score, detail)
-            )
+        results = [(score, detail) for score, detail, _ in _pmap(cell, pairs, jobs)]
+    cells = _cells(selector, "linkpred", plan, results)
     scores = [c.score for c in cells if c.score is not None]
     aggregate = math.fsum(scores) / len(scores) if scores else None
     metadata = {
@@ -548,11 +560,11 @@ def run_online(
         "selector": selector,
         "task": "linkpred",
         "seed": seed,
-        "carry_ledger": carry_ledger,
+        "carry_ledger": params.carry_ledger,
         "params": {
-            "min_tests": params.min_tests,
-            "top_count": params.top_count,
-            "alpha": params.alpha,
+            "min_tests": params.selector.min_tests,
+            "top_count": params.selector.top_count,
+            "alpha": params.selector.alpha,
         },
         "intervals": [list(s) for s in plan.spans],
     }
@@ -569,15 +581,8 @@ def run_suite(
     *,
     attrs: VertexAttributes | None = None,
     cp_truth: ChangePointLabels | None = None,
-    katz: KatzParams = KatzParams(),
-    kernel: KernelParams = KernelParams(),
-    batch_size: int | None = None,
-    tau: float = 0.05,
-    adage_tol: float = 0.01,
-    adage_patience: int = 3,
-    params: SelectorParams = SelectorParams(),
+    params: EvalParams = EvalParams(),
     seed: int = 0,
-    carry_ledger: bool = False,
     jobs: int = 1,
 ) -> ExperimentReport:
     """Run several selectors on one task and merge them into one report."""
@@ -596,25 +601,12 @@ def run_suite(
                 task,
                 attrs=attrs,
                 cp_truth=cp_truth,
-                kernel=kernel,
-                batch_size=batch_size,
-                tau=tau,
-                adage_tol=adage_tol,
-                adage_patience=adage_patience,
+                params=params,
                 seed=seed,
                 jobs=jobs,
             )
         else:
-            rep = run_online(
-                seq,
-                plan,
-                name,
-                katz=katz,
-                params=params,
-                seed=seed,
-                carry_ledger=carry_ledger,
-                jobs=jobs,
-            )
+            rep = run_online(seq, plan, name, params=params, seed=seed, jobs=jobs)
         cells.extend(rep.cells)
         aggregates[name] = rep.aggregates[name]
     metadata = {
@@ -674,19 +666,27 @@ class CurveSet:
         )
 
 
-def _curve_cell(args: tuple) -> tuple[str, int, tuple[float, ...]]:
-    seq, task, interval_idx, span, sizes, attrs, cp_truth, katz, kernel, batch_size = args
+def _curve_cell(
+    seq: GraphSequence,
+    plan: IntervalPlan,
+    sizes: tuple[int, ...],
+    attrs: VertexAttributes | None,
+    cp_truth: ChangePointLabels | None,
+    params: EvalParams,
+    cell: tuple[str, int],
+) -> tuple[float, ...]:
+    task, interval = cell
+    span = plan.spans[interval]
     segment = seq.slice_steps(*span)
-    values: list[float] = []
-    for w in sizes:
-        if task == "linkpred":
-            values.append(linkpred_window_quality(segment, w, katz))
-        elif task == "attribute":
-            values.append(attr_window_quality(segment, w, attrs, kernel, batch_size))
-        else:
-            local_truth = cp_truth.restrict(*span)
-            values.append(cp_window_quality(segment, w, local_truth))
-    return task, interval_idx, tuple(values)
+    if task == "linkpred":
+        return tuple(linkpred_window_quality(segment, w, params.katz) for w in sizes)
+    if task == "attribute":
+        return tuple(
+            attr_window_quality(segment, w, attrs, params.kernel, params.batch_size)
+            for w in sizes
+        )
+    local_truth = cp_truth.restrict(*span)
+    return tuple(cp_window_quality(segment, w, local_truth) for w in sizes)
 
 
 def score_curves(
@@ -696,9 +696,7 @@ def score_curves(
     *,
     attrs: VertexAttributes | None = None,
     cp_truth: ChangePointLabels | None = None,
-    katz: KatzParams = KatzParams(),
-    kernel: KernelParams = KernelParams(),
-    batch_size: int | None = None,
+    params: EvalParams = EvalParams(),
     dataset_id: str = "",
     jobs: int = 1,
 ) -> CurveSet:
@@ -716,18 +714,10 @@ def score_curves(
         raise ValueError("change-point curves need ground-truth labels")
     w_max = min(b - a + 1 for a, b in plan.spans)
     sizes = tuple(range(1, w_max + 1))
-    args = [
-        (seq, task, idx, span, sizes, attrs, cp_truth, katz, kernel, batch_size)
-        for task in tasks
-        for idx, span in enumerate(plan.spans)
-    ]
-    results = _pmap(_curve_cell, args, jobs)
-    values: dict[str, dict[int, tuple[float, ...]]] = {t: {} for t in tasks}
-    for task, idx, curve in results:
-        values[task][idx] = curve
-    packed = {
-        t: tuple(values[t][i] for i in range(len(plan.spans))) for t in tasks
-    }
+    cells = [(task, idx) for task in tasks for idx in range(len(plan.spans))]
+    curves = _pmap(partial(_curve_cell, seq, plan, sizes, attrs, cp_truth, params), cells, jobs)
+    n_int = len(plan.spans)
+    packed = {t: tuple(curves[k * n_int : (k + 1) * n_int]) for k, t in enumerate(tasks)}
     return CurveSet(tuple(tasks), sizes, plan.spans, packed, dataset_id)
 
 
@@ -840,21 +830,20 @@ def hyperparam_sweep(
     top_count_values: Sequence[float] = (),
     fixed: float = 10.0,
     selector: str = "online",
-    katz: KatzParams = KatzParams(),
-    alpha: float = 0.5,
+    params: EvalParams = EvalParams(),
     seed: int = 0,
     jobs: int = 1,
 ) -> list[dict]:
-    """Aggregate online score across a one-axis-at-a-time parameter grid."""
+    """Aggregate online score across a one-axis-at-a-time grid over the
+    ledger's retest budgets; every other value comes from `params`."""
+    alpha = params.selector.alpha
+    grid = [("min_tests", v, SelectorParams(v, fixed, alpha)) for v in min_tests_values]
+    grid += [("top_count", v, SelectorParams(fixed, v, alpha)) for v in top_count_values]
     records = []
-    for value in min_tests_values:
-        params = SelectorParams(min_tests=value, top_count=fixed, alpha=alpha, seed=seed)
-        report = run_online(seq, plan, selector, params=params, katz=katz, seed=seed, jobs=jobs)
+    for axis, value, knobs in grid:
+        report = run_online(
+            seq, plan, selector, params=replace(params, selector=knobs), seed=seed, jobs=jobs
+        )
         score = report.aggregates[selector]["linkpred"]["score"]
-        records.append({"axis": "min_tests", "value": value, "fixed": fixed, "score": score})
-    for value in top_count_values:
-        params = SelectorParams(min_tests=fixed, top_count=value, alpha=alpha, seed=seed)
-        report = run_online(seq, plan, selector, params=params, katz=katz, seed=seed, jobs=jobs)
-        score = report.aggregates[selector]["linkpred"]["score"]
-        records.append({"axis": "top_count", "value": value, "fixed": fixed, "score": score})
+        records.append({"axis": axis, "value": value, "fixed": fixed, "score": score})
     return records

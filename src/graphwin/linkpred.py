@@ -101,10 +101,11 @@ def katz_scores(graph: StaticGraph, params: KatzParams = KatzParams()) -> Scored
 
 
 def average_precision(
-    ranking: Sequence[tuple[tuple[int, int], float]] | Sequence[tuple[int, int]],
+    ranking: Sequence[tuple[tuple[int, int], float]],
     positives: Iterable[tuple[int, int]],
 ) -> float:
-    """Average precision of a ranked pair list against a positive set.
+    """Average precision of a ranked list of (pair, score) items against a
+    positive set; pairs match in either vertex order.
 
     AP = (1/|positives|) * sum over ranks r holding a positive of
     precision@r. Positives never retrieved contribute zero, so the score
@@ -115,8 +116,7 @@ def average_precision(
         raise ValueError("average precision needs at least one positive pair")
     precisions: list[float] = []
     hits = 0
-    for rank, item in enumerate(ranking, start=1):
-        pair = item[0] if len(item) == 2 and isinstance(item[0], tuple) else item
+    for rank, (pair, _) in enumerate(ranking, start=1):
         if tuple(sorted(pair)) in pos:
             hits += 1
             precisions.append(hits / rank)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Protocol, Sequence
+from dataclasses import dataclass
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import bisect
@@ -23,7 +23,7 @@ from .attrpred import KernelParams, leave_out_auc, leave_out_scores, roc_auc
 from .changepoint import cp_pr_auc, detect_change_points
 from .linkpred import KatzParams, katz_scores, online_step_score
 from .temporal import ChangePointLabels, GraphSequence, StaticGraph, VertexAttributes, union_graphs
-from .windows import Windowing, WindowedSequence, apply_windowing, uniform_windowing, windowed_at
+from .windows import Windowing, WindowedSequence, apply_windowing, windowed_at
 
 __all__ = [
     "SelectorParams",
@@ -31,9 +31,6 @@ __all__ = [
     "StepRecord",
     "KatzTask",
     "OnlineWindowSelector",
-    "FixedOnlineSelector",
-    "RandomOnlineSelector",
-    "AdageOnlineSelector",
     "OfflineSelection",
     "supervised_offline_select",
     "linkpred_window_quality",
@@ -45,7 +42,6 @@ __all__ = [
     "entropy_select",
     "adage_select",
     "random_windowing",
-    "fixed_select",
     "graph_entropy",
     "powerlaw_exponent",
 ]
@@ -64,13 +60,11 @@ class SelectorParams:
     min_tests: retest any size scored fewer than this many times (inf = always).
     top_count: how many of the best-scoring sizes to retest each step (inf = all).
     alpha: per-step decay of old scores in the ledger mean; 1 = plain mean.
-    seed: randomness root for selectors that need one.
     """
 
     min_tests: float = 10.0
     top_count: float = 10.0
     alpha: float = 0.5
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (self.min_tests >= 1):
@@ -86,9 +80,21 @@ class ScoreLedger:
 
     def __init__(self) -> None:
         self._entries: dict[int, list[tuple[int, float]]] = {}
+        self._held: set[tuple[int, int]] = set()
+        self._latest = 0
 
     def append(self, size: int, step: int, score: float) -> None:
+        """Record a score; a (size, step) pair already held keeps its first
+        score, so a ledger carried over an overlapping span counts each step once."""
+        if (size, step) in self._held:
+            return
+        self._held.add((size, step))
+        self._latest = max(self._latest, step)
         self._entries.setdefault(size, []).append((step, score))
+
+    def latest(self) -> int:
+        """The newest step holding a score (0 when empty)."""
+        return self._latest
 
     def count(self, size: int) -> int:
         return len(self._entries.get(size, ()))
@@ -124,14 +130,6 @@ class ScoreLedger:
         return {w: tuple(entries) for w, entries in self._entries.items() if entries}
 
 
-class OnlineTask(Protocol):
-    """One-step-ahead prediction task plugged into online selectors."""
-
-    def predict(self, ws: WindowedSequence) -> object: ...
-
-    def step_score(self, ws: WindowedSequence, incoming: StaticGraph) -> float | None: ...
-
-
 @dataclass(frozen=True)
 class KatzTask:
     """Link prediction by damped path counts from the last windowed graph."""
@@ -151,8 +149,8 @@ class StepRecord:
 
     tested: (size, score-or-None) for each size tried against the incoming
         graph (None = no new links at that size, nothing appended).
-    chosen: the uniform size behind `windowing`, or None when the windowing
-        is not uniform (the random baseline).
+    chosen: the uniform size behind `windowing`, or None when a policy
+        returned a windowing (the random baseline), even a uniform one.
     last_graph: final window of the emitted windowing; the next step's new
         links are measured against it.
     prediction: the task's output from the emitted windowing.
@@ -166,152 +164,102 @@ class StepRecord:
     prediction: object
 
 
-class OnlineWindowSelector:
-    """Ledger-driven online size selection.
+# history (incoming graph included) -> a uniform size or a windowing
+Policy = Callable[[GraphSequence], "int | Windowing"]
 
-    On each incoming graph: every size seen fewer than `min_tests` times and
-    the current `top_count` best sizes are retested by predicting the incoming
-    graph from the history windowed at that size; scores append to the ledger
-    (steps without new links at a size append nothing). The emitted prediction
-    uses the size with the best (decayed) ledger mean, smallest size on ties,
-    size 1 before any score exists. `freeze_after=k` stops all testing after
-    step k and pins the size chosen there (training-only selection).
+
+class OnlineWindowSelector:
+    """Online size selection, one step per incoming graph.
+
+    Without a `policy` the selection is ledger-driven. On each incoming
+    graph, every size seen fewer than `min_tests` times and the current
+    `top_count` best sizes are retested by predicting the incoming graph
+    from the history windowed at that size; scores append to the ledger
+    (steps without new links at a size append nothing). The emitted
+    prediction uses the size with the best (decayed) ledger mean, smallest
+    size on ties, size 1 before any score exists. `freeze_after=k` stops all
+    testing after step k and pins the size chosen there (training-only
+    selection).
+
+    A `policy` replaces the ledger and nothing is tested. It is called on
+    the history, incoming graph included, and returns either a uniform size,
+    which is clamped to the history and reported as `chosen`, or a
+    `Windowing`, which is used as it is and reported as `chosen=None`.
+
+    `first_step` numbers the first graph on the ledger clock. A ledger
+    carried from one run to the next over the same stream needs absolute
+    step numbers, and a run that replays steps the carried ledger already
+    scored ranks them at the ledger's newest step, so no decay weight sees
+    an entry from the future.
     """
 
     def __init__(
         self,
         n: int,
-        task: OnlineTask,
+        task: KatzTask,
         params: SelectorParams = SelectorParams(),
         freeze_after: int | None = None,
         resolution: int = 1,
+        *,
+        policy: Policy | None = None,
+        first_step: int = 1,
     ) -> None:
         self.n = n
         self.task = task
         self.params = params
         self.freeze_after = freeze_after
         self.resolution = resolution
+        self.policy = policy
+        self.first_step = first_step
         self.history: list[StaticGraph] = []
         self.ledger = ScoreLedger()
         self._frozen: int | None = 1 if freeze_after == 0 else None
 
     def process(self, incoming: StaticGraph) -> StepRecord:
         i = len(self.history) + 1
+        now = max(self.first_step + i - 1, self.ledger.latest())
         alpha = self.params.alpha
         tested: list[tuple[int, float | None]] = []
-        testing = self.freeze_after is None or i <= self.freeze_after
+        ledger_driven = self.policy is None
+        testing = ledger_driven and (self.freeze_after is None or i <= self.freeze_after)
         if i >= 2 and testing:
             hist_seq = GraphSequence(self.n, tuple(self.history), self.resolution)
             fresh = {w for w in range(1, i) if self.ledger.count(w) < self.params.min_tests}
-            best = set(self.ledger.top_sizes(now=i, alpha=alpha, count=self.params.top_count))
+            best = set(self.ledger.top_sizes(now=now, alpha=alpha, count=self.params.top_count))
             # a carried-over ledger can rank sizes beyond this run's history
             for w in sorted(w for w in fresh | best if w < i):
                 ws = windowed_at(hist_seq, w)
                 score = self.task.step_score(ws, incoming)
                 if score is not None:
-                    self.ledger.append(w, i, score)
+                    self.ledger.append(w, now, score)
                 tested.append((w, score))
         self.history.append(incoming)
-        if self.freeze_after is not None and i > self.freeze_after:
-            chosen = self._frozen if self._frozen is not None else 1
-        else:
-            chosen = self.ledger.argmax(now=i, alpha=alpha)
-            if chosen is None:
-                chosen = 1
-            if self.freeze_after is not None and i == self.freeze_after:
-                self._frozen = chosen
-        # a carried-over ledger can rank sizes beyond this run's history
-        chosen = min(chosen, i)
         full = GraphSequence(self.n, tuple(self.history), self.resolution)
-        ws = windowed_at(full, chosen)
-        prediction = self.task.predict(ws)
+        if not ledger_driven:
+            choice = self.policy(full)
+        elif self.freeze_after is not None and i > self.freeze_after:
+            choice = self._frozen if self._frozen is not None else 1
+        else:
+            choice = self.ledger.argmax(now=now, alpha=alpha)
+            if choice is None:
+                choice = 1
+            if self.freeze_after is not None and i == self.freeze_after:
+                self._frozen = choice
+        if isinstance(choice, Windowing):
+            chosen = None
+            ws = apply_windowing(full, choice)
+        else:
+            # a carried-over ledger can rank sizes beyond this run's history
+            chosen = min(choice, i)
+            ws = windowed_at(full, chosen)
         return StepRecord(
             step=i,
             tested=tuple(tested),
             chosen=chosen,
             windowing=ws.windowing,
             last_graph=ws.last_graph(),
-            prediction=prediction,
-        )
-
-
-class _SimpleOnlineSelector:
-    """Online selectors that pick a windowing without any ledger."""
-
-    def __init__(self, n: int, task: OnlineTask, resolution: int = 1) -> None:
-        self.n = n
-        self.task = task
-        self.resolution = resolution
-        self.history: list[StaticGraph] = []
-
-    def _windowing(self, length: int) -> Windowing:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _chosen(self, windowing: Windowing) -> int | None:
-        sizes = set(windowing.sizes()[:-1])
-        return windowing.sizes()[0] if len(sizes) <= 1 else None
-
-    def process(self, incoming: StaticGraph) -> StepRecord:
-        self.history.append(incoming)
-        i = len(self.history)
-        win = self._windowing(i)
-        full = GraphSequence(self.n, tuple(self.history), self.resolution)
-        ws = apply_windowing(full, win)
-        return StepRecord(
-            step=i,
-            tested=(),
-            chosen=self._chosen(win),
-            windowing=win,
-            last_graph=ws.last_graph(),
             prediction=self.task.predict(ws),
         )
-
-
-class FixedOnlineSelector(_SimpleOnlineSelector):
-    """Always the same window size (the hand-picked baseline at size 1)."""
-
-    def __init__(self, n: int, task: OnlineTask, size: int = 1, resolution: int = 1) -> None:
-        super().__init__(n, task, resolution)
-        self.size = size
-
-    def _windowing(self, length: int) -> Windowing:
-        return uniform_windowing(length, min(self.size, length))
-
-
-class RandomOnlineSelector(_SimpleOnlineSelector):
-    """A fresh random windowing of the history at every step."""
-
-    def __init__(self, n: int, task: OnlineTask, seed: int = 0, resolution: int = 1) -> None:
-        super().__init__(n, task, resolution)
-        self._rng = np.random.default_rng(seed)
-
-    def _windowing(self, length: int) -> Windowing:
-        return random_windowing(length, self._rng)
-
-    def _chosen(self, windowing: Windowing) -> int | None:
-        return None
-
-
-class AdageOnlineSelector(_SimpleOnlineSelector):
-    """Degree-exponent-convergence size, recomputed on the growing history."""
-
-    def __init__(
-        self,
-        n: int,
-        task: OnlineTask,
-        rel_tol: float = 0.01,
-        patience: int = 3,
-        resolution: int = 1,
-    ) -> None:
-        super().__init__(n, task, resolution)
-        self.rel_tol = rel_tol
-        self.patience = patience
-
-    def _windowing(self, length: int) -> Windowing:
-        if length < 2:
-            return uniform_windowing(length, 1)
-        seq = GraphSequence(self.n, tuple(self.history), self.resolution)
-        return uniform_windowing(length, adage_select(seq, self.rel_tol, self.patience))
 
 
 # --------------------------------------------------------------------------
@@ -613,12 +561,3 @@ def random_windowing(length: int, rng: int | np.random.Generator) -> Windowing:
             cuts.append(pos)
     return Windowing(length, tuple(cuts))
 
-
-def fixed_select(mode: str, length: int) -> int:
-    """The two trivial baselines: size 1 ("hand-picked") or the whole stream
-    as one window ("no-time")."""
-    if mode == "hand-picked":
-        return 1
-    if mode == "no-time":
-        return length
-    raise ValueError(f"unknown fixed mode {mode!r}")

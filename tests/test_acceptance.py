@@ -19,7 +19,7 @@ import pytest
 from graphwin.attrpred import roc_auc
 from graphwin.changepoint import cp_pr_auc, detect_change_points
 from graphwin.cli import main as cli_main
-from graphwin.harness import cross_task_matrix, score_curves, split_intervals
+from graphwin.harness import EvalParams, cross_task_matrix, score_curves, split_intervals
 from graphwin.linkpred import KatzParams, average_precision, katz_matrix, katz_scores
 from graphwin.selectors import KatzTask, OnlineWindowSelector, SelectorParams
 from graphwin.temporal import (
@@ -407,7 +407,7 @@ def test_tasks_prefer_different_window_sizes():
         ["linkpred", "attribute", "changepoint"],
         attrs=attrs,
         cp_truth=truth,
-        batch_size=1,
+        params=EvalParams(batch_size=1),
         dataset_id="three-signal",
     )
     out = cross_task_matrix(curves)

@@ -6,7 +6,7 @@ import shutil
 
 import pytest
 
-from graphwin import KatzParams, SelectorParams, run_suite, split_intervals
+from graphwin import EvalParams, KatzParams, SelectorParams, run_suite, split_intervals
 from graphwin.cli import main
 from graphwin.temporal import load_archive
 
@@ -227,8 +227,10 @@ def test_evaluate_is_a_thin_wrapper_over_the_library(dataset):
         "online",
         ["online", "hand-picked"],
         "linkpred",
-        katz=KatzParams(0.005),
-        params=SelectorParams(min_tests=2, top_count=2, alpha=1.0, seed=3),
+        params=EvalParams(
+            katz=KatzParams(0.005),
+            selector=SelectorParams(min_tests=2, top_count=2, alpha=1.0),
+        ),
         seed=3,
     ).to_dict()
     assert report["aggregates"] == direct["aggregates"]

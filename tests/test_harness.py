@@ -9,8 +9,11 @@ import pytest
 
 from graphwin import (
     CurveSet,
+    EvalParams,
     GraphSequence,
+    ScoreLedger,
     SelectorParams,
+    adage_select,
     cross_task_matrix,
     derive_seed,
     hyperparam_sweep,
@@ -32,7 +35,7 @@ from graphwin.selectors import (
 )
 from graphwin.temporal import ChangePointLabels, StaticGraph, VertexAttributes
 
-from helpers import clique_edges, graph, seq_of
+from helpers import clique_edges, graph, random_sequence, seq_of
 
 
 # --------------------------------------------------------------------------
@@ -145,7 +148,9 @@ def test_run_offline_changepoint_aggregates_mean():
 def test_run_offline_attribute_pools_pairs():
     seq, attrs = noisy_homophily()
     plan = split_intervals(12, 3)
-    rep = run_offline(seq, plan, "hand-picked", "attribute", attrs=attrs, batch_size=2)
+    rep = run_offline(
+        seq, plan, "hand-picked", "attribute", attrs=attrs, params=EvalParams(batch_size=2)
+    )
     entry = rep.aggregates["hand-picked"]["attribute"]
     assert entry["method"] == "pooled"
     pooled = []
@@ -184,7 +189,7 @@ def test_run_offline_is_deterministic_across_jobs():
 # online runner
 
 
-ONLINE_PARAMS = SelectorParams(min_tests=2, top_count=2, alpha=1.0)
+ONLINE_PARAMS = EvalParams(selector=SelectorParams(min_tests=2, top_count=2, alpha=1.0))
 
 
 def test_run_online_scores_only_test_steps():
@@ -216,14 +221,51 @@ def test_run_online_jobs_do_not_change_the_report():
 def test_run_online_carry_ledger_links_pairs():
     seq = split_star_stream(6)
     plan = split_intervals(18, 3)
-    carried = run_online(seq, plan, "online", carry_ledger=True, seed=3)
-    fresh = run_online(seq, plan, "online", carry_ledger=False, seed=3)
+    carried = run_online(seq, plan, "online", params=EvalParams(carry_ledger=True), seed=3)
+    fresh = run_online(seq, plan, "online", params=EvalParams(carry_ledger=False), seed=3)
     assert [c.detail["carried_ledger"] for c in carried.cells] == [False, True]
     assert "carried_ledger" not in fresh.cells[0].detail
     # first pair starts empty either way; the second inherits scores
     assert carried.cells[0].score == fresh.cells[0].score
     assert carried.cells[1].score != fresh.cells[1].score
     assert carried.metadata["carry_ledger"] is True
+
+
+def test_carried_ledger_keys_entries_by_absolute_step(monkeypatch):
+    """A carried ledger must never hold an entry dated after the step it is
+    ranked at (its decay weight would exceed 1), nor one (size, step) twice."""
+    seq = random_sequence(np.random.default_rng(1), 12, 30, 0.25)
+    plan = split_intervals(seq.length, 3)
+    mean = ScoreLedger.mean
+    checked = []
+
+    def checked_mean(self, size, now, alpha):
+        steps = [step for step, _ in self.snapshot()[size]]
+        assert max(steps) <= now
+        assert len(set(steps)) == len(steps)
+        checked.append(size)
+        return mean(self, size, now, alpha)
+
+    monkeypatch.setattr(ScoreLedger, "mean", checked_mean)
+    rep = run_online(seq, plan, "online-weighted", params=EvalParams(carry_ledger=True))
+    assert [c.detail["carried_ledger"] for c in rep.cells] == [False, True]
+    assert checked
+
+
+def test_run_online_adage_honours_its_configured_test():
+    seq = random_sequence(np.random.default_rng(2), 10, 24, 0.2)
+    plan = split_intervals(seq.length, 2)
+    tol, patience = 0.2, 1
+    rep = run_online(
+        seq, plan, "adage", params=EvalParams(adage_tol=tol, adage_patience=patience)
+    )
+    (cell,) = rep.cells
+    for entry in cell.detail["log"]:
+        step = entry["step"]
+        history = seq.slice_steps(cell.train_span[0], cell.train_span[0] + step - 1)
+        assert entry["chosen"] == min(adage_select(history, tol, patience), step)
+    chosen = [e["chosen"] for e in cell.detail["log"]]
+    assert chosen != [e["chosen"] for e in run_online(seq, plan, "adage").cells[0].detail["log"]]
 
 
 def test_run_online_training_only_freezes_choice():
@@ -335,7 +377,7 @@ def test_score_curves_sizes_span_the_shortest_interval():
     seq, plan, attrs, truth = curve_fixture()
     curves = score_curves(
         seq, plan, ["linkpred", "attribute", "changepoint"],
-        attrs=attrs, cp_truth=truth, batch_size=2, dataset_id="probe",
+        attrs=attrs, cp_truth=truth, params=EvalParams(batch_size=2), dataset_id="probe",
     )
     assert curves.sizes == (1, 2, 3, 4)
     assert curves.intervals == plan.spans
@@ -351,7 +393,7 @@ def test_score_curves_match_direct_quality_calls():
     seq, plan, attrs, truth = curve_fixture()
     curves = score_curves(
         seq, plan, ["linkpred", "attribute", "changepoint"],
-        attrs=attrs, cp_truth=truth, batch_size=2,
+        attrs=attrs, cp_truth=truth, params=EvalParams(batch_size=2),
     )
     for idx, span in enumerate(plan.spans):
         segment = seq.slice_steps(*span)
@@ -583,18 +625,21 @@ def test_hyperparam_sweep_matches_direct_runs():
     plan = split_intervals(18, 3)
     records = hyperparam_sweep(
         seq, plan, min_tests_values=[2], top_count_values=[3],
-        fixed=4.0, selector="online", alpha=0.5, seed=7,
+        fixed=4.0, selector="online", params=EvalParams(selector=SelectorParams(alpha=0.5)),
+        seed=7,
     )
     assert [r["axis"] for r in records] == ["min_tests", "top_count"]
     assert [r["value"] for r in records] == [2, 3]
     assert all(r["fixed"] == 4.0 for r in records)
     direct_min = run_online(
         seq, plan, "online",
-        params=SelectorParams(min_tests=2, top_count=4.0, alpha=0.5, seed=7), seed=7,
+        params=EvalParams(selector=SelectorParams(min_tests=2, top_count=4.0, alpha=0.5)),
+        seed=7,
     )
     assert records[0]["score"] == direct_min.aggregates["online"]["linkpred"]["score"]
     direct_top = run_online(
         seq, plan, "online",
-        params=SelectorParams(min_tests=4.0, top_count=3, alpha=0.5, seed=7), seed=7,
+        params=EvalParams(selector=SelectorParams(min_tests=4.0, top_count=3, alpha=0.5)),
+        seed=7,
     )
     assert records[1]["score"] == direct_top.aggregates["online"]["linkpred"]["score"]

@@ -8,12 +8,9 @@ import pytest
 from scipy.special import zeta
 
 from graphwin import (
-    AdageOnlineSelector,
-    FixedOnlineSelector,
     GraphSequence,
     KatzTask,
     OnlineWindowSelector,
-    RandomOnlineSelector,
     ScoreLedger,
     SelectorParams,
     Windowing,
@@ -21,7 +18,6 @@ from graphwin import (
     attr_split_window_quality,
     cp_window_quality,
     entropy_select,
-    fixed_select,
     fourier_select,
     graph_entropy,
     jaccard_select,
@@ -56,6 +52,7 @@ def test_ledger_counts_and_means():
     led = ScoreLedger()
     led.append(2, 1, 0.5)
     led.append(2, 3, 0.7)
+    led.append(2, 3, 0.1)  # (size, step) already held: the first score stays
     assert led.count(2) == 2
     assert led.count(9) == 0
     assert led.sizes() == [2]
@@ -195,27 +192,36 @@ def test_online_selector_clamps_carried_ledger_sizes():
 
 
 def test_fixed_online_selector():
-    sel = FixedOnlineSelector(4, KatzTask(), size=2)
+    sel = OnlineWindowSelector(4, KatzTask(), policy=lambda history: 2)
     recs = [sel.process(g) for g in scripted_stream()]
     assert [r.chosen for r in recs] == [1, 2, 2, 2]  # clamped on the first step
     assert recs[3].windowing == Windowing(4, (2,))
+    assert all(r.tested == () for r in recs)
+    assert sel.ledger.snapshot() == {}
+
+
+def random_online_selector(seed: int) -> OnlineWindowSelector:
+    rng = np.random.default_rng(seed)
+    return OnlineWindowSelector(
+        4, KatzTask(), policy=lambda history: random_windowing(history.length, rng)
+    )
 
 
 def test_random_online_selector_is_seeded():
-    a = RandomOnlineSelector(4, KatzTask(), seed=5)
-    b = RandomOnlineSelector(4, KatzTask(), seed=5)
+    a = random_online_selector(5)
+    b = random_online_selector(5)
     stream = scripted_stream()
     wa = [a.process(g).windowing for g in stream]
     wb = [b.process(g).windowing for g in stream]
     assert wa == wb
-    # chosen is None for this selector: the windowing is not uniform
-    c = RandomOnlineSelector(4, KatzTask(), seed=5)
+    # chosen is None for a policy that returns a windowing, even a uniform one
+    c = random_online_selector(5)
     for g in stream:
         assert c.process(g).chosen is None
 
 
 def test_adage_online_selector_uses_history():
-    sel = AdageOnlineSelector(6, KatzTask())
+    sel = OnlineWindowSelector(6, KatzTask(), policy=adage_select)
     rec = sel.process(graph(6, [(0, 1)]))
     assert rec.chosen == 1  # too short to fit anything
     rec = sel.process(graph(6, [(1, 2)]))
@@ -524,9 +530,3 @@ def test_random_windowing_first_segment_is_uniform():
     sigma = math.sqrt((10**2 - 1) / 12 / draws)
     assert abs(mean - 5.5) <= 3 * sigma
 
-
-def test_fixed_select():
-    assert fixed_select("hand-picked", 9) == 1
-    assert fixed_select("no-time", 9) == 9
-    with pytest.raises(ValueError):
-        fixed_select("whatever", 9)
