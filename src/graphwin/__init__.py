@@ -55,7 +55,6 @@ from .linkpred import (
     online_step_score,
 )
 from .selectors import (
-    KatzTask,
     OfflineSelection,
     OnlineWindowSelector,
     ScoreLedger,
@@ -95,6 +94,7 @@ from .windows import (
     WindowedSequence,
     Windowing,
     apply_windowing,
+    last_window,
     uniform_windowing,
     windowed_at,
 )

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.stats import rankdata
 
-from .temporal import VertexAttributes, CATEGORICAL, CONTINUOUS
+from .temporal import CATEGORICAL, VertexAttributes
 from .windows import WindowedSequence
 
 __all__ = [
@@ -143,17 +143,11 @@ def fit_model(
                 gaussian[name] = per_class
 
     # Neighbour-label conditionals, kernel-weighted over windows.
-    m = ws.window_count
-    nbr_lists = [g.neighbor_lists() for g in ws.graphs]
-    weights = [edge_weight(m, i, kernel.theta) for i in range(1, m + 1)]
     raw = {c: {d: 0.0 for d in classes} for c in classes}
     for v in known_set:
         c = labels[v]
-        for idx in range(m):
-            w = weights[idx]
-            for u in nbr_lists[idx][v]:
-                if u in known_set and u != v:
-                    raw[c][labels[u]] += w
+        for w, lab in _neighbor_evidence(ws, v, labels, kernel.theta):
+            raw[c][lab] += w
     neighbor: dict[str, dict[str, float]] = {}
     for c in classes:
         denom = sum(raw[c].values()) + len(classes)
@@ -168,6 +162,20 @@ def fit_model(
         known_labels=dict(labels),
         theta=kernel.theta,
     )
+
+
+def _neighbor_evidence(
+    ws: WindowedSequence, vertex: int, labels: Mapping[int, str], theta: float
+) -> Iterator[tuple[float, str]]:
+    """(kernel weight, label) of each neighbour of `vertex` with a label in
+    `labels`, window by window, in neighbour-id order within a window."""
+    m = ws.window_count
+    for i, nbrs in enumerate(ws.neighbor_lists, start=1):
+        w = edge_weight(m, i, theta)
+        for u in nbrs[vertex]:
+            lab = labels.get(u)
+            if lab is not None and u != vertex:
+                yield w, lab
 
 
 def _gaussian_logpdf(x: float, mean: float, var: float) -> float:
@@ -188,8 +196,7 @@ def predict_attribute(
     the prior.
     """
     row = attrs.rows[vertex]
-    m = ws.window_count
-    weights = [edge_weight(m, i, model.theta) for i in range(1, m + 1)]
+    evidence = list(_neighbor_evidence(ws, vertex, model.known_labels, model.theta))
     log_post = {}
     for c in model.classes:
         lp = model.log_priors[c]
@@ -202,12 +209,8 @@ def predict_attribute(
             if name in row and c in per_class:
                 mean, var = per_class[c]
                 lp += _gaussian_logpdf(float(row[name]), mean, var)
-        for idx in range(m):
-            w = weights[idx]
-            for u in ws.graphs[idx].neighbor_lists()[vertex]:
-                lab = model.known_labels.get(u)
-                if lab is not None and u != vertex:
-                    lp += w * model.neighbor[c][lab]
+        for w, lab in evidence:
+            lp += w * model.neighbor[c][lab]
         log_post[c] = lp
     neg, pos = model.classes
     denom = np.logaddexp(log_post[neg], log_post[pos])

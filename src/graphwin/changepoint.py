@@ -9,6 +9,8 @@ closes it and starts fresh; a fresh start is a detected change point.
 """
 from __future__ import annotations
 
+import copy
+import logging
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -35,6 +37,8 @@ _LOG_STAR_C = math.log2(2.865064)
 _IMPROVEMENT_EPS = 1e-9
 
 _MAX_SWEEPS = 60
+
+log = logging.getLogger(__name__)
 
 
 def log_star(x: int) -> float:
@@ -87,140 +91,86 @@ def segment_cost(graphs: Sequence[StaticGraph], groups: Sequence[Iterable[int]])
         raise ValueError("empty groups are not allowed")
     assign = np.empty(n, dtype=int)
     for gi, grp in enumerate(group_lists):
-        for v in grp:
-            assign[v] = gi
-    k = len(group_lists)
-    sizes = [len(grp) for grp in group_lists]
-    blocks = np.zeros((k, k), dtype=np.int64)
-    for g in graphs:
-        for u, v in g.edges:
-            a, b = assign[u], assign[v]
-            if a == b:
-                blocks[a, a] += 1
-            else:
-                blocks[min(a, b), max(a, b)] += 1
-    seg_len = len(graphs)
-    cost = log_star(k) + math.fsum(log_star(s) for s in sizes)
-    for a in range(k):
-        cost += _block_bits(sizes[a] * (sizes[a] - 1) // 2 * seg_len, int(blocks[a, a]))
-        for b in range(a + 1, k):
-            cost += _block_bits(sizes[a] * sizes[b] * seg_len, int(blocks[a, b]))
-    return cost
+        assign[grp] = gi
+    return _SegmentState(graphs, assign).cost()
 
 
 class _SegmentState:
-    """Incrementally maintained segment encoding for the local search.
+    """Segment encoding for the local search.
 
-    Tracks, for the segment's aggregated multigraph: per-vertex neighbour
-    multiplicities, the group assignment, group sizes, and the symmetric
-    block-count matrix (diagonal = within-group edge totals).
+    Holds the segment's aggregated multigraph as a dense symmetric n x n
+    contact-count matrix, the group assignment, group sizes, and the
+    symmetric block-count matrix (diagonal = within-group edge totals).
     """
 
-    def __init__(self, n: int) -> None:
-        self.n = n
+    def __init__(self, graphs: Sequence[StaticGraph], assign: np.ndarray) -> None:
+        self.n = graphs[0].n
         self.graph_count = 0
-        self.nbr_weight: list[dict[int, int]] = [dict() for _ in range(n)]
-        self.assign = np.zeros(n, dtype=int)
-        self.sizes: list[int] = [n]
-        self.blocks = np.zeros((1, 1), dtype=float)
-
-    @classmethod
-    def build(cls, graphs: Sequence[StaticGraph], assign: np.ndarray) -> "_SegmentState":
-        st = cls(graphs[0].n)
-        st._set_assignment(assign)
+        self.contacts = np.zeros((self.n, self.n), dtype=np.int64)
         for g in graphs:
-            st.add_graph(g)
-        return st
+            self._add_contacts(g)
+        self._set_assignment(assign)
+
+    def _add_contacts(self, g: StaticGraph) -> None:
+        if g.n != self.n:
+            raise ValueError("graph vertex count mismatch")
+        self.graph_count += 1
+        if g.edges:
+            u, v = np.array(list(g.edges)).T
+            self.contacts[u, v] += 1
+            self.contacts[v, u] += 1
 
     def _set_assignment(self, assign: np.ndarray) -> None:
         # Compact group indices, preserving first-appearance order.
-        remap: dict[int, int] = {}
-        out = np.empty(self.n, dtype=int)
-        for v in range(self.n):
-            g = int(assign[v])
-            if g not in remap:
-                remap[g] = len(remap)
-            out[v] = remap[g]
-        k = len(remap)
-        self.assign = out
-        self.sizes = [0] * k
-        for v in range(self.n):
-            self.sizes[out[v]] += 1
-        self.blocks = np.zeros((k, k), dtype=float)
-        for v in range(self.n):
-            for u, w in self.nbr_weight[v].items():
-                if u > v:
-                    a, b = out[v], out[u]
-                    self.blocks[a, b] += w
-                    if a != b:
-                        self.blocks[b, a] += w
+        values, first = np.unique(assign, return_index=True)
+        remap = np.empty(int(values[-1]) + 1, dtype=int)
+        remap[values[np.argsort(first)]] = np.arange(len(values))
+        self.assign = remap[assign]
+        self.sizes: list[int] = np.bincount(self.assign).tolist()
+        onehot = np.zeros((self.n, len(values)), dtype=np.int64)
+        onehot[np.arange(self.n), self.assign] = 1
+        self.blocks = onehot.T @ self.contacts @ onehot
+        self.blocks[np.diag_indices_from(self.blocks)] //= 2  # each pair seen twice
 
     def clone(self) -> "_SegmentState":
-        st = _SegmentState.__new__(_SegmentState)
-        st.n = self.n
-        st.graph_count = self.graph_count
-        st.nbr_weight = [dict(d) for d in self.nbr_weight]
+        st = copy.copy(self)
+        st.contacts = self.contacts.copy()
         st.assign = self.assign.copy()
         st.sizes = list(self.sizes)
         st.blocks = self.blocks.copy()
         return st
 
     def add_graph(self, g: StaticGraph) -> None:
-        if g.n != self.n:
-            raise ValueError("graph vertex count mismatch")
-        self.graph_count += 1
-        for u, v in g.edges:
-            self.nbr_weight[u][v] = self.nbr_weight[u].get(v, 0) + 1
-            self.nbr_weight[v][u] = self.nbr_weight[v].get(u, 0) + 1
-            a, b = self.assign[u], self.assign[v]
-            self.blocks[a, b] += 1
-            if a != b:
-                self.blocks[b, a] += 1
-
-    def _contact(self, v: int) -> np.ndarray:
-        k = len(self.sizes)
-        c = np.zeros(k, dtype=float)
-        for u, w in self.nbr_weight[v].items():
-            c[self.assign[u]] += w
-        return c
+        self._add_contacts(g)
+        self._set_assignment(self.assign)
 
     def _shift(self, v: int, src: int, dst: int, contact: np.ndarray) -> None:
         # Re-home v's block contributions from group src to group dst. The
         # contact vector depends only on other vertices, so the same vector
         # reverses the move.
-        k = len(self.sizes)
-        for h in range(k):
-            if h == src or h == dst:
-                continue
-            self.blocks[src, h] -= contact[h]
-            self.blocks[h, src] = self.blocks[src, h]
-            self.blocks[dst, h] += contact[h]
-            self.blocks[h, dst] = self.blocks[dst, h]
-        self.blocks[src, src] -= contact[src]
-        self.blocks[src, dst] += contact[src] - contact[dst]
-        self.blocks[dst, src] = self.blocks[src, dst]
-        self.blocks[dst, dst] += contact[dst]
+        b = self.blocks
+        cross = b[src, dst] + contact[src] - contact[dst]
+        b[src] -= contact
+        b[dst] += contact
+        b[src, dst] = cross
+        b[:, src] = b[src]
+        b[:, dst] = b[dst]
         self.sizes[src] -= 1
         self.sizes[dst] += 1
         self.assign[v] = dst
 
     def cost(self) -> float:
-        k_all = len(self.sizes)
-        live = [g for g in range(k_all) if self.sizes[g] > 0]
+        sizes = self.sizes
+        blocks = self.blocks.tolist()
+        live = [g for g in range(len(sizes)) if sizes[g] > 0]
         seg_len = self.graph_count
         total = log_star(len(live))
         for a in live:
-            total += log_star(self.sizes[a])
+            total += log_star(sizes[a])
         for ia, a in enumerate(live):
-            total += _block_bits(
-                self.sizes[a] * (self.sizes[a] - 1) // 2 * seg_len,
-                int(round(self.blocks[a, a])),
-            )
+            total += _block_bits(sizes[a] * (sizes[a] - 1) // 2 * seg_len, blocks[a][a])
             for b in live[ia + 1 :]:
-                total += _block_bits(
-                    self.sizes[a] * self.sizes[b] * seg_len,
-                    int(round(self.blocks[a, b])),
-                )
+                total += _block_bits(sizes[a] * sizes[b] * seg_len, blocks[a][b])
         return total
 
     def _ensure_spare(self) -> int:
@@ -230,9 +180,7 @@ class _SegmentState:
                 return g
         k = len(self.sizes)
         self.sizes.append(0)
-        grown = np.zeros((k + 1, k + 1), dtype=float)
-        grown[:k, :k] = self.blocks
-        self.blocks = grown
+        self.blocks = np.pad(self.blocks, ((0, 1), (0, 1)))
         return k
 
     def search(self) -> None:
@@ -241,13 +189,16 @@ class _SegmentState:
         Deterministic: vertices are swept in id order; each considers moving
         to every other live group and to a fresh singleton, applying the
         strictly best improving move (lowest cost, then lowest target index).
+        Stopping at the sweep cap before a sweep without moves is logged.
         """
         for _ in range(_MAX_SWEEPS):
             improved = False
             for v in range(self.n):
                 src = int(self.assign[v])
                 spare = self._ensure_spare()
-                contact = self._contact(v)
+                contact = np.bincount(
+                    self.assign, weights=self.contacts[v], minlength=len(self.sizes)
+                ).astype(np.int64)
                 base = self.cost()
                 best_gain = _IMPROVEMENT_EPS
                 best_dst = None
@@ -266,6 +217,12 @@ class _SegmentState:
                     improved = True
             if not improved:
                 break
+        else:
+            log.warning(
+                "MDL search on %d vertices stopped at the %d-sweep cap before converging",
+                self.n,
+                _MAX_SWEEPS,
+            )
         self._set_assignment(self.assign)  # compact away emptied groups
 
 
@@ -289,7 +246,7 @@ def detect_change_points(ws: WindowedSequence) -> DetectionResult:
     """
     graphs = ws.graphs
     spans = ws.spans
-    state = _SegmentState.build([graphs[0]], np.zeros(ws.n, dtype=int))
+    state = _SegmentState([graphs[0]], np.zeros(ws.n, dtype=int))
     state.search()
     times: list[int] = []
     starts: list[int] = [1]
@@ -298,7 +255,7 @@ def detect_change_points(ws: WindowedSequence) -> DetectionResult:
         extended = state.clone()
         extended.add_graph(g)
         extended.search()
-        fresh = _SegmentState.build([g], state.assign.copy())
+        fresh = _SegmentState([g], state.assign)
         fresh.search()
         if extended.cost() <= state.cost() + fresh.cost():
             state = extended

@@ -28,7 +28,6 @@ from .attrpred import KernelParams, leave_out_scores, roc_auc
 from .changepoint import cp_pr_auc, detect_change_points
 from .linkpred import KatzParams, average_precision
 from .selectors import (
-    KatzTask,
     OnlineWindowSelector,
     ScoreLedger,
     SelectorParams,
@@ -146,10 +145,20 @@ class EvalParams:
             raise ValueError(f"unknown params keys {unknown}")
         d = cls()
         get = flat.get
+        batch_size = get("batch_size", d.batch_size)
+        carry_ledger = get("carry_ledger", d.carry_ledger)
+        problems = []
+        # an exact type test: JSON true/false parse to bool, an int subclass
+        if batch_size is not None and (type(batch_size) is not int or batch_size < 1):
+            problems.append(f"params.batch_size must be an integer >= 1, got {batch_size!r}")
+        if not isinstance(carry_ledger, bool):
+            problems.append(f"params.carry_ledger must be true or false, got {carry_ledger!r}")
+        if problems:
+            raise ValueError("; ".join(problems))
         return cls(
             katz=KatzParams(beta=float(get("beta", d.katz.beta))),
             kernel=KernelParams(theta=float(get("theta", d.kernel.theta))),
-            batch_size=get("batch_size", d.batch_size),
+            batch_size=batch_size,
             tau=float(get("tau", d.tau)),
             adage_tol=float(get("adage_tol", d.adage_tol)),
             adage_patience=int(get("adage_patience", d.adage_patience)),
@@ -158,7 +167,7 @@ class EvalParams:
                 top_count=_as_count(get("top_count", d.selector.top_count)),
                 alpha=float(get("alpha", d.selector.alpha)),
             ),
-            carry_ledger=bool(get("carry_ledger", d.carry_ledger)),
+            carry_ledger=carry_ledger,
         )
 
 
@@ -445,7 +454,6 @@ def _make_online_selector(
     params: EvalParams,
     train_span: tuple[int, int],
     seed: int,
-    resolution: int,
 ) -> OnlineWindowSelector:
     rng = np.random.default_rng(seed)
     flat = replace(params.selector, alpha=1.0)
@@ -465,13 +473,7 @@ def _make_online_selector(
     }
     policy, knobs, freeze_after = table[name]
     return OnlineWindowSelector(
-        n,
-        KatzTask(params.katz),
-        knobs,
-        freeze_after,
-        resolution,
-        policy=policy,
-        first_step=train_span[0],
+        n, knobs, freeze_after, katz=params.katz, policy=policy, first_step=train_span[0]
     )
 
 
@@ -489,7 +491,7 @@ def _online_pair(
     stream = seq.slice_steps(train_span[0], test_span[1])
     train_length = train_span[1] - train_span[0] + 1
     pair_seed = derive_seed(seed, selector, "linkpred", pair_index)
-    sel = _make_online_selector(selector, seq.n, params, train_span, pair_seed, seq.resolution)
+    sel = _make_online_selector(selector, seq.n, params, train_span, pair_seed)
     if ledger is not None:
         sel.ledger = ledger
     scores: list[float] = []

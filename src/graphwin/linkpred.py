@@ -15,7 +15,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .temporal import StaticGraph
-from .windows import WindowedSequence
 
 __all__ = [
     "KatzParams",
@@ -124,16 +123,15 @@ def average_precision(
 
 
 def online_step_score(
-    history: WindowedSequence,
+    last: StaticGraph,
     incoming: StaticGraph,
     params: KatzParams = KatzParams(),
 ) -> float | None:
     """Score a one-step-ahead prediction made from the last windowed graph.
 
-    Positives are the incoming step's edges absent from the last windowed
-    graph. Returns None when there are none (the step is skipped).
+    Positives are the incoming step's edges absent from `last`. Returns None
+    when there are none (the step is skipped).
     """
-    last = history.last_graph()
     positives = incoming.edges - last.edges
     if not positives:
         return None

@@ -21,15 +21,14 @@ from scipy.special import zeta
 
 from .attrpred import KernelParams, leave_out_auc, leave_out_scores, roc_auc
 from .changepoint import cp_pr_auc, detect_change_points
-from .linkpred import KatzParams, katz_scores, online_step_score
-from .temporal import ChangePointLabels, GraphSequence, StaticGraph, VertexAttributes, union_graphs
-from .windows import Windowing, WindowedSequence, apply_windowing, windowed_at
+from .linkpred import KatzParams, ScoredPairs, katz_scores, online_step_score
+from .temporal import ChangePointLabels, GraphSequence, StaticGraph, VertexAttributes
+from .windows import Windowing, last_window, uniform_windowing, windowed_at
 
 __all__ = [
     "SelectorParams",
     "ScoreLedger",
     "StepRecord",
-    "KatzTask",
     "OnlineWindowSelector",
     "OfflineSelection",
     "supervised_offline_select",
@@ -131,19 +130,6 @@ class ScoreLedger:
 
 
 @dataclass(frozen=True)
-class KatzTask:
-    """Link prediction by damped path counts from the last windowed graph."""
-
-    params: KatzParams = KatzParams()
-
-    def predict(self, ws: WindowedSequence) -> object:
-        return katz_scores(ws.last_graph(), self.params)
-
-    def step_score(self, ws: WindowedSequence, incoming: StaticGraph) -> float | None:
-        return online_step_score(ws, incoming, self.params)
-
-
-@dataclass(frozen=True)
 class StepRecord:
     """What an online selector did at one step.
 
@@ -153,7 +139,7 @@ class StepRecord:
         returned a windowing (the random baseline), even a uniform one.
     last_graph: final window of the emitted windowing; the next step's new
         links are measured against it.
-    prediction: the task's output from the emitted windowing.
+    prediction: the Katz ranking of `last_graph`.
     """
 
     step: int
@@ -161,7 +147,7 @@ class StepRecord:
     chosen: int | None
     windowing: Windowing
     last_graph: StaticGraph
-    prediction: object
+    prediction: ScoredPairs
 
 
 # history (incoming graph included) -> a uniform size or a windowing
@@ -173,8 +159,8 @@ class OnlineWindowSelector:
 
     Without a `policy` the selection is ledger-driven. On each incoming
     graph, every size seen fewer than `min_tests` times and the current
-    `top_count` best sizes are retested by predicting the incoming graph
-    from the history windowed at that size; scores append to the ledger
+    `top_count` best sizes are retested by ranking pairs of the history's
+    last window at that size with `katz`; scores append to the ledger
     (steps without new links at a size append nothing). The emitted
     prediction uses the size with the best (decayed) ledger mean, smallest
     size on ties, size 1 before any score exists. `freeze_after=k` stops all
@@ -196,19 +182,17 @@ class OnlineWindowSelector:
     def __init__(
         self,
         n: int,
-        task: KatzTask,
         params: SelectorParams = SelectorParams(),
         freeze_after: int | None = None,
-        resolution: int = 1,
         *,
+        katz: KatzParams = KatzParams(),
         policy: Policy | None = None,
         first_step: int = 1,
     ) -> None:
         self.n = n
-        self.task = task
         self.params = params
         self.freeze_after = freeze_after
-        self.resolution = resolution
+        self.katz = katz
         self.policy = policy
         self.first_step = first_step
         self.history: list[StaticGraph] = []
@@ -223,18 +207,18 @@ class OnlineWindowSelector:
         ledger_driven = self.policy is None
         testing = ledger_driven and (self.freeze_after is None or i <= self.freeze_after)
         if i >= 2 and testing:
-            hist_seq = GraphSequence(self.n, tuple(self.history), self.resolution)
+            hist_seq = GraphSequence(self.n, tuple(self.history))
             fresh = {w for w in range(1, i) if self.ledger.count(w) < self.params.min_tests}
             best = set(self.ledger.top_sizes(now=now, alpha=alpha, count=self.params.top_count))
             # a carried-over ledger can rank sizes beyond this run's history
             for w in sorted(w for w in fresh | best if w < i):
-                ws = windowed_at(hist_seq, w)
-                score = self.task.step_score(ws, incoming)
+                last = last_window(hist_seq, uniform_windowing(i - 1, w))
+                score = online_step_score(last, incoming, self.katz)
                 if score is not None:
                     self.ledger.append(w, now, score)
                 tested.append((w, score))
         self.history.append(incoming)
-        full = GraphSequence(self.n, tuple(self.history), self.resolution)
+        full = GraphSequence(self.n, tuple(self.history))
         if not ledger_driven:
             choice = self.policy(full)
         elif self.freeze_after is not None and i > self.freeze_after:
@@ -246,19 +230,19 @@ class OnlineWindowSelector:
             if self.freeze_after is not None and i == self.freeze_after:
                 self._frozen = choice
         if isinstance(choice, Windowing):
-            chosen = None
-            ws = apply_windowing(full, choice)
+            chosen, windowing = None, choice
         else:
             # a carried-over ledger can rank sizes beyond this run's history
             chosen = min(choice, i)
-            ws = windowed_at(full, chosen)
+            windowing = uniform_windowing(i, chosen)
+        last = last_window(full, windowing)
         return StepRecord(
             step=i,
             tested=tuple(tested),
             chosen=chosen,
-            windowing=ws.windowing,
-            last_graph=ws.last_graph(),
-            prediction=self.task.predict(ws),
+            windowing=windowing,
+            last_graph=last,
+            prediction=katz_scores(last, self.katz),
         )
 
 
@@ -312,8 +296,8 @@ def linkpred_window_quality(
     scores: list[float] = []
     for i in range(2, seq.length + 1):
         history = seq.slice_steps(1, i - 1)
-        ws = windowed_at(history, min(size, history.length))
-        s = online_step_score(ws, seq.step(i), params)
+        last = last_window(history, uniform_windowing(i - 1, min(size, i - 1)))
+        s = online_step_score(last, seq.step(i), params)
         if s is not None:
             scores.append(s)
     if not scores:
@@ -527,9 +511,14 @@ def adage_select(seq: GraphSequence, rel_tol: float = 0.01, patience: int = 3) -
     """
     previous: float | None = None
     run = 0
-    for w in range(1, seq.length + 1):
-        u = union_graphs(seq.graphs[:w])
-        degs = [d for d in u.degrees() if d >= 1]
+    seen: set[tuple[int, int]] = set()  # the opening window's edges
+    degree = [0] * seq.n
+    for w, g in enumerate(seq.graphs, start=1):
+        for u, v in g.edges - seen:
+            degree[u] += 1
+            degree[v] += 1
+        seen |= g.edges
+        degs = [d for d in degree if d >= 1]
         if not degs:
             previous = None
             run = 0

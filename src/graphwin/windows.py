@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
 
 from .temporal import GraphSequence, StaticGraph, union_graphs
 
@@ -18,6 +18,7 @@ __all__ = [
     "uniform_windowing",
     "apply_windowing",
     "windowed_at",
+    "last_window",
 ]
 
 
@@ -94,6 +95,11 @@ class WindowedSequence:
     def last_graph(self) -> StaticGraph:
         return self.graphs[-1]
 
+    @cached_property
+    def neighbor_lists(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Each windowed graph's neighbour lists, built once per sequence."""
+        return tuple(g.neighbor_lists() for g in self.graphs)
+
     def to_graph_sequence(self, resolution: int | None = None) -> GraphSequence:
         """View the windowed graphs as a sequence of their own (for re-windowing)."""
         res = resolution if resolution is not None else self.source.resolution
@@ -116,3 +122,13 @@ def apply_windowing(seq: GraphSequence, windowing: Windowing) -> WindowedSequenc
 def windowed_at(seq: GraphSequence, size: int) -> WindowedSequence:
     """Uniform windowing of `seq` at the given window size."""
     return apply_windowing(seq, uniform_windowing(seq.length, size))
+
+
+def last_window(seq: GraphSequence, windowing: Windowing) -> StaticGraph:
+    """The final windowed graph of `seq` under `windowing`, built alone."""
+    if windowing.length != seq.length:
+        raise ValueError(
+            f"windowing over {windowing.length} steps applied to a {seq.length}-step sequence"
+        )
+    start = windowing.cuts[-1] if windowing.cuts else 0
+    return union_graphs(seq.graphs[start:])

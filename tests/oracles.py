@@ -1,0 +1,372 @@
+"""Plain reference implementations kept as differential oracles.
+
+These are the straightforward versions of kernels the package now computes
+in another form: the relational classifier's neighbour-evidence loops
+(rebuilding each window's neighbour lists at every use) and the MDL segment
+state (one neighbour-count dict per vertex, float block counts, a Python
+loop per block update). Tests check that the package gives exactly equal
+results on random inputs.
+"""
+from __future__ import annotations
+
+import logging
+import math
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from graphwin.attrpred import (
+    VARIANCE_FLOOR,
+    AttributeModel,
+    KernelParams,
+    _gaussian_logpdf,
+    default_batch_size,
+    edge_weight,
+)
+from graphwin.changepoint import DetectionResult, _block_bits, log_star
+from graphwin.temporal import CATEGORICAL, StaticGraph, VertexAttributes
+from graphwin.windows import WindowedSequence
+
+log = logging.getLogger(__name__)
+
+_IMPROVEMENT_EPS = 1e-9
+_MAX_SWEEPS = 60
+
+
+# --------------------------------------------------------------------------
+# relational naive Bayes
+
+
+def fit_model(
+    ws: WindowedSequence,
+    attrs: VertexAttributes,
+    known: Iterable[int],
+    kernel: KernelParams = KernelParams(),
+) -> AttributeModel:
+    """Fit the classifier on the labelled vertices in `known`."""
+    known_set = {v for v in known if attrs.target_of(v) is not None}
+    if not known_set:
+        raise ValueError("fitting set has no labelled vertices")
+    classes = attrs.classes
+    labels = {v: attrs.target_of(v) for v in known_set}
+    counts = {c: sum(1 for lab in labels.values() if lab == c) for c in classes}
+    for c in classes:
+        if counts[c] == 0:
+            log.warning("class %r absent from the fitting set; prior rests on smoothing", c)
+    total = len(known_set)
+    log_priors = {
+        c: math.log((counts[c] + 1) / (total + len(classes))) for c in classes
+    }
+
+    # Local features: categorical tables over each feature's observed domain,
+    # Gaussian (mean, floored variance) for continuous ones.
+    categorical: dict[str, dict[str, dict[str, float]]] = {}
+    gaussian: dict[str, dict[str, tuple[float, float]]] = {}
+    for name in attrs.feature_names:
+        if attrs.types[name] == CATEGORICAL:
+            domain = sorted(
+                {str(r[name]) for r in attrs.rows if name in r}
+            )
+            if not domain:
+                continue
+            table: dict[str, dict[str, float]] = {}
+            for c in classes:
+                vals = [
+                    str(attrs.rows[v][name])
+                    for v in known_set
+                    if labels[v] == c and name in attrs.rows[v]
+                ]
+                denom = len(vals) + len(domain)
+                table[c] = {
+                    d: math.log((vals.count(d) + 1) / denom) for d in domain
+                }
+            categorical[name] = table
+        else:
+            per_class: dict[str, tuple[float, float]] = {}
+            for c in classes:
+                xs = [
+                    float(attrs.rows[v][name])
+                    for v in known_set
+                    if labels[v] == c and name in attrs.rows[v]
+                ]
+                if not xs:
+                    continue
+                mean = float(np.mean(xs))
+                var = max(float(np.var(xs)), VARIANCE_FLOOR)
+                per_class[c] = (mean, var)
+            if per_class:
+                gaussian[name] = per_class
+
+    # Neighbour-label conditionals, kernel-weighted over windows.
+    m = ws.window_count
+    nbr_lists = [g.neighbor_lists() for g in ws.graphs]
+    weights = [edge_weight(m, i, kernel.theta) for i in range(1, m + 1)]
+    raw = {c: {d: 0.0 for d in classes} for c in classes}
+    for v in known_set:
+        c = labels[v]
+        for idx in range(m):
+            w = weights[idx]
+            for u in nbr_lists[idx][v]:
+                if u in known_set and u != v:
+                    raw[c][labels[u]] += w
+    neighbor: dict[str, dict[str, float]] = {}
+    for c in classes:
+        denom = sum(raw[c].values()) + len(classes)
+        neighbor[c] = {d: math.log((raw[c][d] + 1) / denom) for d in classes}
+
+    return AttributeModel(
+        classes=classes,
+        log_priors=log_priors,
+        categorical=categorical,
+        gaussian=gaussian,
+        neighbor=neighbor,
+        known_labels=dict(labels),
+        theta=kernel.theta,
+    )
+
+
+def predict_attribute(
+    model: AttributeModel,
+    ws: WindowedSequence,
+    attrs: VertexAttributes,
+    vertex: int,
+) -> tuple[str, float]:
+    """Predict `vertex`'s target value; returns (label, positive-class posterior)."""
+    row = attrs.rows[vertex]
+    m = ws.window_count
+    weights = [edge_weight(m, i, model.theta) for i in range(1, m + 1)]
+    log_post = {}
+    for c in model.classes:
+        lp = model.log_priors[c]
+        for name, table in model.categorical.items():
+            if name in row:
+                val = str(row[name])
+                if val in table[c]:
+                    lp += table[c][val]
+        for name, per_class in model.gaussian.items():
+            if name in row and c in per_class:
+                mean, var = per_class[c]
+                lp += _gaussian_logpdf(float(row[name]), mean, var)
+        for idx in range(m):
+            w = weights[idx]
+            for u in ws.graphs[idx].neighbor_lists()[vertex]:
+                lab = model.known_labels.get(u)
+                if lab is not None and u != vertex:
+                    lp += w * model.neighbor[c][lab]
+        log_post[c] = lp
+    neg, pos = model.classes
+    denom = np.logaddexp(log_post[neg], log_post[pos])
+    posterior_pos = float(np.exp(log_post[pos] - denom))
+    label = pos if log_post[pos] > log_post[neg] else neg
+    return label, posterior_pos
+
+
+def leave_out_scores(
+    ws: WindowedSequence,
+    attrs: VertexAttributes,
+    batch_size: int | None = None,
+    kernel: KernelParams = KernelParams(),
+    eval_ws: WindowedSequence | None = None,
+) -> list[tuple[float, str]]:
+    """(positive posterior, true label) for every labelled vertex, leave-out style."""
+    labelled = list(attrs.labeled())
+    if len(labelled) < 2:
+        raise ValueError("leave-out evaluation needs at least two labelled vertices")
+    values = {attrs.target_of(v) for v in labelled}
+    if len(values) < 2:
+        raise ValueError("single-class population: AUC is undefined")
+    b = default_batch_size(len(labelled)) if batch_size is None else batch_size
+    if not 1 <= b < len(labelled):
+        raise ValueError(
+            f"batch size {b} must lie in [1, {len(labelled) - 1}] so the fitting set is nonempty"
+        )
+    predict_evidence = eval_ws if eval_ws is not None else ws
+    out: list[tuple[float, str]] = []
+    for start in range(0, len(labelled), b):
+        batch = labelled[start : start + b]
+        known = [v for v in labelled if v not in set(batch)]
+        model = fit_model(ws, attrs, known, kernel)
+        for v in batch:
+            _, posterior = predict_attribute(model, predict_evidence, attrs, v)
+            out.append((posterior, attrs.target_of(v)))
+    return out
+
+
+# --------------------------------------------------------------------------
+# MDL segmentation
+
+
+class _SegmentState:
+    """Incrementally maintained segment encoding for the local search."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.graph_count = 0
+        self.nbr_weight: list[dict[int, int]] = [dict() for _ in range(n)]
+        self.assign = np.zeros(n, dtype=int)
+        self.sizes: list[int] = [n]
+        self.blocks = np.zeros((1, 1), dtype=float)
+
+    @classmethod
+    def build(cls, graphs: Sequence[StaticGraph], assign: np.ndarray) -> "_SegmentState":
+        st = cls(graphs[0].n)
+        st._set_assignment(assign)
+        for g in graphs:
+            st.add_graph(g)
+        return st
+
+    def _set_assignment(self, assign: np.ndarray) -> None:
+        # Compact group indices, preserving first-appearance order.
+        remap: dict[int, int] = {}
+        out = np.empty(self.n, dtype=int)
+        for v in range(self.n):
+            g = int(assign[v])
+            if g not in remap:
+                remap[g] = len(remap)
+            out[v] = remap[g]
+        k = len(remap)
+        self.assign = out
+        self.sizes = [0] * k
+        for v in range(self.n):
+            self.sizes[out[v]] += 1
+        self.blocks = np.zeros((k, k), dtype=float)
+        for v in range(self.n):
+            for u, w in self.nbr_weight[v].items():
+                if u > v:
+                    a, b = out[v], out[u]
+                    self.blocks[a, b] += w
+                    if a != b:
+                        self.blocks[b, a] += w
+
+    def clone(self) -> "_SegmentState":
+        st = _SegmentState.__new__(_SegmentState)
+        st.n = self.n
+        st.graph_count = self.graph_count
+        st.nbr_weight = [dict(d) for d in self.nbr_weight]
+        st.assign = self.assign.copy()
+        st.sizes = list(self.sizes)
+        st.blocks = self.blocks.copy()
+        return st
+
+    def add_graph(self, g: StaticGraph) -> None:
+        if g.n != self.n:
+            raise ValueError("graph vertex count mismatch")
+        self.graph_count += 1
+        for u, v in g.edges:
+            self.nbr_weight[u][v] = self.nbr_weight[u].get(v, 0) + 1
+            self.nbr_weight[v][u] = self.nbr_weight[v].get(u, 0) + 1
+            a, b = self.assign[u], self.assign[v]
+            self.blocks[a, b] += 1
+            if a != b:
+                self.blocks[b, a] += 1
+
+    def _contact(self, v: int) -> np.ndarray:
+        k = len(self.sizes)
+        c = np.zeros(k, dtype=float)
+        for u, w in self.nbr_weight[v].items():
+            c[self.assign[u]] += w
+        return c
+
+    def _shift(self, v: int, src: int, dst: int, contact: np.ndarray) -> None:
+        # Re-home v's block contributions from group src to group dst. The
+        # contact vector depends only on other vertices, so the same vector
+        # reverses the move.
+        k = len(self.sizes)
+        for h in range(k):
+            if h == src or h == dst:
+                continue
+            self.blocks[src, h] -= contact[h]
+            self.blocks[h, src] = self.blocks[src, h]
+            self.blocks[dst, h] += contact[h]
+            self.blocks[h, dst] = self.blocks[dst, h]
+        self.blocks[src, src] -= contact[src]
+        self.blocks[src, dst] += contact[src] - contact[dst]
+        self.blocks[dst, src] = self.blocks[src, dst]
+        self.blocks[dst, dst] += contact[dst]
+        self.sizes[src] -= 1
+        self.sizes[dst] += 1
+        self.assign[v] = dst
+
+    def cost(self) -> float:
+        k_all = len(self.sizes)
+        live = [g for g in range(k_all) if self.sizes[g] > 0]
+        seg_len = self.graph_count
+        total = log_star(len(live))
+        for a in live:
+            total += log_star(self.sizes[a])
+        for ia, a in enumerate(live):
+            total += _block_bits(
+                self.sizes[a] * (self.sizes[a] - 1) // 2 * seg_len,
+                int(round(self.blocks[a, a])),
+            )
+            for b in live[ia + 1 :]:
+                total += _block_bits(
+                    self.sizes[a] * self.sizes[b] * seg_len,
+                    int(round(self.blocks[a, b])),
+                )
+        return total
+
+    def _ensure_spare(self) -> int:
+        """Index of an empty group slot, appending one if needed."""
+        for g, s in enumerate(self.sizes):
+            if s == 0:
+                return g
+        k = len(self.sizes)
+        self.sizes.append(0)
+        grown = np.zeros((k + 1, k + 1), dtype=float)
+        grown[:k, :k] = self.blocks
+        self.blocks = grown
+        return k
+
+    def search(self) -> None:
+        """Greedy local moves to a cost minimum."""
+        for _ in range(_MAX_SWEEPS):
+            improved = False
+            for v in range(self.n):
+                src = int(self.assign[v])
+                spare = self._ensure_spare()
+                contact = self._contact(v)
+                base = self.cost()
+                best_gain = _IMPROVEMENT_EPS
+                best_dst = None
+                targets = [g for g in range(len(self.sizes)) if g != src and self.sizes[g] > 0]
+                if self.sizes[src] > 1:
+                    targets.append(spare)  # a lone vertex moving to a new group is a no-op
+                for dst in targets:
+                    self._shift(v, src, dst, contact)
+                    gain = base - self.cost()
+                    self._shift(v, dst, src, contact)
+                    if gain > best_gain:
+                        best_gain = gain
+                        best_dst = dst
+                if best_dst is not None:
+                    self._shift(v, src, best_dst, contact)
+                    improved = True
+            if not improved:
+                break
+        self._set_assignment(self.assign)  # compact away emptied groups
+
+
+def detect_change_points(ws: WindowedSequence) -> DetectionResult:
+    """Online MDL segmentation of a windowed sequence."""
+    graphs = ws.graphs
+    spans = ws.spans
+    state = _SegmentState.build([graphs[0]], np.zeros(ws.n, dtype=int))
+    state.search()
+    times: list[int] = []
+    starts: list[int] = [1]
+    for p in range(2, len(graphs) + 1):
+        g = graphs[p - 1]
+        extended = state.clone()
+        extended.add_graph(g)
+        extended.search()
+        fresh = _SegmentState.build([g], state.assign.copy())
+        fresh.search()
+        if extended.cost() <= state.cost() + fresh.cost():
+            state = extended
+        else:
+            times.append(spans[p - 1][0])
+            starts.append(p)
+            state = fresh
+    return DetectionResult(tuple(times), tuple(starts))
+

@@ -21,7 +21,7 @@ from graphwin.changepoint import cp_pr_auc, detect_change_points
 from graphwin.cli import main as cli_main
 from graphwin.harness import EvalParams, cross_task_matrix, score_curves, split_intervals
 from graphwin.linkpred import KatzParams, average_precision, katz_matrix, katz_scores
-from graphwin.selectors import KatzTask, OnlineWindowSelector, SelectorParams
+from graphwin.selectors import OnlineWindowSelector, SelectorParams
 from graphwin.temporal import (
     ChangePointLabels,
     GraphSequence,
@@ -206,7 +206,6 @@ def trace_streams():
 def assert_traces_match(seq, min_tests, top_count, alpha):
     selector = OnlineWindowSelector(
         seq.n,
-        KatzTask(),
         SelectorParams(min_tests=min_tests, top_count=top_count, alpha=alpha),
     )
     reference = ReferenceSelector(
@@ -248,7 +247,7 @@ def test_online_selection_matches_exhaustive_reference():
     selector = assert_traces_match(novel, 1, 1, 1.0)
     records_tested = []
     replay = OnlineWindowSelector(
-        novel.n, KatzTask(), SelectorParams(min_tests=1, top_count=1, alpha=1.0)
+        novel.n, SelectorParams(min_tests=1, top_count=1, alpha=1.0)
     )
     for i in range(1, T + 1):
         records_tested.append(replay.process(novel.step(i)).tested)

@@ -1,11 +1,13 @@
 """MDL graph segmentation and distance-curve PR-AUC."""
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from graphwin import changepoint
 from graphwin import (
     GraphSequence,
     StaticGraph,
@@ -175,6 +177,24 @@ def test_change_time_is_the_new_windows_first_step():
     seq = seq_of(10, *([list(first)] * 6 + [list(second)] * 4))
     result = detect_change_points(windowed_at(seq, 2))
     assert result.times == (7,)
+
+
+def test_search_reports_the_sweep_cap(monkeypatch, caplog):
+    # two 6-cliques, searched from a split of vertices 0..2 from the rest:
+    # the first sweep moves 0..2 and only a second sweep finds no move
+    g = graph(12, clique_edges(range(6)) | clique_edges(range(6, 12)))
+    start = (np.arange(12) < 3).astype(int)
+    caplog.set_level(logging.WARNING, logger="graphwin.changepoint")
+    converged = changepoint._SegmentState([g], start)
+    converged.search()
+    assert caplog.records == []
+    monkeypatch.setattr(changepoint, "_MAX_SWEEPS", 1)
+    capped = changepoint._SegmentState([g], start)
+    capped.search()
+    assert [r.getMessage() for r in caplog.records] == [
+        "MDL search on 12 vertices stopped at the 1-sweep cap before converging"
+    ]
+    assert capped.assign.tolist() == converged.assign.tolist() == [0] * 6 + [1] * 6
 
 
 # --------------------------------------------------------------------------

@@ -278,6 +278,46 @@ def test_evaluate_config_validation(dataset, capsys):
     assert rc == 1 and "invalid JSON" in err
 
 
+def test_evaluate_rejects_bad_param_values_before_compute(dataset, capsys):
+    prefix = dataset["tmp"] / "out" / "attr"
+    cfg = {
+        "archive": str(dataset["archive"]),
+        "mode": "offline",
+        "task": "attribute",
+        "selectors": ["hand-picked"],
+        "attributes": str(dataset["attrs"]),
+        "target": "y",
+        "intervals": 2,
+        "output": str(prefix),
+    }
+    cfg_path = dataset["tmp"] / "params.json"
+    cases = [
+        ({"carry_ledger": "false"}, ["params.carry_ledger must be true or false, got 'false'"]),
+        ({"batch_size": "x"}, ["params.batch_size must be an integer >= 1, got 'x'"]),
+        ({"batch_size": 0}, ["params.batch_size must be an integer >= 1, got 0"]),
+        ({"batch_size": True}, ["params.batch_size must be an integer >= 1, got True"]),
+        (
+            {"batch_size": 1.5, "carry_ledger": 1},
+            [
+                "params.batch_size must be an integer >= 1, got 1.5",
+                "params.carry_ledger must be true or false, got 1",
+            ],
+        ),
+    ]
+    for params, messages in cases:
+        cfg_path.write_text(json.dumps({**cfg, "params": params}))
+        rc = main(["evaluate", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert rc == 1, params
+        assert "runtime error" not in err
+        for message in messages:
+            assert message in err
+        assert not prefix.with_suffix(".json").exists()
+    cfg_path.write_text(json.dumps({**cfg, "params": {"batch_size": 1, "carry_ledger": False}}))
+    assert main(["evaluate", str(cfg_path)]) == 0
+    assert prefix.with_suffix(".json").exists()
+
+
 def test_evaluate_hyperparameter_grid(dataset):
     prefix = dataset["tmp"] / "out" / "h"
     cfg = online_config(dataset, prefix)

@@ -174,7 +174,7 @@ def test_ap_direct_definition_oracle():
 def test_online_step_score_none_without_new_links():
     seq = seq_of(3, [(0, 1)], [(0, 1)])
     ws = windowed_at(seq, 1)
-    assert online_step_score(ws, seq.step(2)) is None
+    assert online_step_score(ws.last_graph(), seq.step(2)) is None
 
 
 def test_online_step_score_scores_new_links():
@@ -182,7 +182,7 @@ def test_online_step_score_scores_new_links():
     history = seq_of(3, [(0, 1), (0, 2)])
     ws = windowed_at(history, 1)
     incoming = graph(3, [(0, 1), (1, 2)])
-    assert online_step_score(ws, incoming) == 1.0
+    assert online_step_score(ws.last_graph(), incoming) == 1.0
 
 
 def test_online_step_score_partial_rank():
@@ -194,4 +194,4 @@ def test_online_step_score_partial_rank():
     # pick the pair ranked second as the sole new link
     second = ranking[1][0]
     incoming = graph(5, list(ws.last_graph().edges | {second}))
-    assert online_step_score(ws, incoming) == 0.5
+    assert online_step_score(ws.last_graph(), incoming) == 0.5

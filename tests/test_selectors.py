@@ -9,7 +9,6 @@ from scipy.special import zeta
 
 from graphwin import (
     GraphSequence,
-    KatzTask,
     OnlineWindowSelector,
     ScoreLedger,
     SelectorParams,
@@ -97,7 +96,7 @@ def scripted_stream():
 def test_online_selector_hand_trace():
     """Full hand-derived trace with min_tests = 1, top_count = 1, alpha = 1."""
     sel = OnlineWindowSelector(
-        4, KatzTask(), SelectorParams(min_tests=1, top_count=1, alpha=1.0)
+        4, SelectorParams(min_tests=1, top_count=1, alpha=1.0)
     )
     records = [sel.process(g) for g in scripted_stream()]
     assert [r.tested for r in records] == [
@@ -115,7 +114,7 @@ def test_online_selector_hand_trace():
 
 
 def test_online_selector_first_step_defaults_to_one():
-    sel = OnlineWindowSelector(3, KatzTask())
+    sel = OnlineWindowSelector(3)
     rec = sel.process(graph(3, [(0, 1)]))
     assert rec.step == 1
     assert rec.tested == ()
@@ -126,7 +125,7 @@ def test_online_selector_first_step_defaults_to_one():
 
 def test_online_selector_empty_ledger_sticks_to_one():
     # identical graphs: never any new links, so nothing is ever scored
-    sel = OnlineWindowSelector(3, KatzTask())
+    sel = OnlineWindowSelector(3)
     for _ in range(4):
         rec = sel.process(graph(3, [(0, 1)]))
         assert rec.chosen == 1
@@ -135,7 +134,7 @@ def test_online_selector_empty_ledger_sticks_to_one():
 
 def test_online_selector_skipped_steps_append_nothing():
     sel = OnlineWindowSelector(
-        4, KatzTask(), SelectorParams(min_tests=math.inf, top_count=math.inf, alpha=1.0)
+        4, SelectorParams(min_tests=math.inf, top_count=math.inf, alpha=1.0)
     )
     sel.process(graph(4, [(0, 1)]))
     rec = sel.process(graph(4, [(0, 1)]))  # no new links
@@ -145,7 +144,7 @@ def test_online_selector_skipped_steps_append_nothing():
 
 def test_online_selector_exhaustive_tests_every_size():
     sel = OnlineWindowSelector(
-        4, KatzTask(), SelectorParams(min_tests=math.inf, top_count=math.inf, alpha=1.0)
+        4, SelectorParams(min_tests=math.inf, top_count=math.inf, alpha=1.0)
     )
     for i, g in enumerate(scripted_stream(), start=1):
         rec = sel.process(g)
@@ -156,7 +155,6 @@ def test_training_only_freeze():
     stream = scripted_stream()
     sel = OnlineWindowSelector(
         4,
-        KatzTask(),
         SelectorParams(min_tests=1, top_count=1, alpha=1.0),
         freeze_after=3,
     )
@@ -169,7 +167,7 @@ def test_training_only_freeze():
 
 
 def test_freeze_after_zero_never_tests():
-    sel = OnlineWindowSelector(4, KatzTask(), freeze_after=0)
+    sel = OnlineWindowSelector(4, freeze_after=0)
     for g in scripted_stream():
         rec = sel.process(g)
         assert rec.tested == ()
@@ -181,7 +179,7 @@ def test_online_selector_clamps_carried_ledger_sizes():
     # window yet; they are skipped for testing and the choice is clamped
     led = ScoreLedger()
     led.append(3, 2, 0.9)
-    sel = OnlineWindowSelector(4, KatzTask())
+    sel = OnlineWindowSelector(4)
     sel.ledger = led
     rec = sel.process(graph(4, [(0, 1)]))
     assert rec.chosen == 1
@@ -192,7 +190,7 @@ def test_online_selector_clamps_carried_ledger_sizes():
 
 
 def test_fixed_online_selector():
-    sel = OnlineWindowSelector(4, KatzTask(), policy=lambda history: 2)
+    sel = OnlineWindowSelector(4, policy=lambda history: 2)
     recs = [sel.process(g) for g in scripted_stream()]
     assert [r.chosen for r in recs] == [1, 2, 2, 2]  # clamped on the first step
     assert recs[3].windowing == Windowing(4, (2,))
@@ -203,7 +201,7 @@ def test_fixed_online_selector():
 def random_online_selector(seed: int) -> OnlineWindowSelector:
     rng = np.random.default_rng(seed)
     return OnlineWindowSelector(
-        4, KatzTask(), policy=lambda history: random_windowing(history.length, rng)
+        4, policy=lambda history: random_windowing(history.length, rng)
     )
 
 
@@ -221,7 +219,7 @@ def test_random_online_selector_is_seeded():
 
 
 def test_adage_online_selector_uses_history():
-    sel = OnlineWindowSelector(6, KatzTask(), policy=adage_select)
+    sel = OnlineWindowSelector(6, policy=adage_select)
     rec = sel.process(graph(6, [(0, 1)]))
     assert rec.chosen == 1  # too short to fit anything
     rec = sel.process(graph(6, [(1, 2)]))
