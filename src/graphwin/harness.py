@@ -448,6 +448,25 @@ def run_offline(
 # Online evaluation
 
 
+def _adage_policy(rel_tol: float, patience: int) -> Callable[[GraphSequence], int]:
+    """`adage_select` on each history until it converges. A size shorter
+    than the history was returned on convergence and depends only on the
+    steps up to it, so every longer history returns it too and is not
+    refitted."""
+    converged: int | None = None
+
+    def policy(history: GraphSequence) -> int:
+        nonlocal converged
+        if converged is not None:
+            return converged
+        size = adage_select(history, rel_tol, patience)
+        if size < history.length:
+            converged = size
+        return size
+
+    return policy
+
+
 def _make_online_selector(
     name: str,
     n: int,
@@ -465,11 +484,7 @@ def _make_online_selector(
         "training-only": (None, flat, train_length),
         "hand-picked": (lambda history: 1, params.selector, None),
         "random": (lambda history: random_windowing(history.length, rng), params.selector, None),
-        "adage": (
-            lambda history: adage_select(history, params.adage_tol, params.adage_patience),
-            params.selector,
-            None,
-        ),
+        "adage": (_adage_policy(params.adage_tol, params.adage_patience), params.selector, None),
     }
     policy, knobs, freeze_after = table[name]
     return OnlineWindowSelector(

@@ -2,11 +2,22 @@
 
 Pairs are scored by the damped path-count sum S = sum_{l>=1} beta^l * A^l,
 solved in closed form as (I - beta*A)^{-1} - I whenever beta times the
-spectral radius is below one, else by truncating the series. Prediction
-quality is ranking average precision against the new links of the next step.
+spectral radius is below one, else by truncating the series. The spectral
+radius never exceeds the largest degree, so when beta times the largest
+degree is below one the closed form is used without an eigen-solve.
+Prediction quality is ranking average precision against the new links of
+the next step.
+
+A graph's ranking is computed once as three read-only arrays (pair ends and
+score, in rank order) and memoised per (graph, params) in a least-recently
+used cache of 16 entries: the online selector emits the size it has just
+tested, and a sweep retests the same windows, so the same graph is ranked
+over and over. `online_step_score` reads the arrays directly; `katz_scores`
+returns a fresh list built from them.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -29,6 +40,11 @@ log = logging.getLogger(__name__)
 
 # ((u, v), score) in descending score order, lexicographic pair order on ties.
 ScoredPairs = list[tuple[tuple[int, int], float]]
+
+_EPS = float(np.finfo(float).eps)
+
+# the divergence fallback warns once per process, later hits log at debug
+_fallback_warned = False
 
 
 @dataclass(frozen=True)
@@ -62,21 +78,56 @@ def _truncated_matrix(a: np.ndarray, beta: float, max_len: int) -> np.ndarray:
 
 def katz_matrix(graph: StaticGraph, params: KatzParams = KatzParams()) -> np.ndarray:
     """Dense matrix of damped path-count scores between all vertex pairs."""
+    global _fallback_warned
     a = graph.adjacency()
     if params.exact:
         if graph.edge_count == 0:
             return np.zeros_like(a)
-        radius = float(np.max(np.abs(np.linalg.eigvalsh(a))))
-        if params.beta * radius < 1.0:
+        # spectral radius <= max degree, so under the degree bound the
+        # series converges without an eigen-solve
+        bound = params.beta * float(a.sum(axis=1).max())
+        if bound >= 1.0:
+            # eigvalsh is backward stable: the true radius lies within about
+            # n*eps (relative) of the computed one, and where beta * radius
+            # is 1 within that error, I - beta*A is singular to working
+            # precision and the series diverges
+            radius = float(np.max(np.abs(np.linalg.eigvalsh(a))))
+            bound = params.beta * radius * (1.0 + graph.n * _EPS)
+        if bound < 1.0:
             m = np.eye(graph.n) - params.beta * a
             s = np.linalg.solve(m, np.eye(graph.n)) - np.eye(graph.n)
             return s
-        log.warning(
+        log.log(
+            logging.DEBUG if _fallback_warned else logging.WARNING,
             "series diverges (beta*radius = %.4f >= 1); falling back to truncation at %d",
-            params.beta * radius,
+            bound,
             params.max_path_len,
         )
+        _fallback_warned = True
     return _truncated_matrix(a, params.beta, params.max_path_len)
+
+
+@functools.lru_cache(maxsize=16)
+def _ranked(
+    graph: StaticGraph, params: KatzParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidate pairs (u < v, both endpoints with an edge, not joined) as
+    read-only arrays u, v, score, by descending score, then by pair."""
+    s = katz_matrix(graph, params)
+    ends = np.array(list(graph.edges), dtype=np.intp).reshape(-1, 2)
+    linked = np.zeros((graph.n, graph.n), dtype=bool)
+    linked[ends[:, 0], ends[:, 1]] = True
+    active = np.flatnonzero(np.bincount(ends.ravel(), minlength=graph.n))
+    iu, iv = np.triu_indices(len(active), k=1)
+    u, v = active[iu], active[iv]
+    open_ = ~linked[u, v]
+    u, v = u[open_], v[open_]
+    score = s[u, v]
+    order = np.lexsort((v, u, -score))
+    out = (u[order], v[order], score[order])
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def katz_scores(graph: StaticGraph, params: KatzParams = KatzParams()) -> ScoredPairs:
@@ -84,19 +135,18 @@ def katz_scores(graph: StaticGraph, params: KatzParams = KatzParams()) -> Scored
 
     Only pairs whose endpoints both have non-zero degree are scored, and pairs
     already joined by an edge are excluded. Ties break lexicographically by
-    pair, so the ranking is total and deterministic.
+    pair, so the ranking is total and deterministic. Each call returns a new
+    list.
     """
-    s = katz_matrix(graph, params)
-    deg = graph.degrees()
-    active = [v for v in range(graph.n) if deg[v] > 0]
-    out: ScoredPairs = []
-    for ia, u in enumerate(active):
-        for v in active[ia + 1 :]:
-            if (u, v) in graph.edges:
-                continue
-            out.append(((u, v), float(s[u, v])))
-    out.sort(key=lambda item: (-item[1], item[0]))
-    return out
+    u, v, score = _ranked(graph, params)
+    return list(zip(zip(u.tolist(), v.tolist()), score.tolist()))
+
+
+def _ap(ranks: Sequence[int] | np.ndarray, positive_count: int) -> float:
+    # precision at the i-th hit is i / its rank; fsum is exactly rounded, so
+    # the sum is the same however the terms were gathered
+    terms = np.arange(1, len(ranks) + 1) / np.asarray(ranks, dtype=float)
+    return math.fsum(terms.tolist()) / positive_count
 
 
 def average_precision(
@@ -110,16 +160,12 @@ def average_precision(
     precision@r. Positives never retrieved contribute zero, so the score
     is penalised for pairs the ranking cannot see.
     """
-    pos = {tuple(sorted(p)) for p in positives}
+    pos = {(a, b) if a <= b else (b, a) for a, b in positives}
     if not pos:
         raise ValueError("average precision needs at least one positive pair")
-    precisions: list[float] = []
-    hits = 0
-    for rank, (pair, _) in enumerate(ranking, start=1):
-        if tuple(sorted(pair)) in pos:
-            hits += 1
-            precisions.append(hits / rank)
-    return math.fsum(precisions) / len(pos)
+    either = pos | {(b, a) for a, b in pos}
+    ranks = [r for r, (pair, _) in enumerate(ranking, start=1) if pair in either]
+    return _ap(ranks, len(pos))
 
 
 def online_step_score(
@@ -135,5 +181,8 @@ def online_step_score(
     positives = incoming.edges - last.edges
     if not positives:
         return None
-    ranking = katz_scores(last, params)
-    return average_precision(ranking, positives)
+    u, v, _ = _ranked(last, params)
+    ends = np.array(list(positives), dtype=np.intp)
+    hit = np.zeros((last.n, last.n), dtype=bool)
+    hit[ends[:, 0], ends[:, 1]] = True
+    return _ap(np.flatnonzero(hit[u, v]) + 1, len(positives))

@@ -2,9 +2,11 @@
 
 These are the straightforward versions of kernels the package now computes
 in another form: the relational classifier's neighbour-evidence loops
-(rebuilding each window's neighbour lists at every use) and the MDL segment
+(rebuilding each window's neighbour lists at every use), the MDL segment
 state (one neighbour-count dict per vertex, float block counts, a Python
-loop per block update). Tests check that the package gives exactly equal
+loop per block update) and damped path-sum link ranking (an eigen-solve on
+every graph, a Python loop over candidate pairs, a sort on tuple keys and a
+per-item pair normalisation in average precision). Tests check that the package gives exactly equal
 results on random inputs.
 """
 from __future__ import annotations
@@ -24,6 +26,7 @@ from graphwin.attrpred import (
     edge_weight,
 )
 from graphwin.changepoint import DetectionResult, _block_bits, log_star
+from graphwin.linkpred import KatzParams, ScoredPairs, _truncated_matrix
 from graphwin.temporal import CATEGORICAL, StaticGraph, VertexAttributes
 from graphwin.windows import WindowedSequence
 
@@ -370,3 +373,67 @@ def detect_change_points(ws: WindowedSequence) -> DetectionResult:
             state = fresh
     return DetectionResult(tuple(times), tuple(starts))
 
+
+
+# --------------------------------------------------------------------------
+# damped path-sum link prediction
+
+
+def katz_matrix(graph: StaticGraph, params: KatzParams = KatzParams()) -> np.ndarray:
+    a = graph.adjacency()
+    if params.exact:
+        if graph.edge_count == 0:
+            return np.zeros_like(a)
+        radius = float(np.max(np.abs(np.linalg.eigvalsh(a))))
+        if params.beta * radius < 1.0:
+            m = np.eye(graph.n) - params.beta * a
+            s = np.linalg.solve(m, np.eye(graph.n)) - np.eye(graph.n)
+            return s
+        log.warning(
+            "series diverges (beta*radius = %.4f >= 1); falling back to truncation at %d",
+            params.beta * radius,
+            params.max_path_len,
+        )
+    return _truncated_matrix(a, params.beta, params.max_path_len)
+
+
+def katz_scores(graph: StaticGraph, params: KatzParams = KatzParams()) -> ScoredPairs:
+    s = katz_matrix(graph, params)
+    deg = graph.degrees()
+    active = [v for v in range(graph.n) if deg[v] > 0]
+    out: ScoredPairs = []
+    for ia, u in enumerate(active):
+        for v in active[ia + 1 :]:
+            if (u, v) in graph.edges:
+                continue
+            out.append(((u, v), float(s[u, v])))
+    out.sort(key=lambda item: (-item[1], item[0]))
+    return out
+
+
+def average_precision(
+    ranking: Sequence[tuple[tuple[int, int], float]],
+    positives: Iterable[tuple[int, int]],
+) -> float:
+    pos = {tuple(sorted(p)) for p in positives}
+    if not pos:
+        raise ValueError("average precision needs at least one positive pair")
+    precisions: list[float] = []
+    hits = 0
+    for rank, (pair, _) in enumerate(ranking, start=1):
+        if tuple(sorted(pair)) in pos:
+            hits += 1
+            precisions.append(hits / rank)
+    return math.fsum(precisions) / len(pos)
+
+
+def online_step_score(
+    last: StaticGraph,
+    incoming: StaticGraph,
+    params: KatzParams = KatzParams(),
+) -> float | None:
+    positives = incoming.edges - last.edges
+    if not positives:
+        return None
+    ranking = katz_scores(last, params)
+    return average_precision(ranking, positives)

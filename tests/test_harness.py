@@ -16,6 +16,7 @@ from graphwin import (
     adage_select,
     cross_task_matrix,
     derive_seed,
+    harness,
     hyperparam_sweep,
     roc_auc,
     run_offline,
@@ -266,6 +267,32 @@ def test_run_online_adage_honours_its_configured_test():
         assert entry["chosen"] == min(adage_select(history, tol, patience), step)
     chosen = [e["chosen"] for e in cell.detail["log"]]
     assert chosen != [e["chosen"] for e in run_online(seq, plan, "adage").cells[0].detail["log"]]
+
+
+def test_adage_policy_matches_adage_select_without_refitting(monkeypatch):
+    fits = []
+
+    def counted(history, rel_tol, patience):
+        fits.append(history.length)
+        return adage_select(history, rel_tol, patience)
+
+    monkeypatch.setattr(harness, "adage_select", counted)
+    rng = np.random.default_rng(17)
+    converged = 0
+    for _ in range(100):
+        n, length = int(rng.integers(3, 13)), int(rng.integers(1, 21))
+        seq = random_sequence(rng, n, length, float(rng.uniform(0.05, 0.5)))
+        tol, patience = [(0.01, 3), (0.1, 2), (0.3, 1)][int(rng.integers(0, 3))]
+        prefixes = [seq.slice_steps(1, k) for k in range(1, length + 1)]
+        want = [adage_select(prefix, tol, patience) for prefix in prefixes]
+        policy = harness._adage_policy(tol, patience)
+        fits.clear()
+        assert [policy(prefix) for prefix in prefixes] == want
+        # refits stop at the first prefix longer than the size it returns
+        first = next((k for k, w in enumerate(want, start=1) if w < k), length)
+        converged += first < length
+        assert fits == list(range(1, first + 1))
+    assert converged >= 20
 
 
 def test_run_online_training_only_freezes_choice():

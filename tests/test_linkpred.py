@@ -1,6 +1,7 @@
 """Damped path-count link scoring and ranking average precision."""
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
@@ -11,11 +12,12 @@ from graphwin import (
     average_precision,
     katz_matrix,
     katz_scores,
+    linkpred,
     online_step_score,
     windowed_at,
 )
 
-from helpers import graph, random_graph, seq_of
+from helpers import clique_edges, graph, random_graph, seq_of
 
 
 def walk_sum_oracle(adj: np.ndarray, beta: float, max_len: int) -> np.ndarray:
@@ -69,6 +71,43 @@ def test_truncation_fallback_when_series_diverges():
     assert np.max(np.abs(m - oracle)) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "g, beta",
+    [
+        (graph(3, clique_edges(range(3))), 0.5),  # K3, radius 2
+        (graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]), 0.5),  # C5, radius 2
+        (graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]), 0.5),  # star K1,4, radius 2
+        (graph(7, clique_edges(range(5))), 0.25),  # K5 plus two isolated, radius 4
+    ],
+)
+def test_series_at_the_convergence_bound_truncates(g, beta):
+    # beta * radius = 1: I - beta*A is singular, and a computed radius a few
+    # ulps low must not send it to the closed-form solve
+    m = katz_matrix(g, KatzParams(beta=beta, max_path_len=8))
+    assert np.max(np.abs(m - walk_sum_oracle(g.adjacency(), beta, 8))) < 1e-9
+
+
+def test_degree_bound_skips_the_eigen_solve(monkeypatch):
+    def no_eigen_solve(a):
+        raise AssertionError("eigvalsh called under the degree bound")
+
+    monkeypatch.setattr(linkpred.np.linalg, "eigvalsh", no_eigen_solve)
+    g = graph(6, clique_edges(range(6)))  # max degree 5, beta * 5 = 0.5
+    exact = katz_matrix(g, KatzParams(beta=0.1))
+    series = katz_matrix(g, KatzParams(beta=0.1, exact=False, max_path_len=80))
+    assert np.max(np.abs(exact - series)) < 1e-12
+
+
+def test_divergence_fallback_warns_once_per_process(caplog, monkeypatch):
+    monkeypatch.setattr(linkpred, "_fallback_warned", False)
+    params = KatzParams(beta=0.5)
+    with caplog.at_level(logging.DEBUG, logger="graphwin.linkpred"):
+        katz_matrix(graph(5, clique_edges(range(5))), params)
+        katz_matrix(graph(6, clique_edges(range(6))), params)
+    fallbacks = [r for r in caplog.records if "diverges" in r.getMessage()]
+    assert [r.levelno for r in fallbacks] == [logging.WARNING, logging.DEBUG]
+
+
 def test_truncation_error_bound():
     """|exact - truncated_L| stays within beta^(L+1) * n * radius^(L+1) / (1 - beta*radius)."""
     rng = np.random.default_rng(21)
@@ -116,6 +155,35 @@ def test_ranking_is_sorted_by_score_then_pair():
     ranking = katz_scores(g)
     for (pa, sa), (pb, sb) in zip(ranking, ranking[1:]):
         assert sa > sb or (sa == sb and pa < pb)
+
+
+def test_memoised_ranking_is_read_only():
+    g = random_graph(np.random.default_rng(5), 10, 0.3)
+    u, v, score = linkpred._ranked(g, KatzParams())
+    assert len(score) > 0
+    for arr in (u, v, score):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_katz_scores_returns_a_fresh_list():
+    g = random_graph(np.random.default_rng(5), 10, 0.3)
+    first = katz_scores(g)
+    want = list(first)
+    first.reverse()
+    first[0] = ((0, 0), 1.0)
+    first.append(((1, 1), 2.0))
+    assert katz_scores(g) == want
+
+
+def test_ranking_memo_is_bounded():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        katz_scores(random_graph(rng, 8, 0.4))
+    info = linkpred._ranked.cache_info()
+    assert info.maxsize == 16
+    assert info.currsize <= 16
 
 
 # --------------------------------------------------------------------------

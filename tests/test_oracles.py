@@ -2,19 +2,25 @@
 in `oracles.py`, with exact equality on random graphs and windowings."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from graphwin import (
     GraphSequence,
+    KatzParams,
     KernelParams,
     StaticGraph,
     VertexAttributes,
     Windowing,
     apply_windowing,
+    average_precision,
     detect_change_points,
+    katz_scores,
     leave_out_scores,
+    online_step_score,
 )
 
 import oracles
@@ -58,6 +64,114 @@ def random_attributes(rng: np.random.Generator, n: int) -> VertexAttributes:
             row["z"] = float(rng.normal())
     types = {"y": "categorical", "col": "categorical", "z": "continuous"}
     return VertexAttributes(n, "y", types, tuple(rows))
+
+
+def katz_graph(rng: np.random.Generator, kind: str, n: int) -> StaticGraph:
+    """A graph of one family whose rankings tie in a different way:
+    random; disconnected (components plus isolated vertices, so every pair
+    across components scores exactly zero); regular (a relabelled
+    circulant, every vertex alike); complete; empty."""
+    if kind == "random":
+        p = rng.uniform(0.05, 0.7)
+        edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+    elif kind == "disconnected":
+        block = rng.integers(0, int(rng.integers(2, 5)), n)  # block 0 stays isolated
+        p = rng.uniform(0.3, 1.0)
+        edges = {
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if block[u] == block[v] != 0 and rng.random() < p
+        }
+    elif kind == "regular":
+        offsets = [k for k in range(1, n // 2 + 1) if rng.random() < 0.5] or [1]
+        label = rng.permutation(n)
+        edges = {
+            tuple(sorted((int(label[u]), int(label[(u + k) % n]))))
+            for u in range(n)
+            for k in offsets
+            if (u + k) % n != u
+        }
+    elif kind == "complete":
+        edges = {(u, v) for u in range(n) for v in range(u + 1, n)}
+    else:
+        edges = set()
+    return StaticGraph(n, frozenset(edges))
+
+
+def oracle_katz(g: StaticGraph, params: KatzParams) -> KatzParams:
+    """The parameters under which the plain ranking is the expected one.
+
+    Where beta * radius is 1 up to the eigen-solve's rounding, the plain
+    code solved a system singular to working precision: it raised
+    LinAlgError or ranked rounding noise. The package truncates the series
+    there, as it does wherever beta * radius >= 1."""
+    if not (params.exact and g.edge_count):
+        return params
+    radius = float(np.max(np.abs(np.linalg.eigvalsh(g.adjacency()))))
+    if params.beta * radius * (1.0 + g.n * np.finfo(float).eps) >= 1.0:
+        return replace(params, exact=False)
+    return params
+
+
+KATZ_KINDS = st.sampled_from(["random", "disconnected", "regular", "complete", "empty"])
+# the larger betas put beta * max degree >= 1 on most graphs here: the
+# eigen-solve decides, and often falls back to truncation
+KATZ_PARAMS = st.builds(
+    KatzParams,
+    beta=st.sampled_from([0.005, 0.05, 0.25, 0.5]),
+    exact=st.booleans(),
+    max_path_len=st.integers(min_value=1, max_value=8),
+)
+
+
+@seed(1702)
+@settings(max_examples=200, deadline=None)
+@given(
+    draw_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=KATZ_KINDS,
+    n=st.integers(min_value=1, max_value=12),
+    params=KATZ_PARAMS,
+)
+def test_katz_ranking_matches_oracle(draw_seed, kind, n, params):
+    g = katz_graph(np.random.default_rng(draw_seed), kind, n)
+    assert katz_scores(g, params) == oracles.katz_scores(g, oracle_katz(g, params))
+
+
+@seed(1702)
+@settings(max_examples=200, deadline=None)
+@given(
+    draw_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=KATZ_KINDS,
+    n=st.integers(min_value=2, max_value=12),
+    params=KATZ_PARAMS,
+)
+def test_link_scoring_matches_oracle(draw_seed, kind, n, params):
+    rng = np.random.default_rng(draw_seed)
+    last = katz_graph(rng, kind, n)
+    # the incoming step keeps some old links and adds some new ones
+    kept = {e for e in last.edges if rng.random() < 0.5}
+    fresh = {e for e in katz_graph(rng, "random", n).edges if rng.random() < 0.3}
+    incoming = StaticGraph(n, frozenset(kept | fresh))
+    assert online_step_score(last, incoming, params) == oracles.online_step_score(
+        last, incoming, oracle_katz(last, params)
+    )
+    # either vertex order, duplicates, and pairs the ranking never holds
+    ranking = [
+        ((v, u) if rng.random() < 0.3 else (u, v), s)
+        for (u, v), s in katz_scores(last, params)
+    ]
+    positives = [
+        (v, u) if rng.random() < 0.5 else (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < 0.2
+    ]
+    if positives:
+        positives.append(positives[0][::-1])
+        assert average_precision(ranking, positives) == oracles.average_precision(
+            ranking, positives
+        )
 
 
 @seed(1702)
