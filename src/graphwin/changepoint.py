@@ -6,6 +6,14 @@ plus, for every group pair, the bits to transmit that block's cells across
 the whole segment at its aggregated edge density. A new window either extends
 the running segment (partition re-searched locally from the current one) or
 closes it and starts fresh; a fresh start is a detected change point.
+
+The local search scores a whole sweep in one vectorised pass: every
+remaining vertex's cost after a move to every target group, from the
+vertex's contact counts per group. Each candidate cost adds the same float
+terms in the same order as a full `cost()` after the move, so the moves, the
+tie-breaks and the reported costs are those of trying each move in turn.
+A pass stops at the first vertex with an improving move, which is applied
+before the sweep goes on from the next vertex; most sweeps move nothing.
 """
 from __future__ import annotations
 
@@ -183,38 +191,27 @@ class _SegmentState:
         self.blocks = np.pad(self.blocks, ((0, 1), (0, 1)))
         return k
 
-    def search(self) -> None:
-        """Greedy local moves to a cost minimum.
+    def search(self) -> int:
+        """Greedy local moves to a cost minimum; returns the sweeps run.
 
         Deterministic: vertices are swept in id order; each considers moving
-        to every other live group and to a fresh singleton, applying the
-        strictly best improving move (lowest cost, then lowest target index).
-        Stopping at the sweep cap before a sweep without moves is logged.
+        to every other live group (in index order) and, unless it is alone,
+        to a fresh singleton (the spare slot, last), and takes the best move
+        that improves the cost by more than `_IMPROVEMENT_EPS`, the first
+        target on a tie. A sweep scores all vertices from the current one on
+        in one vectorised pass, each gain bit-identical to `cost()` before
+        the move minus `cost()` after it; it applies the first vertex's move
+        and scores again from the next vertex. Stopping at the sweep cap
+        before a sweep without moves is logged.
         """
-        for _ in range(_MAX_SWEEPS):
+        for sweeps in range(1, _MAX_SWEEPS + 1):
             improved = False
-            for v in range(self.n):
-                src = int(self.assign[v])
-                spare = self._ensure_spare()
-                contact = np.bincount(
-                    self.assign, weights=self.contacts[v], minlength=len(self.sizes)
-                ).astype(np.int64)
-                base = self.cost()
-                best_gain = _IMPROVEMENT_EPS
-                best_dst = None
-                targets = [g for g in range(len(self.sizes)) if g != src and self.sizes[g] > 0]
-                if self.sizes[src] > 1:
-                    targets.append(spare)  # a lone vertex moving to a new group is a no-op
-                for dst in targets:
-                    self._shift(v, src, dst, contact)
-                    gain = base - self.cost()
-                    self._shift(v, dst, src, contact)
-                    if gain > best_gain:
-                        best_gain = gain
-                        best_dst = dst
-                if best_dst is not None:
-                    self._shift(v, src, best_dst, contact)
-                    improved = True
+            lo = 0
+            while lo < self.n and (move := self._first_move(lo)) is not None:
+                v, dst, contact = move
+                self._shift(v, int(self.assign[v]), dst, contact)
+                improved = True
+                lo = v + 1
             if not improved:
                 break
         else:
@@ -224,6 +221,77 @@ class _SegmentState:
                 _MAX_SWEEPS,
             )
         self._set_assignment(self.assign)  # compact away emptied groups
+        return sweeps
+
+    def _first_move(self, lo: int) -> tuple[int, int, np.ndarray] | None:
+        """The first vertex v >= lo with an improving move, its best target
+        and its contact counts per group; None if there is none. All gains
+        come from one cost array per (source group, target) pair."""
+        spare = self._ensure_spare()
+        live = [g for g, size in enumerate(self.sizes) if size > 0]
+        targets = live + [spare]
+        onehot = np.zeros((self.n, len(self.sizes)), dtype=np.int64)
+        onehot[np.arange(self.n), self.assign] = 1
+        contacts = self.contacts[lo:] @ onehot
+        srcs = self.assign[lo:]
+        base = self.cost()
+        gains = np.full((len(srcs), len(targets)), -np.inf)
+        for src in live:
+            rows = np.flatnonzero(srcs == src)
+            if rows.size == 0:
+                continue
+            for col, dst in enumerate(targets):
+                # a lone vertex moving to a new group is a no-op
+                if dst != src and (dst != spare or self.sizes[src] > 1):
+                    gains[rows, col] = base - self._move_costs(src, dst, contacts[rows])
+        hits = np.flatnonzero(gains.max(axis=1) > _IMPROVEMENT_EPS)
+        if hits.size == 0:
+            return None
+        i = int(hits[0])
+        return lo + i, targets[int(gains[i].argmax())], contacts[i]  # first target on a tie
+
+    def _move_costs(self, src: int, dst: int, contact: np.ndarray) -> np.ndarray:
+        """cost() after moving each vertex of group src to group dst, given
+        each one's contact counts per group (one row each).
+
+        The terms are cost()'s, added in its order: the code of the group
+        count and sizes as one float, then each block term across all rows.
+        """
+        sizes = list(self.sizes)
+        sizes[src] -= 1
+        sizes[dst] += 1
+        live = [g for g, size in enumerate(sizes) if size > 0]
+        total = log_star(len(live))
+        for a in live:
+            total += log_star(sizes[a])
+        # rows src and dst of the block counts after each move, as in _shift
+        moved = {src: self.blocks[src] - contact, dst: self.blocks[dst] + contact}
+        cross = self.blocks[src, dst] + contact[:, src] - contact[:, dst]
+        moved[src][:, dst] = cross
+        moved[dst][:, src] = cross
+        out = np.full(len(contact), total)
+        for ia, a in enumerate(live):
+            for b in live[ia:]:
+                cells = sizes[a] * (sizes[a] - 1) // 2 if a == b else sizes[a] * sizes[b]
+                cells *= self.graph_count
+                if a in moved:
+                    out += _bits(cells, moved[a][:, b])
+                elif b in moved:
+                    out += _bits(cells, moved[b][:, a])
+                else:
+                    out += _block_bits(cells, int(self.blocks[a, b]))
+        return out
+
+
+def _bits(cells: int, ones: np.ndarray) -> np.ndarray:
+    """`_block_bits` of each count in ones, one call per distinct count."""
+    low = int(ones.min())
+    offsets = ones - low
+    counts = np.bincount(offsets)
+    table = np.zeros(len(counts))
+    seen = np.flatnonzero(counts)
+    table[seen] = [_block_bits(cells, low + x) for x in seen.tolist()]
+    return table[offsets]
 
 
 @dataclass(frozen=True)

@@ -207,8 +207,26 @@ def derive_seed(master: int, *parts: object) -> int:
 def _pmap(fn: Callable, items: Sequence, jobs: int) -> list:
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_one_blas_thread) as pool:
         return list(pool.map(fn, items))
+
+
+def _one_blas_thread() -> None:
+    """Pool-worker initializer: numpy's BLAS on one thread, so `jobs`
+    workers use `jobs` CPUs rather than `jobs` times BLAS's thread count.
+    Calls the thread setter of the OpenBLAS that numpy wheels bundle; other
+    builds keep their setting."""
+    import ctypes
+
+    try:
+        setter = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError) as exc:
+        log.debug("pool worker: BLAS threads left as they are (%s)", exc)
+        return
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = None
+    setter(1)
+    log.debug("pool worker: scipy-openblas64 BLAS pinned to one thread")
 
 
 # --------------------------------------------------------------------------
@@ -347,14 +365,14 @@ def _jsonable(value):
 def _offline_cell(
     seq: GraphSequence,
     plan: IntervalPlan,
-    selector: str,
     task: str,
     attrs: VertexAttributes | None,
     cp_truth: ChangePointLabels | None,
     params: EvalParams,
     seed: int,
-    pair_index: int,
+    cell: tuple[str, int],
 ) -> tuple[float | None, dict]:
+    selector, pair_index = cell
     a, b = plan.pairs[pair_index]
     train_span, test_span = plan.spans[a], plan.spans[b]
     train = seq.slice_steps(*train_span)
@@ -413,16 +431,50 @@ def run_offline(
     their (score, label) lists into a single AUC (the population repeats
     across test sets, so pooling is the meaningful combination).
     """
+    (report,) = _offline_reports(seq, plan, [selector], task, attrs, cp_truth, params, seed, jobs)
+    return report
+
+
+def _offline_reports(
+    seq: GraphSequence,
+    plan: IntervalPlan,
+    selectors: Sequence[str],
+    task: str,
+    attrs: VertexAttributes | None,
+    cp_truth: ChangePointLabels | None,
+    params: EvalParams,
+    seed: int,
+    jobs: int,
+) -> list[ExperimentReport]:
+    """`run_offline` for each selector, every (selector, pair) cell in one
+    `_pmap` call, so a suite starts one process pool."""
     if task not in ("attribute", "changepoint"):
         raise ValueError(f"offline evaluation covers attribute/changepoint, not {task!r}")
-    if selector not in OFFLINE_SELECTORS:
-        raise ValueError(f"unknown offline selector {selector!r}")
+    for selector in selectors:
+        if selector not in OFFLINE_SELECTORS:
+            raise ValueError(f"unknown offline selector {selector!r}")
     if task == "attribute" and attrs is None:
         raise ValueError("attribute evaluation needs attributes")
     if task == "changepoint" and cp_truth is None:
         raise ValueError("change-point evaluation needs ground-truth labels")
-    cell = partial(_offline_cell, seq, plan, selector, task, attrs, cp_truth, params, seed)
-    cells = _cells(selector, task, plan, _pmap(cell, range(len(plan.pairs)), jobs))
+    count = len(plan.pairs)
+    cell = partial(_offline_cell, seq, plan, task, attrs, cp_truth, params, seed)
+    results = _pmap(cell, [(name, idx) for name in selectors for idx in range(count)], jobs)
+    return [
+        _offline_report(plan, name, task, attrs, seed, results[k * count : (k + 1) * count])
+        for k, name in enumerate(selectors)
+    ]
+
+
+def _offline_report(
+    plan: IntervalPlan,
+    selector: str,
+    task: str,
+    attrs: VertexAttributes | None,
+    seed: int,
+    results: list,
+) -> ExperimentReport:
+    cells = _cells(selector, task, plan, results)
     if task == "changepoint":
         scores = [c.score for c in cells if c.score is not None]
         aggregate = math.fsum(scores) / len(scores) if scores else None
@@ -607,25 +659,14 @@ def run_suite(
         raise ValueError(f"mode must be 'offline' or 'online', not {mode!r}")
     if len(set(selectors)) != len(selectors):
         raise ValueError("duplicate selector names")
-    cells: list[CellResult] = []
-    aggregates: dict = {}
-    for name in selectors:
-        if mode == "offline":
-            rep = run_offline(
-                seq,
-                plan,
-                name,
-                task,
-                attrs=attrs,
-                cp_truth=cp_truth,
-                params=params,
-                seed=seed,
-                jobs=jobs,
-            )
-        else:
-            rep = run_online(seq, plan, name, params=params, seed=seed, jobs=jobs)
-        cells.extend(rep.cells)
-        aggregates[name] = rep.aggregates[name]
+    if mode == "offline":
+        reports = _offline_reports(seq, plan, selectors, task, attrs, cp_truth, params, seed, jobs)
+    else:
+        reports = [
+            run_online(seq, plan, name, params=params, seed=seed, jobs=jobs) for name in selectors
+        ]
+    cells = [c for rep in reports for c in rep.cells]
+    aggregates = {name: rep.aggregates[name] for name, rep in zip(selectors, reports)}
     metadata = {
         "mode": mode,
         "selectors": list(selectors),

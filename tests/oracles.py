@@ -321,9 +321,9 @@ class _SegmentState:
         self.blocks = grown
         return k
 
-    def search(self) -> None:
-        """Greedy local moves to a cost minimum."""
-        for _ in range(_MAX_SWEEPS):
+    def search(self) -> int:
+        """Greedy local moves to a cost minimum; returns the sweeps run."""
+        for sweeps in range(1, _MAX_SWEEPS + 1):
             improved = False
             for v in range(self.n):
                 src = int(self.assign[v])
@@ -348,6 +348,7 @@ class _SegmentState:
             if not improved:
                 break
         self._set_assignment(self.assign)  # compact away emptied groups
+        return sweeps
 
 
 def detect_change_points(ws: WindowedSequence) -> DetectionResult:

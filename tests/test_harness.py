@@ -1,13 +1,16 @@
 """Evaluation harness: interval plans, runners, curves, cross-task analyses."""
 from __future__ import annotations
 
+import ctypes
 import json
+import logging
 import math
 
 import numpy as np
 import pytest
 
 from graphwin import (
+    OFFLINE_SELECTORS,
     CurveSet,
     EvalParams,
     GraphSequence,
@@ -179,11 +182,53 @@ def test_run_offline_validation():
 
 
 def test_run_offline_is_deterministic_across_jobs():
+    # every offline selector, entropy's eigen-solve included, on both tasks;
+    # the suite sends all its cells to one pool, run_offline one selector's
     seq, truth = regime_flip_sequence()
+    labels = ["a", "b"] * 5
+    attrs = VertexAttributes(10, "y", {"y": "categorical"}, tuple({"y": y} for y in labels))
     plan = split_intervals(18, 3)
-    r1 = run_offline(seq, plan, "random", "changepoint", cp_truth=truth, seed=5)
-    r2 = run_offline(seq, plan, "random", "changepoint", cp_truth=truth, seed=5, jobs=2)
-    assert r1.to_dict() == r2.to_dict()
+    for task in ("attribute", "changepoint"):
+        kwargs = dict(attrs=attrs, cp_truth=truth, params=EvalParams(batch_size=2), seed=5)
+        serial = run_suite(seq, plan, "offline", OFFLINE_SELECTORS, task, **kwargs)
+        pooled = run_suite(seq, plan, "offline", OFFLINE_SELECTORS, task, jobs=2, **kwargs)
+        assert pooled.to_dict() == serial.to_dict()
+        one = run_offline(seq, plan, "random", task, jobs=2, **kwargs)
+        assert [c for c in serial.cells if c.selector == "random"] == one.cells
+        assert one.aggregates["random"] == serial.aggregates["random"]
+
+
+def _blas(name: str):
+    return getattr(ctypes.CDLL(np._core._multiarray_umath.__file__), f"scipy_openblas_{name}64_")
+
+
+def _blas_threads(_: int) -> int:
+    getter = _blas("get_num_threads")
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    return getter()
+
+
+def test_pool_workers_run_blas_on_one_thread(caplog, monkeypatch):
+    try:
+        before = _blas_threads(0)
+    except (AttributeError, OSError):
+        pytest.skip("numpy's BLAS has no scipy-openblas64 thread getter")
+    assert harness._pmap(_blas_threads, [0, 1], 2) == [1, 1]
+    caplog.set_level(logging.DEBUG, logger="graphwin.harness")
+    try:
+        harness._one_blas_thread()
+        assert _blas_threads(0) == 1
+    finally:
+        setter = _blas("set_num_threads")
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(before)
+    monkeypatch.setattr(harness, "np", object())  # a build without the setter
+    harness._one_blas_thread()
+    assert [r.getMessage() for r in caplog.records] == [
+        "pool worker: scipy-openblas64 BLAS pinned to one thread",
+        "pool worker: BLAS threads left as they are "
+        "('object' object has no attribute '_core')",
+    ]
 
 
 # --------------------------------------------------------------------------

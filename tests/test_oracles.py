@@ -22,6 +22,7 @@ from graphwin import (
     leave_out_scores,
     online_step_score,
 )
+from graphwin.changepoint import _SegmentState
 
 import oracles
 
@@ -186,6 +187,43 @@ def test_detect_change_points_matches_oracle(draw_seed, n, length):
     seq = community_sequence(rng, n, length)
     ws = apply_windowing(seq, random_windowing(rng, length))
     assert detect_change_points(ws) == oracles.detect_change_points(ws)
+
+
+@seed(1702)
+@settings(max_examples=300, deadline=None)
+@given(
+    draw_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=KATZ_KINDS,
+    n=st.integers(min_value=1, max_value=12),
+    length=st.integers(min_value=1, max_value=4),
+    singletons=st.booleans(),
+    repeat=st.booleans(),
+)
+def test_segment_search_matches_oracle(draw_seed, kind, n, length, singletons, repeat):
+    """The search from starts with many groups: singletons, whose emptied
+    slots come back as the spare, or a random split; on graph families
+    whose symmetric groups tie exactly between targets, repeated or not.
+    Besides the result, the group slots the search leaves before it
+    compacts them must match, so each spare went to the same slot."""
+    rng = np.random.default_rng(draw_seed)
+    graphs = [katz_graph(rng, kind, n) for _ in range(1 if repeat else length)]
+    graphs *= length if repeat else 1
+    start = rng.permutation(n) if singletons else rng.integers(0, int(rng.integers(1, n + 1)), n)
+    ours = _SegmentState(graphs, start)
+    plain = oracles._SegmentState.build(graphs, start)
+    slots = []
+
+    def record_then_compact(state):
+        compact = state._set_assignment
+        return lambda assign: (slots.append(list(state.sizes)), compact(assign))
+
+    for state in (ours, plain):
+        state._set_assignment = record_then_compact(state)
+    sweeps = ours.search(), plain.search()
+    assert slots[0] == slots[1]
+    assert sweeps[0] == sweeps[1]
+    assert ours.assign.tolist() == plain.assign.tolist()
+    assert ours.cost() == plain.cost()
 
 
 @seed(1702)
