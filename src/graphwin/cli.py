@@ -28,6 +28,7 @@ from .harness import (
     CurveSet,
     EvalParams,
     ExperimentReport,
+    IntervalPlan,
     _as_count,
     _jsonable,
     choose_test_windowing,
@@ -90,18 +91,24 @@ def _default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def _load_truth(args, arch, errors):
-    """Shared loader for attribute and change-point sidecars."""
+def _load_truth(arch, source: dict):
+    """The attribute and change-point sidecars that `source` (parsed
+    arguments or a run config) names; callers check the target first."""
     attrs = None
     cp_truth = None
-    if getattr(args, "attributes", None):
-        if not args.target:
-            errors.append("--attributes requires --target")
-        else:
-            attrs = load_attributes(Path(args.attributes), args.target, arch.labels)
-    if getattr(args, "changepoints", None):
-        cp_truth = load_change_points(Path(args.changepoints), arch.sequence.length)
+    if source.get("attributes"):
+        attrs = load_attributes(Path(source["attributes"]), source["target"], arch.labels)
+    if source.get("changepoints"):
+        cp_truth = load_change_points(Path(source["changepoints"]), arch.sequence.length)
     return attrs, cp_truth
+
+
+def _interval_plan(length: int, intervals: int | None, tasks: list[str]) -> IntervalPlan:
+    """`intervals` consecutive intervals; by default 5 when change points
+    are scored, else 6."""
+    if intervals is None:
+        intervals = 5 if "changepoint" in tasks else 6
+    return split_intervals(length, intervals)
 
 
 # --------------------------------------------------------------------------
@@ -170,7 +177,7 @@ def cmd_select(args: argparse.Namespace) -> int:
         raise ValidationFailure(errors)
     arch = load_archive(args.archive)
     seq = arch.sequence
-    attrs, cp_truth = _load_truth(args, arch, errors)
+    attrs, cp_truth = _load_truth(arch, vars(args))
     test_span = tuple(args.test_span) if args.test_span else (1, seq.length)
     test = seq.slice_steps(*test_span)
     if args.train_span:
@@ -249,11 +256,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValidationFailure(errors)
     arch = load_archive(args.archive)
     seq = arch.sequence
-    attrs, cp_truth = _load_truth(args, arch, errors)
-    intervals = args.intervals
-    if intervals is None:
-        intervals = 5 if "changepoint" in tasks else 6
-    plan = split_intervals(seq.length, intervals)
+    attrs, cp_truth = _load_truth(arch, vars(args))
+    plan = _interval_plan(seq.length, args.intervals, tasks)
     curves = score_curves(
         seq,
         plan,
@@ -384,16 +388,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     mode = config["mode"]
     task = config["task"]
     params = EvalParams.from_flat(config.get("params", {}))
-    attrs = None
-    cp_truth = None
-    if config.get("attributes"):
-        attrs = load_attributes(Path(config["attributes"]), config["target"], arch.labels)
-    if config.get("changepoints"):
-        cp_truth = load_change_points(Path(config["changepoints"]), seq.length)
-    intervals = config.get("intervals")
-    if intervals is None:
-        intervals = 5 if task == "changepoint" else 6
-    plan = split_intervals(seq.length, intervals)
+    attrs, cp_truth = _load_truth(arch, config)
+    plan = _interval_plan(seq.length, config.get("intervals"), [task])
     report = run_suite(
         seq,
         plan,

@@ -7,6 +7,12 @@ training ground truth only; unsupervised ones see test edges only, so test
 ground truth is structurally out of reach), then the task runs on the
 windowed test interval. Online: a selector warm-starts on the train interval
 and its per-step predictions are scored across the test interval.
+
+Offline work reads one quality table per stage: an entry (task, span,
+windowing) is the task run on that windowing of the span, and each distinct
+entry is scored once, by `_score_entry`. Supervised selection is the argmax
+of a training span's row of uniform sizes, the offline cells read their test
+entries, and `score_curves` is the table of every uniform size.
 """
 from __future__ import annotations
 
@@ -16,10 +22,11 @@ import logging
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy import stats as scipy_stats
@@ -33,8 +40,6 @@ from .selectors import (
     SelectorParams,
     adage_select,
     attr_split_window_quality,
-    attr_window_quality,
-    cp_window_quality,
     entropy_select,
     fourier_select,
     jaccard_select,
@@ -204,11 +209,15 @@ def derive_seed(master: int, *parts: object) -> int:
     return int(hashlib.sha256(text.encode()).hexdigest()[:16], 16)
 
 
-def _pmap(fn: Callable, items: Sequence, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_one_blas_thread) as pool:
-        return list(pool.map(fn, items))
+@contextmanager
+def _pool(jobs: int) -> Iterator[Callable[[Callable, Sequence], list]]:
+    """One stage's map, over `jobs` worker processes that start at the
+    first call of more than one item, or in this process when `jobs` <= 1."""
+    workers = ProcessPoolExecutor(jobs, initializer=_one_blas_thread) if jobs > 1 else None
+    with workers or nullcontext():
+        yield lambda fn, items: (
+            list(workers.map(fn, items)) if workers and len(items) > 1 else [fn(i) for i in items]
+        )
 
 
 def _one_blas_thread() -> None:
@@ -230,6 +239,119 @@ def _one_blas_thread() -> None:
 
 
 # --------------------------------------------------------------------------
+# The quality table
+
+# An entry (kind, span, windowing) is a task run on one windowing of a
+# 1-based inclusive span. `kind` is a task, or "attribute-split" for the
+# supervised attribute rows, which fit on the first half of a training span
+# and score on the second. linkpred and attribute-split entries are uniform:
+# their size is that of their first window.
+Entry = tuple[str, tuple[int, int], Windowing]
+_SUPERVISED_KIND = {"changepoint": "changepoint", "attribute": "attribute-split"}
+
+
+def _row(kind: str, span: tuple[int, int]) -> list[Entry]:
+    """The entries of every uniform size of `span`, smallest first."""
+    length = span[1] - span[0] + 1
+    return [(kind, span, uniform_windowing(length, w)) for w in range(1, length + 1)]
+
+
+def _score_entry(
+    kind: str,
+    segment: GraphSequence,
+    windowing: Windowing,
+    attrs: VertexAttributes | None,
+    truth: ChangePointLabels | None,
+    params: EvalParams,
+) -> tuple[float, dict]:
+    """How task `kind` scores `segment` under `windowing`: the score, and
+    the detail an offline cell reports. `truth` holds the segment's change
+    points."""
+    size = windowing.sizes()[0]
+    if kind == "linkpred":
+        return linkpred_window_quality(segment, size, params.katz), {}
+    if kind == "attribute-split":
+        return attr_split_window_quality(segment, size, attrs, params.kernel, params.batch_size), {}
+    ws = apply_windowing(segment, windowing)
+    if kind == "changepoint":
+        result = detect_change_points(ws)
+        score = cp_pr_auc(result.times, truth.times, segment.length)
+        return score, {"detected": list(result.times), "truth": list(truth.times)}
+    pairs = leave_out_scores(ws, attrs, params.batch_size, params.kernel)
+    _, positive = attrs.classes
+    score = roc_auc([s for s, _ in pairs], [lab == positive for _, lab in pairs])
+    return score, {"pairs": [[s, lab] for s, lab in pairs]}
+
+
+def _score_row(
+    seq: GraphSequence,
+    attrs: VertexAttributes | None,
+    cp_truth: ChangePointLabels | None,
+    params: EvalParams,
+    row: tuple[str, tuple[int, int], tuple[Windowing, ...]],
+) -> list:
+    """The values of entries (kind, span, each of `windowings`): (score,
+    detail), or the ValueError the task raised."""
+    kind, span, windowings = row
+    segment = seq.slice_steps(*span)
+    truth = cp_truth.restrict(*span) if kind == "changepoint" else None
+    values = []
+    for windowing in windowings:
+        try:
+            values.append(_score_entry(kind, segment, windowing, attrs, truth, params))
+        except ValueError as exc:
+            values.append(exc)
+    return values
+
+
+class _QualityTable:
+    """Task quality per entry of `seq`, each distinct entry scored once.
+
+    `fill` maps the entries the table lacks with `pmap`, one item per
+    (kind, span) row. Reading an entry whose task raised a ValueError
+    raises it.
+    """
+
+    def __init__(
+        self,
+        seq: GraphSequence,
+        attrs: VertexAttributes | None,
+        cp_truth: ChangePointLabels | None,
+        params: EvalParams,
+        pmap: Callable[[Callable, Sequence], list],
+    ) -> None:
+        self.seq, self.cp_truth, self.pmap = seq, cp_truth, pmap
+        self.score_row = partial(_score_row, seq, attrs, cp_truth, params)
+        self.values: dict[Entry, tuple[float, dict] | ValueError] = {}
+
+    def fill(self, entries: Iterable[Entry]) -> None:
+        rows: dict[tuple[str, tuple[int, int]], dict[Windowing, None]] = {}
+        for kind, span, windowing in entries:
+            if (kind, span, windowing) not in self.values:
+                rows.setdefault((kind, span), {})[windowing] = None
+        items = [(kind, span, tuple(ws)) for (kind, span), ws in rows.items()]
+        for (kind, span, windowings), values in zip(items, self.pmap(self.score_row, items)):
+            self.values.update(zip([(kind, span, w) for w in windowings], values))
+
+    def __getitem__(self, entry: Entry) -> tuple[float, dict]:
+        value = self.values[entry]
+        if isinstance(value, ValueError):
+            raise value
+        return value
+
+    def select(self, kind: str, span: tuple[int, int], test_length: int) -> Windowing:
+        """Supervised selection: the best uniform size of the row at training
+        `span`, clamped to the test length."""
+        row = _row(kind, span)
+        self.fill(row)
+        if kind == "changepoint" and not self.cp_truth.restrict(*span).times:
+            log.info("training interval has no change points; selection sees empty truth")
+        train = self.seq.slice_steps(*span)
+        selection = supervised_offline_select(train, lambda _, w: self[row[w - 1]][0])
+        return uniform_windowing(test_length, min(selection.chosen, test_length))
+
+
+# --------------------------------------------------------------------------
 # Offline evaluation
 
 
@@ -246,10 +368,26 @@ def choose_test_windowing(
 ) -> Windowing:
     """Pick a windowing of the test interval.
 
-    Supervised selection sees the training interval and its ground truth;
-    every other selector sees test edges only. Chosen uniform sizes are
-    clamped to the test length.
+    Supervised selection sees the training interval and its ground truth,
+    through the quality table's row for it; every other selector sees test
+    edges only. Chosen uniform sizes are clamped to the test length.
     """
+    if selector != "supervised":
+        return _baseline_windowing(selector, test, params, seed)
+    if task == "changepoint" and train_cp is None:
+        raise ValueError("supervised change-point selection needs training truth")
+    if task == "attribute" and attrs is None:
+        raise ValueError("supervised attribute selection needs attributes")
+    if task not in _SUPERVISED_KIND:
+        raise ValueError(f"no offline supervised selection for task {task!r}")
+    with _pool(1) as pmap:
+        table = _QualityTable(train, attrs, train_cp, params, pmap)
+        return table.select(_SUPERVISED_KIND[task], (1, train.length), test.length)
+
+
+def _baseline_windowing(
+    selector: str, test: GraphSequence, params: EvalParams, seed: int
+) -> Windowing:
     if selector == "hand-picked":
         return uniform_windowing(test.length, 1)
     if selector == "no-time":
@@ -265,27 +403,6 @@ def choose_test_windowing(
     if selector == "adage":
         size = adage_select(test, params.adage_tol, params.adage_patience)
         return uniform_windowing(test.length, min(size, test.length))
-    if selector == "supervised":
-        if task == "changepoint":
-            if train_cp is None:
-                raise ValueError("supervised change-point selection needs training truth")
-            if not train_cp.times:
-                log.info("training interval has no change points; selection sees empty truth")
-            selection = supervised_offline_select(
-                train, lambda s, w: cp_window_quality(s, w, train_cp)
-            )
-        elif task == "attribute":
-            if attrs is None:
-                raise ValueError("supervised attribute selection needs attributes")
-            selection = supervised_offline_select(
-                train,
-                lambda s, w: attr_split_window_quality(
-                    s, w, attrs, params.kernel, params.batch_size
-                ),
-            )
-        else:
-            raise ValueError(f"no offline supervised selection for task {task!r}")
-        return uniform_windowing(test.length, min(selection.chosen, test.length))
     raise ValueError(f"unknown offline selector {selector!r}")
 
 
@@ -362,50 +479,6 @@ def _jsonable(value):
     return value
 
 
-def _offline_cell(
-    seq: GraphSequence,
-    plan: IntervalPlan,
-    task: str,
-    attrs: VertexAttributes | None,
-    cp_truth: ChangePointLabels | None,
-    params: EvalParams,
-    seed: int,
-    cell: tuple[str, int],
-) -> tuple[float | None, dict]:
-    selector, pair_index = cell
-    a, b = plan.pairs[pair_index]
-    train_span, test_span = plan.spans[a], plan.spans[b]
-    train = seq.slice_steps(*train_span)
-    test = seq.slice_steps(*test_span)
-    train_cp = cp_truth.restrict(*train_span) if cp_truth is not None else None
-    test_cp = cp_truth.restrict(*test_span) if cp_truth is not None else None
-    windowing = choose_test_windowing(
-        selector,
-        train,
-        test,
-        task=task,
-        train_cp=train_cp,
-        attrs=attrs,
-        params=params,
-        seed=derive_seed(seed, selector, task, pair_index),
-    )
-    ws = apply_windowing(test, windowing)
-    detail: dict = {"windowing": list(windowing.cuts), "window_sizes": list(windowing.sizes())}
-    if task == "changepoint":
-        result = detect_change_points(ws)
-        score = cp_pr_auc(result.times, test_cp.times, test.length)
-        detail["detected"] = list(result.times)
-        detail["truth"] = list(test_cp.times)
-        return score, detail
-    # attribute task: per-pair AUC plus raw pairs for pooling
-    pairs = leave_out_scores(ws, attrs, params.batch_size, params.kernel)
-    _, positive = attrs.classes
-    flags = [lab == positive for _, lab in pairs]
-    score = roc_auc([s for s, _ in pairs], flags)
-    detail["pairs"] = [[s, lab] for s, lab in pairs]
-    return score, detail
-
-
 def _cells(selector: str, task: str, plan: IntervalPlan, results: list) -> list[CellResult]:
     return [
         CellResult(selector, task, idx, plan.spans[a], plan.spans[b], score, detail)
@@ -446,8 +519,11 @@ def _offline_reports(
     seed: int,
     jobs: int,
 ) -> list[ExperimentReport]:
-    """`run_offline` for each selector, every (selector, pair) cell in one
-    `_pmap` call, so a suite starts one process pool."""
+    """`run_offline` for each selector, from one quality table. The
+    baselines choose their windowings here first, so that one round scores
+    the supervised training rows and the baseline entries together; the
+    supervised selections then read their rows, and a second round scores
+    the supervised entries the table lacks. Both rounds share one pool."""
     if task not in ("attribute", "changepoint"):
         raise ValueError(f"offline evaluation covers attribute/changepoint, not {task!r}")
     for selector in selectors:
@@ -457,13 +533,34 @@ def _offline_reports(
         raise ValueError("attribute evaluation needs attributes")
     if task == "changepoint" and cp_truth is None:
         raise ValueError("change-point evaluation needs ground-truth labels")
-    count = len(plan.pairs)
-    cell = partial(_offline_cell, seq, plan, task, attrs, cp_truth, params, seed)
-    results = _pmap(cell, [(name, idx) for name in selectors for idx in range(count)], jobs)
-    return [
-        _offline_report(plan, name, task, attrs, seed, results[k * count : (k + 1) * count])
-        for k, name in enumerate(selectors)
-    ]
+    kind = _SUPERVISED_KIND[task]
+    pairs = [(plan.spans[a], plan.spans[b]) for a, b in plan.pairs]
+    supervised = "supervised" in selectors
+    with _pool(jobs) as pmap:
+        table = _QualityTable(seq, attrs, cp_truth, params, pmap)
+        cells = {}
+        for name in [name for name in selectors if name != "supervised"]:
+            for idx, (_, test) in enumerate(pairs):
+                cell_seed = derive_seed(seed, name, task, idx)
+                windowing = _baseline_windowing(name, seq.slice_steps(*test), params, cell_seed)
+                cells[name, idx] = (task, test, windowing)
+        training = [e for train, _ in pairs for e in _row(kind, train)] if supervised else []
+        table.fill(training + list(cells.values()))
+        if supervised:
+            for idx, (train, test) in enumerate(pairs):
+                windowing = table.select(kind, train, test[1] - test[0] + 1)
+                cells["supervised", idx] = (task, test, windowing)
+            table.fill(cells.values())
+    reports = []
+    for name in selectors:
+        results = []
+        for idx in range(len(pairs)):
+            windowing = cells[name, idx][2]
+            score, detail = table[cells[name, idx]]
+            cuts, sizes = list(windowing.cuts), list(windowing.sizes())
+            results.append((score, {"windowing": cuts, "window_sizes": sizes, **detail}))
+        reports.append(_offline_report(plan, name, task, attrs, seed, results))
+    return reports
 
 
 def _offline_report(
@@ -620,7 +717,8 @@ def run_online(
             results.append((score, detail))
             ledger = next_ledger
     else:
-        results = [(score, detail) for score, detail, _ in _pmap(cell, pairs, jobs)]
+        with _pool(jobs) as pmap:
+            results = [(score, detail) for score, detail, _ in pmap(cell, pairs)]
     cells = _cells(selector, "linkpred", plan, results)
     scores = [c.score for c in cells if c.score is not None]
     aggregate = math.fsum(scores) / len(scores) if scores else None
@@ -724,29 +822,6 @@ class CurveSet:
         )
 
 
-def _curve_cell(
-    seq: GraphSequence,
-    plan: IntervalPlan,
-    sizes: tuple[int, ...],
-    attrs: VertexAttributes | None,
-    cp_truth: ChangePointLabels | None,
-    params: EvalParams,
-    cell: tuple[str, int],
-) -> tuple[float, ...]:
-    task, interval = cell
-    span = plan.spans[interval]
-    segment = seq.slice_steps(*span)
-    if task == "linkpred":
-        return tuple(linkpred_window_quality(segment, w, params.katz) for w in sizes)
-    if task == "attribute":
-        return tuple(
-            attr_window_quality(segment, w, attrs, params.kernel, params.batch_size)
-            for w in sizes
-        )
-    local_truth = cp_truth.restrict(*span)
-    return tuple(cp_window_quality(segment, w, local_truth) for w in sizes)
-
-
 def score_curves(
     seq: GraphSequence,
     plan: IntervalPlan,
@@ -772,11 +847,15 @@ def score_curves(
         raise ValueError("change-point curves need ground-truth labels")
     w_max = min(b - a + 1 for a, b in plan.spans)
     sizes = tuple(range(1, w_max + 1))
-    cells = [(task, idx) for task in tasks for idx in range(len(plan.spans))]
-    curves = _pmap(partial(_curve_cell, seq, plan, sizes, attrs, cp_truth, params), cells, jobs)
-    n_int = len(plan.spans)
-    packed = {t: tuple(curves[k * n_int : (k + 1) * n_int]) for k, t in enumerate(tasks)}
-    return CurveSet(tuple(tasks), sizes, plan.spans, packed, dataset_id)
+    rows = {(task, span): _row(task, span)[:w_max] for task in tasks for span in plan.spans}
+    with _pool(jobs) as pmap:
+        table = _QualityTable(seq, attrs, cp_truth, params, pmap)
+        table.fill(entry for row in rows.values() for entry in row)
+    values = {
+        task: tuple(tuple(table[e][0] for e in rows[task, span]) for span in plan.spans)
+        for task in tasks
+    }
+    return CurveSet(tuple(tasks), sizes, plan.spans, values, dataset_id)
 
 
 def cross_task_matrix(curves: CurveSet) -> dict:

@@ -95,6 +95,9 @@ class ScoreLedger:
         """The newest step holding a score (0 when empty)."""
         return self._latest
 
+    def holds(self, size: int, step: int) -> bool:
+        return (size, step) in self._held
+
     def count(self, size: int) -> int:
         return len(self._entries.get(size, ()))
 
@@ -161,7 +164,8 @@ class OnlineWindowSelector:
     graph, every size seen fewer than `min_tests` times and the current
     `top_count` best sizes are retested by ranking pairs of the history's
     last window at that size with `katz`; scores append to the ledger
-    (steps without new links at a size append nothing). The emitted
+    (steps without new links at a size append nothing; a size the ledger
+    already holds a score of at this step is not retested). The emitted
     prediction uses the size with the best (decayed) ledger mean, smallest
     size on ties, size 1 before any score exists. `freeze_after=k` stops all
     testing after step k and pins the size chosen there (training-only
@@ -210,8 +214,9 @@ class OnlineWindowSelector:
             hist_seq = GraphSequence(self.n, tuple(self.history))
             fresh = {w for w in range(1, i) if self.ledger.count(w) < self.params.min_tests}
             best = set(self.ledger.top_sizes(now=now, alpha=alpha, count=self.params.top_count))
-            # a carried-over ledger can rank sizes beyond this run's history
-            for w in sorted(w for w in fresh | best if w < i):
+            # a carried-over ledger can rank sizes beyond this run's history,
+            # and already holds a score of some sizes at `now`
+            for w in sorted(w for w in fresh | best if w < i and not self.ledger.holds(w, now)):
                 last = last_window(hist_seq, uniform_windowing(i - 1, w))
                 score = online_step_score(last, incoming, self.katz)
                 if score is not None:

@@ -6,8 +6,10 @@ in another form: the relational classifier's neighbour-evidence loops
 state (one neighbour-count dict per vertex, float block counts, a Python
 loop per block update) and damped path-sum link ranking (an eigen-solve on
 every graph, a Python loop over candidate pairs, a sort on tuple keys and a
-per-item pair normalisation in average precision). Tests check that the package gives exactly equal
-results on random inputs.
+per-item pair normalisation in average precision), and the offline cell and
+score-curve cell that each scored their own windowings (supervised selection
+calling a task-quality function per training size). Tests check that the
+package gives exactly equal results on random inputs.
 """
 from __future__ import annotations
 
@@ -25,10 +27,27 @@ from graphwin.attrpred import (
     default_batch_size,
     edge_weight,
 )
-from graphwin.changepoint import DetectionResult, _block_bits, log_star
+import graphwin
+from graphwin import harness
+from graphwin.attrpred import roc_auc
+from graphwin.changepoint import DetectionResult, _block_bits, cp_pr_auc, log_star
+from graphwin.harness import EvalParams, IntervalPlan, derive_seed
 from graphwin.linkpred import KatzParams, ScoredPairs, _truncated_matrix
-from graphwin.temporal import CATEGORICAL, StaticGraph, VertexAttributes
-from graphwin.windows import WindowedSequence
+from graphwin.selectors import (
+    attr_split_window_quality,
+    attr_window_quality,
+    cp_window_quality,
+    linkpred_window_quality,
+    supervised_offline_select,
+)
+from graphwin.temporal import (
+    CATEGORICAL,
+    ChangePointLabels,
+    GraphSequence,
+    StaticGraph,
+    VertexAttributes,
+)
+from graphwin.windows import WindowedSequence, Windowing, apply_windowing, uniform_windowing
 
 log = logging.getLogger(__name__)
 
@@ -438,3 +457,115 @@ def online_step_score(
         return None
     ranking = katz_scores(last, params)
     return average_precision(ranking, positives)
+
+
+# --------------------------------------------------------------------------
+# offline cells and score curves, each scoring its own windowings
+
+
+def choose_test_windowing(
+    selector: str,
+    train: GraphSequence,
+    test: GraphSequence,
+    *,
+    task: str | None = None,
+    train_cp: ChangePointLabels | None = None,
+    attrs: VertexAttributes | None = None,
+    params: EvalParams = EvalParams(),
+    seed: int = 0,
+) -> Windowing:
+    """Supervised selection calls its task's quality function on every
+    training size; the baselines are the package's."""
+    if selector != "supervised":
+        return harness.choose_test_windowing(selector, train, test, params=params, seed=seed)
+    if task == "changepoint":
+        selection = supervised_offline_select(
+            train, lambda s, w: cp_window_quality(s, w, train_cp)
+        )
+    else:
+        selection = supervised_offline_select(
+            train,
+            lambda s, w: attr_split_window_quality(s, w, attrs, params.kernel, params.batch_size),
+        )
+    return uniform_windowing(test.length, min(selection.chosen, test.length))
+
+
+def offline_cell(
+    seq: GraphSequence,
+    plan: IntervalPlan,
+    task: str,
+    attrs: VertexAttributes | None,
+    cp_truth: ChangePointLabels | None,
+    params: EvalParams,
+    seed: int,
+    cell: tuple[str, int],
+) -> tuple[float | None, dict]:
+    """One (selector, pair) cell: its (score, detail), from the package's
+    segmentation and leave-out kernels."""
+    selector, pair_index = cell
+    a, b = plan.pairs[pair_index]
+    train_span, test_span = plan.spans[a], plan.spans[b]
+    train = seq.slice_steps(*train_span)
+    test = seq.slice_steps(*test_span)
+    train_cp = cp_truth.restrict(*train_span) if cp_truth is not None else None
+    test_cp = cp_truth.restrict(*test_span) if cp_truth is not None else None
+    windowing = choose_test_windowing(
+        selector,
+        train,
+        test,
+        task=task,
+        train_cp=train_cp,
+        attrs=attrs,
+        params=params,
+        seed=derive_seed(seed, selector, task, pair_index),
+    )
+    ws = apply_windowing(test, windowing)
+    detail: dict = {"windowing": list(windowing.cuts), "window_sizes": list(windowing.sizes())}
+    if task == "changepoint":
+        result = graphwin.detect_change_points(ws)
+        score = cp_pr_auc(result.times, test_cp.times, test.length)
+        detail["detected"] = list(result.times)
+        detail["truth"] = list(test_cp.times)
+        return score, detail
+    pairs = graphwin.leave_out_scores(ws, attrs, params.batch_size, params.kernel)
+    _, positive = attrs.classes
+    flags = [lab == positive for _, lab in pairs]
+    score = roc_auc([s for s, _ in pairs], flags)
+    detail["pairs"] = [[s, lab] for s, lab in pairs]
+    return score, detail
+
+
+def offline_aggregate(task: str, attrs: VertexAttributes | None, results: list) -> dict:
+    """A selector's aggregate over its cells' (score, detail) results:
+    the mean change-point score, or the AUC of the pooled attribute pairs."""
+    if task == "changepoint":
+        scores = [score for score, _ in results if score is not None]
+        aggregate = math.fsum(scores) / len(scores) if scores else None
+        return {"score": aggregate, "method": "mean"}
+    _, positive = attrs.classes
+    pooled = [(s, lab == positive) for _, detail in results for s, lab in detail["pairs"]]
+    return {"score": roc_auc([s for s, _ in pooled], [b for _, b in pooled]), "method": "pooled"}
+
+
+def curve_cell(
+    seq: GraphSequence,
+    plan: IntervalPlan,
+    sizes: tuple[int, ...],
+    attrs: VertexAttributes | None,
+    cp_truth: ChangePointLabels | None,
+    params: EvalParams,
+    cell: tuple[str, int],
+) -> tuple[float, ...]:
+    """One (task, interval) curve: the task's quality at every size."""
+    task, interval = cell
+    span = plan.spans[interval]
+    segment = seq.slice_steps(*span)
+    if task == "linkpred":
+        return tuple(linkpred_window_quality(segment, w, params.katz) for w in sizes)
+    if task == "attribute":
+        return tuple(
+            attr_window_quality(segment, w, attrs, params.kernel, params.batch_size)
+            for w in sizes
+        )
+    local_truth = cp_truth.restrict(*span)
+    return tuple(cp_window_quality(segment, w, local_truth) for w in sizes)

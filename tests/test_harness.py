@@ -32,6 +32,7 @@ from graphwin import (
     stability_curve,
     stability_diff,
 )
+from graphwin import selectors as selectors_module
 from graphwin.selectors import (
     attr_window_quality,
     cp_window_quality,
@@ -198,6 +199,42 @@ def test_run_offline_is_deterministic_across_jobs():
         assert one.aggregates["random"] == serial.aggregates["random"]
 
 
+def test_offline_suite_scores_each_windowed_span_once(monkeypatch):
+    """Several selectors choose size 1 here, and pair 1 trains on pair 0's
+    test span; still every segmentation and every leave-out run sees a
+    distinct (span, windowing)."""
+    seq, truth = regime_flip_sequence()
+    labels = ["a", "b"] * 5
+    attrs = VertexAttributes(10, "y", {"y": "categorical"}, tuple({"y": y} for y in labels))
+    plan = split_intervals(18, 3)
+    selectors = ["supervised", "hand-picked", "fourier", "jaccard", "no-time"]
+    calls = {"detect_change_points": [], "leave_out_scores": []}
+
+    def span_of(ws):
+        # slices share the step graphs of `seq`, so their ids name the span
+        return None if ws is None else (tuple(map(id, ws.source.graphs)), ws.windowing)
+
+    def counted(name, fn):
+        def wrapper(ws, *args, **kwargs):
+            calls[name].append((span_of(ws), span_of(kwargs.get("eval_ws"))))
+            return fn(ws, *args, **kwargs)
+
+        return wrapper
+
+    for module in (harness, selectors_module):
+        for name in calls:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for task, name in (("changepoint", "detect_change_points"), ("attribute", "leave_out_scores")):
+        report = run_suite(
+            seq, plan, "offline", selectors, task,
+            attrs=attrs, cp_truth=truth, params=EvalParams(batch_size=2),
+        )
+        cells = {(c.test_span, tuple(c.detail["windowing"])) for c in report.cells}
+        assert len(cells) < len(report.cells)  # selectors collide
+        assert calls[name]
+        assert len(set(calls[name])) == len(calls[name])
+
+
 def _blas(name: str):
     return getattr(ctypes.CDLL(np._core._multiarray_umath.__file__), f"scipy_openblas_{name}64_")
 
@@ -213,7 +250,8 @@ def test_pool_workers_run_blas_on_one_thread(caplog, monkeypatch):
         before = _blas_threads(0)
     except (AttributeError, OSError):
         pytest.skip("numpy's BLAS has no scipy-openblas64 thread getter")
-    assert harness._pmap(_blas_threads, [0, 1], 2) == [1, 1]
+    with harness._pool(2) as pmap:
+        assert pmap(_blas_threads, [0, 1]) == [1, 1]
     caplog.set_level(logging.DEBUG, logger="graphwin.harness")
     try:
         harness._one_blas_thread()
@@ -296,6 +334,31 @@ def test_carried_ledger_keys_entries_by_absolute_step(monkeypatch):
     rep = run_online(seq, plan, "online-weighted", params=EvalParams(carry_ledger=True))
     assert [c.detail["carried_ledger"] for c in rep.cells] == [False, True]
     assert checked
+
+
+def test_carried_ledger_skips_sizes_it_already_scored(monkeypatch):
+    """Pair 1 replays pair 0's test span as its training span. A size whose
+    score at the ledger's step is already held is not retested: the test
+    could only offer a score the ledger drops."""
+    seq = random_sequence(np.random.default_rng(1), 12, 30, 0.25)
+    plan = split_intervals(seq.length, 3)
+    params = EvalParams(carry_ledger=True)
+    skipping = run_online(seq, plan, "online-weighted", params=params)
+    monkeypatch.setattr(ScoreLedger, "holds", lambda self, size, step: False)
+    replaying = run_online(seq, plan, "online-weighted", params=params)
+
+    def tests(report):
+        return [sum(len(entry["tested"]) for entry in c.detail["log"]) for c in report.cells]
+
+    assert tests(replaying) == [174, 109]
+    assert tests(skipping) == [174, 95]
+    for kept, full in zip(skipping.cells, replaying.cells):
+        assert kept.score == full.score
+        assert kept.detail["scored"] == full.detail["scored"]
+        for step, whole in zip(kept.detail["log"], full.detail["log"]):
+            assert step["chosen"] == whole["chosen"]
+            assert all(test in whole["tested"] for test in step["tested"])
+    assert skipping.aggregates == replaying.aggregates
 
 
 def test_run_online_adage_honours_its_configured_test():

@@ -1,14 +1,20 @@
-"""Differential tests: the package's kernels against the plain references
-in `oracles.py`, with exact equality on random graphs and windowings."""
+"""Differential tests: the package's kernels and its quality table against
+the plain references in `oracles.py`, with exact equality on random graphs
+and windowings."""
 from __future__ import annotations
 
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from graphwin import (
+    OFFLINE_SELECTORS,
+    TASKS,
+    ChangePointLabels,
+    EvalParams,
     GraphSequence,
     KatzParams,
     KernelParams,
@@ -21,6 +27,9 @@ from graphwin import (
     katz_scores,
     leave_out_scores,
     online_step_score,
+    run_suite,
+    score_curves,
+    split_intervals,
 )
 from graphwin.changepoint import _SegmentState
 
@@ -249,3 +258,39 @@ def test_leave_out_scores_match_oracle(draw_seed, n, length, theta, split):
     assert leave_out_scores(ws, attrs, batch_size, kernel, eval_ws) == oracles.leave_out_scores(
         ws, attrs, batch_size, kernel, eval_ws
     )
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_quality_table_matches_cell_oracles(jobs):
+    """Offline suites and score curves read one quality table; every cell,
+    aggregate and curve equals the cell that scored its own windowings."""
+    rng = np.random.default_rng(31)
+    n, length = 10, 18
+    seq = community_sequence(rng, n, length)
+    attrs = VertexAttributes(
+        n, "y", {"y": "categorical"}, tuple({"y": "ab"[v % 2]} for v in range(n))
+    )
+    truth = ChangePointLabels((4, 9, 10, 16))
+    plan = split_intervals(length, 3)
+    params = EvalParams(batch_size=2)
+    for task in ("attribute", "changepoint"):
+        report = run_suite(
+            seq, plan, "offline", OFFLINE_SELECTORS, task,
+            attrs=attrs, cp_truth=truth, params=params, seed=11, jobs=jobs,
+        )
+        for name in OFFLINE_SELECTORS:
+            want = [
+                oracles.offline_cell(seq, plan, task, attrs, truth, params, 11, (name, idx))
+                for idx in range(len(plan.pairs))
+            ]
+            got = [(c.score, c.detail) for c in report.cells if c.selector == name]
+            assert got == want
+            assert report.aggregates[name][task] == oracles.offline_aggregate(task, attrs, want)
+    curves = score_curves(
+        seq, plan, TASKS, attrs=attrs, cp_truth=truth, params=params, jobs=jobs
+    )
+    for task in TASKS:
+        assert curves.values[task] == tuple(
+            oracles.curve_cell(seq, plan, curves.sizes, attrs, truth, params, (task, idx))
+            for idx in range(len(plan.spans))
+        )
