@@ -19,18 +19,20 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Mapping, Sequence
 
-from .attrpred import KernelParams
 from .harness import (
     OFFLINE_SELECTORS,
     ONLINE_SELECTORS,
     TASKS,
+    _FLAT_KEYS,
     CurveSet,
     EvalParams,
     ExperimentReport,
     IntervalPlan,
-    _as_count,
+    _flat_value,
     _jsonable,
+    _write_json,
     choose_test_windowing,
     cross_task_matrix,
     hyperparam_sweep,
@@ -41,9 +43,11 @@ from .harness import (
     stability_curve,
     stability_diff,
 )
-from .linkpred import KatzParams
 from .temporal import (
+    ChangePointLabels,
     DataFormatError,
+    LoadedArchive,
+    VertexAttributes,
     bin_initial,
     load_archive,
     load_attributes,
@@ -68,39 +72,12 @@ def _config_hash(payload: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _write_json(path: str | Path, obj: dict) -> None:
-    text = json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False)
-    Path(path).write_text(text + "\n", encoding="utf-8")
-
-
 def _write_csv(path: str | Path, header: str, rows: list[str]) -> None:
     Path(path).write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
 
 
 def _args_payload(args: argparse.Namespace) -> dict:
-    skip = {"func", "jobs"}
-    out = {}
-    for key, value in vars(args).items():
-        if key in skip:
-            continue
-        out[key] = str(value) if isinstance(value, Path) else value
-    return out
-
-
-def _default_jobs() -> int:
-    return os.cpu_count() or 1
-
-
-def _load_truth(arch, source: dict):
-    """The attribute and change-point sidecars that `source` (parsed
-    arguments or a run config) names; callers check the target first."""
-    attrs = None
-    cp_truth = None
-    if source.get("attributes"):
-        attrs = load_attributes(Path(source["attributes"]), source["target"], arch.labels)
-    if source.get("changepoints"):
-        cp_truth = load_change_points(Path(source["changepoints"]), arch.sequence.length)
-    return attrs, cp_truth
+    return {k: v for k, v in vars(args).items() if k not in ("func", "jobs")}
 
 
 def _interval_plan(length: int, intervals: int | None, tasks: list[str]) -> IntervalPlan:
@@ -147,47 +124,82 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 # --------------------------------------------------------------------------
+# the input boundary of select, sweep and evaluate
+
+
+def _flag(key: str) -> str:
+    """A parsed-argument key as its command-line flag."""
+    return "--" + key.replace("_", "-")
+
+
+def _load_inputs(
+    source: Mapping, tasks: Sequence, errors: list[str], config: str | None = None
+) -> tuple[LoadedArchive, VertexAttributes | None, ChangePointLabels | None, EvalParams]:
+    """The archive, sidecars and params that `source` (parsed arguments, or
+    the run config read from path `config`) names. First checks the files,
+    the attributes' target, the sidecars `tasks` need, and the tuning values
+    (the flags named after the flat params keys, or the config's `params`);
+    raises ValidationFailure listing these problems and the caller's
+    `errors`, each naming its key as `--flag` or as `'key'`."""
+    name = repr if config else _flag
+    if config:
+        flat = source.get("params", {})
+        if not isinstance(flat, dict):
+            errors.append("'params' must be an object")
+            flat = {}
+        source = {key: value for key, value in source.items() if isinstance(value, str)}
+    else:
+        flat = {k: v for k, v in source.items() if k in _FLAT_KEYS and v is not None}
+    if source.get("archive") and not Path(source["archive"]).exists():
+        errors.append(f"archive {source['archive']} does not exist")
+    if "attribute" in tasks and not source.get("attributes"):
+        errors.append(f"task attribute needs {name('attributes')} and {name('target')}")
+    if "changepoint" in tasks and not source.get("changepoints"):
+        errors.append(f"task changepoint needs {name('changepoints')}")
+    if source.get("attributes") and not source.get("target"):
+        errors.append(f"{name('attributes')} requires {name('target')}")
+    for key in ("attributes", "changepoints"):
+        if source.get(key) and not Path(source[key]).exists():
+            errors.append(f"{name(key)} file {source[key]} does not exist")
+    try:
+        params = EvalParams.from_flat(flat, "params.{}".format if config else _flag)
+    except ValueError as exc:
+        errors.append(str(exc))
+    if errors:
+        raise ValidationFailure([f"{config}: {e}" for e in errors] if config else errors)
+    arch = load_archive(source["archive"])
+    attrs = cp_truth = None
+    if source.get("attributes"):
+        attrs = load_attributes(Path(source["attributes"]), source["target"], arch.labels)
+    if source.get("changepoints"):
+        cp_truth = load_change_points(Path(source["changepoints"]), arch.sequence.length)
+    return arch, attrs, cp_truth, params
+
+
+# --------------------------------------------------------------------------
 # select
 
 
 def cmd_select(args: argparse.Namespace) -> int:
     errors = []
-    if not Path(args.archive).exists():
-        errors.append(f"archive {args.archive} does not exist")
     if args.selector not in OFFLINE_SELECTORS:
-        errors.append(
-            f"unknown selector {args.selector!r}; valid: {', '.join(OFFLINE_SELECTORS)}"
-        )
-    if args.selector == "supervised":
+        errors.append(f"unknown selector {args.selector!r}; valid: {', '.join(OFFLINE_SELECTORS)}")
+    supervised = args.selector == "supervised"
+    if supervised:
         if args.task not in ("attribute", "changepoint"):
             errors.append("supervised selection needs --task attribute or changepoint")
         if not args.train_span:
             errors.append("supervised selection needs --train-span")
-        if args.task == "attribute" and not args.attributes:
-            errors.append("--task attribute needs --attributes and --target")
-        if args.task == "changepoint" and not args.changepoints:
-            errors.append("--task changepoint needs --changepoints")
-    if args.attributes and not args.target:
-        errors.append("--attributes requires --target")
-    for name in ("attributes", "changepoints"):
-        value = getattr(args, name)
-        if value and not Path(value).exists():
-            errors.append(f"--{name} file {value} does not exist")
-    if errors:
-        raise ValidationFailure(errors)
-    arch = load_archive(args.archive)
+    arch, attrs, cp_truth, params = _load_inputs(
+        vars(args), [args.task] if supervised else [], errors
+    )
     seq = arch.sequence
-    attrs, cp_truth = _load_truth(arch, vars(args))
     test_span = tuple(args.test_span) if args.test_span else (1, seq.length)
     test = seq.slice_steps(*test_span)
-    if args.train_span:
-        train_span = tuple(args.train_span)
-        train = seq.slice_steps(*train_span)
-        train_cp = cp_truth.restrict(*train_span) if cp_truth is not None else None
-    else:
-        train_span = None
-        train = test  # unsupervised selectors ignore it
-        train_cp = None
+    train_span = tuple(args.train_span) if args.train_span else None
+    # unsupervised selectors ignore the training interval
+    train = seq.slice_steps(*train_span) if train_span else test
+    train_cp = cp_truth.restrict(*train_span) if train_span and cp_truth is not None else None
     windowing = choose_test_windowing(
         args.selector,
         train,
@@ -195,13 +207,7 @@ def cmd_select(args: argparse.Namespace) -> int:
         task=args.task,
         train_cp=train_cp,
         attrs=attrs,
-        params=EvalParams(
-            kernel=KernelParams(args.theta),
-            batch_size=args.batch_size,
-            tau=args.tau,
-            adage_tol=args.adage_tol,
-            adage_patience=args.adage_patience,
-        ),
+        params=params,
         seed=args.seed,
     )
     sizes = windowing.sizes()
@@ -231,44 +237,21 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    errors = []
     tasks = [t.strip() for t in args.tasks.split(",") if t.strip()]
-    if not Path(args.archive).exists():
-        errors.append(f"archive {args.archive} does not exist")
-    for t in tasks:
-        if t not in TASKS:
-            errors.append(f"unknown task {t!r}; valid: {', '.join(TASKS)}")
+    errors = [f"unknown task {t!r}; valid: {', '.join(TASKS)}" for t in tasks if t not in TASKS]
     if not tasks:
         errors.append("--tasks must name at least one task")
     if len(set(tasks)) != len(tasks):
         errors.append("--tasks has duplicates")
-    if "attribute" in tasks and not args.attributes:
-        errors.append("task attribute needs --attributes and --target")
-    if "changepoint" in tasks and not args.changepoints:
-        errors.append("task changepoint needs --changepoints")
-    if args.attributes and not args.target:
-        errors.append("--attributes requires --target")
-    for name in ("attributes", "changepoints"):
-        value = getattr(args, name)
-        if value and not Path(value).exists():
-            errors.append(f"--{name} file {value} does not exist")
-    if errors:
-        raise ValidationFailure(errors)
-    arch = load_archive(args.archive)
-    seq = arch.sequence
-    attrs, cp_truth = _load_truth(arch, vars(args))
-    plan = _interval_plan(seq.length, args.intervals, tasks)
+    arch, attrs, cp_truth, params = _load_inputs(vars(args), tasks, errors)
+    plan = _interval_plan(arch.sequence.length, args.intervals, tasks)
     curves = score_curves(
-        seq,
+        arch.sequence,
         plan,
         tasks,
         attrs=attrs,
         cp_truth=cp_truth,
-        params=EvalParams(
-            katz=KatzParams(args.beta),
-            kernel=KernelParams(args.theta),
-            batch_size=args.batch_size,
-        ),
+        params=params,
         dataset_id=arch.dataset_id,
         jobs=args.jobs,
     )
@@ -288,112 +271,105 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 # evaluate
 
-_CONFIG_KEYS = {
-    "archive",
-    "mode",
-    "task",
-    "selectors",
-    "intervals",
-    "seed",
-    "output",
-    "attributes",
-    "target",
-    "changepoints",
-    "params",
-    "hyperparams",
-}
+_STR_KEYS = ("archive", "output", "attributes", "target", "changepoints")
+_CONFIG_KEYS = {*_STR_KEYS, "mode", "task", "selectors", "intervals", "seed", "params", "hyperparams"}
 
-def _validate_config(config: dict, config_path: str) -> list[str]:
+
+def _read_config(path: str) -> tuple[dict, dict | None, list[str]]:
+    """A run config, its hyperparameter grid (see `_hyper_grid`), and its
+    problems bar those `_load_inputs` checks."""
+    if not Path(path).exists():
+        raise ValidationFailure([f"config {path} does not exist"])
+    try:
+        config = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValidationFailure([f"{path}: invalid JSON ({exc})"]) from None
+    if not isinstance(config, dict):
+        raise ValidationFailure([f"{path}: config must be a JSON object"])
     errors = []
     unknown = sorted(set(config) - _CONFIG_KEYS)
     if unknown:
-        errors.append(f"{config_path}: unknown config keys {unknown}")
+        errors.append(f"unknown config keys {unknown}")
     for key in ("archive", "mode", "task", "selectors", "output"):
-        if key not in config:
-            errors.append(f"{config_path}: missing required key {key!r}")
+        if config.get(key) is None:
+            errors.append(f"missing required key {key!r}")
+    for key in _STR_KEYS:
+        if config.get(key) is not None and not isinstance(config[key], str):
+            errors.append(f"{key!r} must be a string, got {config[key]!r}")
     mode = config.get("mode")
     task = config.get("task")
     if mode not in ("offline", "online", None):
-        errors.append(f"{config_path}: mode must be 'offline' or 'online', got {mode!r}")
-    valid = ONLINE_SELECTORS if mode == "online" else OFFLINE_SELECTORS
-    for name in config.get("selectors", []):
-        if name not in valid:
-            errors.append(
-                f"{config_path}: unknown selector {name!r} for mode {mode}; "
-                f"valid: {', '.join(valid)}"
-            )
+        errors.append(f"mode must be 'offline' or 'online', got {mode!r}")
+    selectors = config.get("selectors")
+    if selectors is not None and not (
+        isinstance(selectors, list) and all(isinstance(s, str) for s in selectors)
+    ):
+        errors.append(f"'selectors' must be a list of strings, got {selectors!r}")
+    elif selectors and mode in ("offline", "online"):
+        valid = ONLINE_SELECTORS if mode == "online" else OFFLINE_SELECTORS
+        errors += [
+            f"unknown selector {name!r} for mode {mode}; valid: {', '.join(valid)}"
+            for name in selectors
+            if name not in valid
+        ]
     if mode == "online" and task not in ("linkpred", None):
-        errors.append(f"{config_path}: online mode evaluates task 'linkpred', got {task!r}")
-    if mode == "offline":
-        if task not in ("attribute", "changepoint"):
-            errors.append(
-                f"{config_path}: offline mode needs task 'attribute' or 'changepoint', got {task!r}"
-            )
-        if task == "attribute" and not config.get("attributes"):
-            errors.append(f"{config_path}: task attribute needs 'attributes' and 'target'")
-        if task == "attribute" and config.get("attributes") and not config.get("target"):
-            errors.append(f"{config_path}: 'attributes' needs 'target'")
-        if task == "changepoint" and not config.get("changepoints"):
-            errors.append(f"{config_path}: task changepoint needs 'changepoints'")
-    if "archive" in config and not Path(config["archive"]).exists():
-        errors.append(f"{config_path}: archive {config['archive']} does not exist")
-    for key in ("attributes", "changepoints"):
-        if config.get(key) and not Path(config[key]).exists():
-            errors.append(f"{config_path}: {key} file {config[key]} does not exist")
-    params = config.get("params", {})
-    if not isinstance(params, dict):
-        errors.append(f"{config_path}: 'params' must be an object")
-    else:
-        try:
-            EvalParams.from_flat(params)
-        except ValueError as exc:
-            errors.append(f"{config_path}: {exc}")
+        errors.append(f"online mode evaluates task 'linkpred', got {task!r}")
+    if mode == "offline" and task not in ("attribute", "changepoint"):
+        errors.append(f"offline mode needs task 'attribute' or 'changepoint', got {task!r}")
+    if type(config.get("seed", 0)) is not int:
+        errors.append(f"'seed' must be an integer, got {config['seed']!r}")
     intervals = config.get("intervals")
-    if intervals is not None and (not isinstance(intervals, int) or intervals < 2):
-        errors.append(f"{config_path}: intervals must be an integer >= 2")
-    hyper = config.get("hyperparams")
-    if hyper is not None:
-        if not isinstance(hyper, dict):
-            errors.append(f"{config_path}: 'hyperparams' must be an object")
+    if intervals is not None and (type(intervals) is not int or intervals < 2):
+        errors.append("intervals must be an integer >= 2")
+    return config, _hyper_grid(config.get("hyperparams"), errors), errors
+
+
+def _hyper_grid(hyper: object, errors: list[str]) -> dict | None:
+    """A config's `hyperparams` as keyword arguments of `hyperparam_sweep`,
+    None without a grid; adds its problems to `errors`. Each retest budget
+    takes the values `params.min_tests` takes."""
+    if hyper is None:
+        return None
+    if not isinstance(hyper, dict):
+        errors.append("'hyperparams' must be an object")
+        return None
+    unknown = sorted(set(hyper) - {"min_tests_values", "top_count_values", "fixed", "selector"})
+    if unknown:
+        errors.append(f"unknown hyperparams keys {unknown}")
+    selector = hyper.get("selector", "online")
+    if selector not in ONLINE_SELECTORS:
+        errors.append(
+            f"unknown hyperparams selector {selector!r}; valid: {', '.join(ONLINE_SELECTORS)}"
+        )
+
+    def budget(name: str, value: object) -> object:
+        try:
+            return _flat_value("min_tests", value)
+        except ValueError as exc:
+            errors.append(f"hyperparams.{name} {exc}, got {value!r}")
+
+    grid = {"selector": selector, "fixed": budget("fixed", hyper.get("fixed", 10))}
+    for key in ("min_tests_values", "top_count_values"):
+        values = hyper.get(key, [])
+        if isinstance(values, list):
+            grid[key] = [budget(f"{key}[{i}]", v) for i, v in enumerate(values)]
         else:
-            unknown = sorted(
-                set(hyper) - {"min_tests_values", "top_count_values", "fixed", "selector"}
-            )
-            if unknown:
-                errors.append(f"{config_path}: unknown hyperparams keys {unknown}")
-            hsel = hyper.get("selector", "online")
-            if hsel not in ONLINE_SELECTORS:
-                errors.append(
-                    f"{config_path}: unknown hyperparams selector {hsel!r}; "
-                    f"valid: {', '.join(ONLINE_SELECTORS)}"
-                )
-    return errors
+            errors.append(f"hyperparams.{key} must be a list, got {values!r}")
+    return grid if hyper else None
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    if not Path(args.config).exists():
-        raise ValidationFailure([f"config {args.config} does not exist"])
-    try:
-        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationFailure([f"{args.config}: invalid JSON ({exc})"]) from None
-    if not isinstance(config, dict):
-        raise ValidationFailure([f"{args.config}: config must be a JSON object"])
-    errors = _validate_config(config, args.config)
-    if errors:
-        raise ValidationFailure(errors)
-    arch = load_archive(config["archive"])
+    config, hyper, errors = _read_config(args.config)
+    task = config.get("task")
+    tasks = [task] if config.get("mode") == "offline" else []
+    arch, attrs, cp_truth, params = _load_inputs(config, tasks, errors, args.config)
     seq = arch.sequence
-    seed = int(config.get("seed", 0))
-    mode = config["mode"]
-    task = config["task"]
-    params = EvalParams.from_flat(config.get("params", {}))
-    attrs, cp_truth = _load_truth(arch, config)
+    seed = config.get("seed", 0)
     plan = _interval_plan(seq.length, config.get("intervals"), [task])
     report = run_suite(
         seq,
         plan,
-        mode,
+        config["mode"],
         config["selectors"],
         task,
         attrs=attrs,
@@ -409,19 +385,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     prefix.parent.mkdir(parents=True, exist_ok=True)
     report.write_json(prefix.with_suffix(".json"))
     report.write_csv(prefix.with_suffix(".csv"))
-    hyper = config.get("hyperparams")
     if hyper:
-        grid = hyperparam_sweep(
-            seq,
-            plan,
-            min_tests_values=[_as_count(v) for v in hyper.get("min_tests_values", [])],
-            top_count_values=[_as_count(v) for v in hyper.get("top_count_values", [])],
-            fixed=_as_count(hyper.get("fixed", 10)),
-            selector=hyper.get("selector", "online"),
-            params=params,
-            seed=seed,
-            jobs=args.jobs,
-        )
+        grid = hyperparam_sweep(seq, plan, **hyper, params=params, seed=seed, jobs=args.jobs)
         sweep_out = {
             "grid": grid,
             "config_hash": config_hash,
@@ -466,18 +431,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         loaded.append((path, curves, metadata))
     first_path, first, _ = loaded[0]
     for path, curves, _ in loaded[1:]:
-        if curves.dataset_id != first.dataset_id:
-            raise ValidationFailure(
-                [f"dataset id mismatch between {first_path} and {path}"]
-            )
-        if len(curves.intervals) != len(first.intervals):
-            raise ValidationFailure(
-                [f"interval count mismatch between {first_path} and {path}"]
-            )
-        if curves.sizes != first.sizes:
-            raise ValidationFailure(
-                [f"window size range mismatch between {first_path} and {path}"]
-            )
+        for what, key in [
+            ("dataset id", lambda c: c.dataset_id),
+            ("interval count", lambda c: len(c.intervals)),
+            ("window size range", lambda c: c.sizes),
+        ]:
+            if key(curves) != key(first):
+                raise ValidationFailure([f"{what} mismatch between {first_path} and {path}"])
     # merge into one collection; duplicate task names get a #index suffix
     seen: dict[str, int] = {}
     names: list[str] = []
@@ -636,13 +596,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=defaults.kernel.theta)
     p.add_argument("--batch-size", type=int, default=defaults.batch_size)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--out", required=True, help="curve report JSON path")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("evaluate", help="run a declarative config and write reports")
     p.add_argument("config", help="JSON run configuration")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("analyze", help="cross-task and stability analyses of curve reports")

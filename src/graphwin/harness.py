@@ -98,24 +98,46 @@ ONLINE_SELECTORS = (
     "adage",
 )
 
-# keys of a run config's flat `params` object
-_FLAT_KEYS = (
-    "beta",
-    "theta",
-    "batch_size",
-    "min_tests",
-    "top_count",
-    "alpha",
-    "tau",
-    "adage_tol",
-    "adage_patience",
-    "carry_ledger",
-)
+# what a flat `params` value must be: a number (never bool, which JSON
+# true/false parse to); an integer >= 1; a retest budget, a number or the
+# string "inf" (unbounded); or true/false
+_NUMBER, _INTEGER = "must be a number", "must be an integer >= 1"
+_COUNT, _BOOL = 'must be a number >= 1 or "inf"', "must be true or false"
+# keys of a run config's flat `params` object -> (their rule, the nested
+# `EvalParams` field that holds them and enforces their range, if any)
+_FLAT_KEYS = {
+    "beta": (_NUMBER, "katz"),
+    "theta": (_NUMBER, "kernel"),
+    "batch_size": (_INTEGER, None),
+    "min_tests": (_COUNT, "selector"),
+    "top_count": (_COUNT, "selector"),
+    "alpha": (_NUMBER, "selector"),
+    "tau": (_NUMBER, None),
+    "adage_tol": (_NUMBER, None),
+    "adage_patience": (_INTEGER, None),
+    "carry_ledger": (_BOOL, None),
+}
 
 
-def _as_count(value) -> float:
-    """A retest budget from a config value; the string "inf" means unbounded."""
-    return float("inf") if value == "inf" else float(value)
+def _flat_value(key: str, value: object) -> object:
+    """The JSON `value` of flat params key `key` as `EvalParams` holds it.
+    Raises ValueError saying what the value must be when it breaks its rule
+    or lies outside the range its parameter class enforces."""
+    rule, part = _FLAT_KEYS[key]
+    if rule is _COUNT and value == "inf":
+        return math.inf
+    types = {_BOOL: (bool,), _INTEGER: (int,)}.get(rule, (int, float))
+    if type(value) not in types or (rule is _INTEGER and value < 1):
+        raise ValueError(rule)
+    if rule in (_BOOL, _INTEGER):
+        return value
+    if part is not None:
+        try:
+            replace(getattr(EvalParams(), part), **{key: float(value)})
+        except ValueError as exc:
+            # the classes word their ranges as "<field> must ..."
+            raise ValueError(str(exc).removeprefix(f"{key} ")) from None
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -142,38 +164,33 @@ class EvalParams:
     carry_ledger: bool = False
 
     @classmethod
-    def from_flat(cls, flat: Mapping[str, object]) -> "EvalParams":
+    def from_flat(
+        cls, flat: Mapping[str, object], name: Callable[[str], str] = "params.{}".format
+    ) -> "EvalParams":
         """Build from a run config's flat `params` object (`beta`, `theta`,
-        `min_tests`, ...); absent keys keep their defaults."""
+        `min_tests`, ...); absent keys keep their defaults. Raises one
+        ValueError listing every problem, each naming its key as `name`
+        renders it."""
         unknown = sorted(set(flat) - set(_FLAT_KEYS))
-        if unknown:
-            raise ValueError(f"unknown params keys {unknown}")
-        d = cls()
-        get = flat.get
-        batch_size = get("batch_size", d.batch_size)
-        carry_ledger = get("carry_ledger", d.carry_ledger)
-        problems = []
-        # an exact type test: JSON true/false parse to bool, an int subclass
-        if batch_size is not None and (type(batch_size) is not int or batch_size < 1):
-            problems.append(f"params.batch_size must be an integer >= 1, got {batch_size!r}")
-        if not isinstance(carry_ledger, bool):
-            problems.append(f"params.carry_ledger must be true or false, got {carry_ledger!r}")
+        problems = [f"unknown params keys {unknown}"] if unknown else []
+        values = {}
+        for key in _FLAT_KEYS:
+            if key in flat:
+                try:
+                    values[key] = _flat_value(key, flat[key])
+                except ValueError as exc:
+                    problems.append(f"{name(key)} {exc}, got {flat[key]!r}")
         if problems:
             raise ValueError("; ".join(problems))
-        return cls(
-            katz=KatzParams(beta=float(get("beta", d.katz.beta))),
-            kernel=KernelParams(theta=float(get("theta", d.kernel.theta))),
-            batch_size=batch_size,
-            tau=float(get("tau", d.tau)),
-            adage_tol=float(get("adage_tol", d.adage_tol)),
-            adage_patience=int(get("adage_patience", d.adage_patience)),
-            selector=SelectorParams(
-                min_tests=_as_count(get("min_tests", d.selector.min_tests)),
-                top_count=_as_count(get("top_count", d.selector.top_count)),
-                alpha=float(get("alpha", d.selector.alpha)),
-            ),
-            carry_ledger=carry_ledger,
-        )
+        d = cls()
+        fields = {}
+        for key, value in values.items():
+            part = _FLAT_KEYS[key][1]
+            if part is None:
+                fields[key] = value
+            else:
+                fields[part] = replace(fields.get(part, getattr(d, part)), **{key: value})
+        return replace(d, **fields)
 
 
 @dataclass(frozen=True)
@@ -449,9 +466,7 @@ class ExperimentReport:
         }
 
     def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        _write_json(path, self.to_dict())
 
     def write_csv(self, path: str | Path) -> None:
         lines = ["selector,task,pair,train_start,train_end,test_start,test_end,score"]
@@ -477,6 +492,13 @@ def _jsonable(value):
         # keep the serialized report strict JSON
         return "inf" if value > 0 else ("-inf" if value < 0 else "nan")
     return value
+
+
+def _write_json(path: str | Path, obj: Mapping) -> None:
+    """Write `obj` as sorted, indented, strict JSON (non-finite floats as
+    strings, see `_jsonable`)."""
+    text = json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def _cells(selector: str, task: str, plan: IntervalPlan, results: list) -> list[CellResult]:

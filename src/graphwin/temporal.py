@@ -502,24 +502,36 @@ def save_archive(seq: GraphSequence, labels: Sequence[str], directory: str | Pat
 
 
 def load_archive(directory: str | Path) -> LoadedArchive:
-    """Load an archive directory back into a sequence, verifying its dataset id."""
+    """Load an archive directory back into a sequence, verifying its dataset
+    id; a malformed archive raises DataFormatError naming its file and key or line."""
     directory = Path(directory)
+    manifest_path, steps_path = directory / "manifest.json", directory / "steps.csv"
     try:
-        manifest = json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise DataFormatError(f"{directory} is not an archive (missing manifest.json)") from None
-    if manifest.get("format_version") != ARCHIVE_FORMAT:
-        raise DataFormatError(f"unsupported archive format {manifest.get('format_version')!r}")
-    n = int(manifest["n"])
-    length = int(manifest["length"])
-    resolution = int(manifest["resolution"])
-    labels = tuple(manifest["labels"])
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        steps_text = steps_path.read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        missing = Path(exc.filename).name
+        raise DataFormatError(f"{directory} is not an archive (missing {missing})") from None
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{manifest_path}: invalid JSON ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise DataFormatError(f"{manifest_path}: not a JSON object")
+    version = manifest.get("format_version")
+    if version != ARCHIVE_FORMAT:
+        raise DataFormatError(f"{manifest_path}: unsupported archive format {version!r}")
+    for key in ("n", "length", "resolution"):
+        value = manifest.get(key)
+        if type(value) is not int or value < 1:
+            raise DataFormatError(f"{manifest_path}: {key!r} must be an integer >= 1, not {value!r}")
+    n, length, resolution = manifest["n"], manifest["length"], manifest["resolution"]
+    labels = manifest.get("labels")
+    if not isinstance(labels, list) or len(labels) != n:
+        raise DataFormatError(f"{manifest_path}: 'labels' must list {n} vertex labels")
     bins: list[set[tuple[int, int]]] = [set() for _ in range(length)]
-    steps_text = (directory / "steps.csv").read_text(encoding="utf-8")
     for lineno, line in enumerate(steps_text.splitlines(), start=1):
         if lineno == 1:
             if line != "step,u,v":
-                raise DataFormatError("steps.csv header mismatch")
+                raise DataFormatError(f"{steps_path} line 1: header mismatch")
             continue
         if not line:
             continue
@@ -527,9 +539,11 @@ def load_archive(directory: str | Path) -> LoadedArchive:
             step_s, u_s, v_s = line.split(",")
             step, u, v = int(step_s), int(u_s), int(v_s)
         except ValueError:
-            raise DataFormatError(f"steps.csv line {lineno}: malformed row {line!r}") from None
+            raise DataFormatError(f"{steps_path} line {lineno}: malformed row {line!r}") from None
         if not 1 <= step <= length:
-            raise DataFormatError(f"steps.csv line {lineno}: step {step} outside [1, {length}]")
+            raise DataFormatError(f"{steps_path} line {lineno}: step {step} outside [1, {length}]")
+        if not 0 <= u < v < n:
+            raise DataFormatError(f"{steps_path} line {lineno}: edge ({u}, {v}) not canonical, n={n}")
         bins[step - 1].add((u, v))
     seq = GraphSequence(n, tuple(StaticGraph(n, frozenset(b)) for b in bins), resolution)
     manifest_json, steps_csv = _archive_payload(seq, labels)
@@ -537,4 +551,4 @@ def load_archive(directory: str | Path) -> LoadedArchive:
     recorded = manifest.get("dataset_id")
     if recorded is not None and recorded != dataset_id:
         raise DataFormatError("archive content does not match its recorded dataset id")
-    return LoadedArchive(seq, labels, dataset_id)
+    return LoadedArchive(seq, tuple(labels), dataset_id)

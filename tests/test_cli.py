@@ -291,31 +291,96 @@ def test_evaluate_rejects_bad_param_values_before_compute(dataset, capsys):
         "output": str(prefix),
     }
     cfg_path = dataset["tmp"] / "params.json"
+    number = "must be a number, got"
+    budget = 'must be a number >= 1 or "inf", got'
     cases = [
-        ({"carry_ledger": "false"}, ["params.carry_ledger must be true or false, got 'false'"]),
-        ({"batch_size": "x"}, ["params.batch_size must be an integer >= 1, got 'x'"]),
-        ({"batch_size": 0}, ["params.batch_size must be an integer >= 1, got 0"]),
-        ({"batch_size": True}, ["params.batch_size must be an integer >= 1, got True"]),
+        ({"params": {"carry_ledger": "false"}},
+         ["params.carry_ledger must be true or false, got 'false'"]),
+        ({"params": {"batch_size": "x"}}, ["params.batch_size must be an integer >= 1, got 'x'"]),
+        ({"params": {"batch_size": 0}}, ["params.batch_size must be an integer >= 1, got 0"]),
+        ({"params": {"batch_size": True}},
+         ["params.batch_size must be an integer >= 1, got True"]),
         (
-            {"batch_size": 1.5, "carry_ledger": 1},
+            {"params": {"batch_size": 1.5, "carry_ledger": 1}},
             [
                 "params.batch_size must be an integer >= 1, got 1.5",
                 "params.carry_ledger must be true or false, got 1",
             ],
         ),
+        ({"params": {"min_tests": None}}, [f"params.min_tests {budget} None"]),
+        ({"params": {"beta": [1]}}, [f"params.beta {number} [1]"]),
+        ({"params": {"alpha": None}}, [f"params.alpha {number} None"]),
+        ({"params": {"tau": None}}, [f"params.tau {number} None"]),
+        ({"params": {"alpha": True}}, [f"params.alpha {number} True"]),
+        ({"params": {"alpha": 2, "theta": 1}}, [
+            "params.alpha must lie in (0, 1], got 2",
+            "params.theta must lie in (0, 1), got 1",
+        ]),
+        ({"params": {"adage_patience": 2.0, "top_count": 0.5}}, [
+            "params.adage_patience must be an integer >= 1, got 2.0",
+            "params.top_count must be >= 1, got 0.5",
+        ]),
+        ({"seed": None}, ["'seed' must be an integer, got None"]),
+        ({"selectors": None}, ["missing required key 'selectors'"]),
+        ({"selectors": "hand-picked"}, ["'selectors' must be a list of strings, got 'hand-picked'"]),
+        ({"output": 3}, ["'output' must be a string, got 3"]),
+        ({"target": None, "changepoints": "nosuch.txt"}, [
+            "'attributes' requires 'target'",
+            "'changepoints' file nosuch.txt does not exist",
+        ]),
+        ({"hyperparams": {"fixed": "abc"}}, [f"hyperparams.fixed {budget} 'abc'"]),
+        ({"hyperparams": {"top_count_values": [None]}},
+         [f"hyperparams.top_count_values[0] {budget} None"]),
+        ({"hyperparams": {"min_tests_values": [2, False], "fixed": "inf"}},
+         [f"hyperparams.min_tests_values[1] {budget} False"]),
+        ({"hyperparams": {"min_tests_values": 2}}, ["hyperparams.min_tests_values must be a list"]),
+        (
+            {"seed": 1.5, "params": {"beta": True}, "hyperparams": {"fixed": 0}},
+            [
+                "'seed' must be an integer, got 1.5",
+                f"params.beta {number} True",
+                "hyperparams.fixed must be >= 1, got 0",
+            ],
+        ),
     ]
-    for params, messages in cases:
-        cfg_path.write_text(json.dumps({**cfg, "params": params}))
+    outputs = [prefix.with_suffix(".json"), prefix.with_suffix(".csv"),
+               prefix.parent / "attr_sweep.json"]
+    for override, messages in cases:
+        cfg_path.write_text(json.dumps({**cfg, **override}))
         rc = main(["evaluate", str(cfg_path)])
         err = capsys.readouterr().err
-        assert rc == 1, params
+        assert rc == 1, override
         assert "runtime error" not in err
         for message in messages:
-            assert message in err
-        assert not prefix.with_suffix(".json").exists()
+            assert message in err, (override, err)
+        assert not any(path.exists() for path in outputs), override
     cfg_path.write_text(json.dumps({**cfg, "params": {"batch_size": 1, "carry_ledger": False}}))
     assert main(["evaluate", str(cfg_path)]) == 0
     assert prefix.with_suffix(".json").exists()
+
+
+def test_tuning_flags_are_validated_before_compute(dataset, capsys, monkeypatch):
+    def no_compute(path):
+        pytest.fail("the archive was loaded despite a validation failure")
+
+    monkeypatch.setattr("graphwin.cli.load_archive", no_compute)
+    rc = main(["sweep", str(dataset["archive"]), "--tasks", "linkpred,changepoint",
+               "--batch-size", "0", "--beta", "1", "--out", str(dataset["tmp"] / "c.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "error: task changepoint needs --changepoints" in err
+    assert "--batch-size must be an integer >= 1, got 0" in err
+    assert "--beta must lie in (0, 1), got 1.0" in err
+    assert not (dataset["tmp"] / "c.json").exists()
+
+    rc = main(["select", str(dataset["archive"]), "--selector", "jaccard", "--theta", "2",
+               "--adage-patience", "0", "--attributes", str(dataset["attrs"])])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "error: --attributes requires --target" in err
+    assert "--theta must lie in (0, 1), got 2.0" in err
+    assert "--adage-patience must be an integer >= 1, got 0" in err
+    assert "runtime error" not in err
 
 
 def test_evaluate_hyperparameter_grid(dataset):
@@ -471,10 +536,35 @@ def test_unexpected_failure_exits_two(dataset, capsys):
     broken = dataset["tmp"] / "broken"
     shutil.copytree(dataset["archive"], broken)
     (broken / "steps.csv").unlink()
+    (broken / "steps.csv").mkdir()  # an I/O failure, not a format defect
     rc = main(["select", str(broken), "--selector", "hand-picked"])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("runtime error:")
+
+
+def test_malformed_archive_exits_one_naming_the_line_or_key(dataset, capsys):
+    def bad_row(arch):
+        (arch / "steps.csv").write_text((arch / "steps.csv").read_text() + "1,3,2\n")
+
+    def no_n(arch):
+        manifest = json.loads((arch / "manifest.json").read_text())
+        del manifest["n"]
+        (arch / "manifest.json").write_text(json.dumps(manifest))
+
+    out = dataset["tmp"] / "sel.json"
+    for index, (defect, expected) in enumerate([
+        (bad_row, "steps.csv line 30: edge (3, 2) not canonical"),
+        (lambda arch: (arch / "steps.csv").unlink(), "is not an archive (missing steps.csv)"),
+        (no_n, "manifest.json: 'n' must be an integer >= 1, not None"),
+    ]):
+        broken = dataset["tmp"] / f"broken{index}"
+        shutil.copytree(dataset["archive"], broken)
+        defect(broken)
+        rc = main(["select", str(broken), "--selector", "hand-picked", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error: ") and expected in err, err
+        assert not out.exists()
 
 
 def test_argparse_exit_codes(capsys):

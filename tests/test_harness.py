@@ -492,6 +492,19 @@ def test_report_json_is_deterministic(tmp_path):
     assert lines[1] == "supervised,changepoint,0,1,6,7,12,0.75"
 
 
+def test_report_json_is_strict_with_unbounded_budgets(tmp_path):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    seq = split_star_stream(6)
+    params = EvalParams(selector=SelectorParams(min_tests=math.inf))
+    rep = run_online(seq, split_intervals(18, 3), "online", params=params, seed=3)
+    path = tmp_path / "online.json"
+    rep.write_json(path)
+    loaded = json.loads(path.read_text(), parse_constant=refuse)
+    assert loaded["metadata"]["params"]["min_tests"] == "inf"
+
+
 # --------------------------------------------------------------------------
 # score curves
 

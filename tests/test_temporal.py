@@ -301,3 +301,60 @@ def test_archive_manifest_is_json(tmp_path: Path):
     assert manifest["n"] == 2
     assert manifest["length"] == 1
     assert "dataset_id" in manifest
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1,1,0", r"steps\.csv line 3: edge \(1, 0\) not canonical"),
+        ("1,0,3", r"steps\.csv line 3: edge \(0, 3\) not canonical, n=3"),
+        ("1,0,1,2", r"steps\.csv line 3: malformed row"),
+        ("4,0,1", r"steps\.csv line 3: step 4 outside \[1, 3\]"),
+    ],
+)
+def test_archive_bad_steps_row_names_the_line(tmp_path: Path, row, message):
+    save_archive(seq_of(3, [(0, 1)], [], [(1, 2)]), ("a", "b", "c"), tmp_path)
+    steps = tmp_path / "steps.csv"
+    lines = steps.read_text().splitlines()
+    steps.write_text("\n".join([*lines[:2], row, *lines[2:]]) + "\n")
+    with pytest.raises(DataFormatError, match=message):
+        load_archive(tmp_path)
+
+
+def test_archive_missing_steps_file_is_a_format_error(tmp_path: Path):
+    save_archive(seq_of(2, [(0, 1)]), ("a", "b"), tmp_path)
+    (tmp_path / "steps.csv").unlink()
+    with pytest.raises(DataFormatError, match=r"not an archive \(missing steps\.csv\)"):
+        load_archive(tmp_path)
+
+
+@pytest.mark.parametrize("key", ["n", "length", "resolution", "labels"])
+def test_archive_manifest_without_a_key_names_it(tmp_path: Path, key):
+    save_archive(seq_of(2, [(0, 1)]), ("a", "b"), tmp_path)
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest[key]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(DataFormatError, match=rf"manifest\.json: '{key}' must"):
+        load_archive(tmp_path)
+
+
+def test_archive_manifest_wrong_types_name_the_key(tmp_path: Path):
+    save_archive(seq_of(2, [(0, 1)]), ("a", "b"), tmp_path)
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    for key, value, message in [
+        ("n", "2", r"'n' must be an integer >= 1, not '2'"),
+        ("length", True, r"'length' must be an integer >= 1, not True"),
+        ("resolution", 0, r"'resolution' must be an integer >= 1, not 0"),
+        ("labels", ["a"], r"'labels' must list 2 vertex labels"),
+    ]:
+        path.write_text(json.dumps({**manifest, key: value}))
+        with pytest.raises(DataFormatError, match=message):
+            load_archive(tmp_path)
+    path.write_text("[1, 2]")
+    with pytest.raises(DataFormatError, match="not a JSON object"):
+        load_archive(tmp_path)
+    path.write_text("{oops")
+    with pytest.raises(DataFormatError, match="manifest.json: invalid JSON"):
+        load_archive(tmp_path)
