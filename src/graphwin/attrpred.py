@@ -25,8 +25,8 @@ __all__ = [
     "fit_model",
     "predict_attribute",
     "leave_out_scores",
-    "leave_out_auc",
     "roc_auc",
+    "pairs_auc",
     "default_batch_size",
 ]
 
@@ -274,14 +274,8 @@ def roc_auc(scores: Sequence[float], labels: Sequence[bool]) -> float:
     return (rank_sum - pos * (pos + 1) / 2.0) / (pos * neg)
 
 
-def leave_out_auc(
-    ws: WindowedSequence,
-    attrs: VertexAttributes,
-    batch_size: int | None = None,
-    kernel: KernelParams = KernelParams(),
-    eval_ws: WindowedSequence | None = None,
-) -> float:
-    """ROC-AUC of leave-out predictions over all labelled vertices."""
-    pairs = leave_out_scores(ws, attrs, batch_size, kernel, eval_ws)
+def pairs_auc(pairs: Sequence[Sequence], attrs: VertexAttributes) -> float:
+    """ROC-AUC of (positive posterior, true label) pairs, as `leave_out_scores`
+    returns them, with `attrs`' positive class as the positive label."""
     _, positive = attrs.classes
     return roc_auc([s for s, _ in pairs], [lab == positive for _, lab in pairs])

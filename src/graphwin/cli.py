@@ -16,7 +16,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -596,13 +595,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=defaults.kernel.theta)
     p.add_argument("--batch-size", type=int, default=defaults.batch_size)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True, help="curve report JSON path")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("evaluate", help="run a declarative config and write reports")
     p.add_argument("config", help="JSON run configuration")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("analyze", help="cross-task and stability analyses of curve reports")

@@ -31,9 +31,9 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 from scipy import stats as scipy_stats
 
-from .attrpred import KernelParams, leave_out_scores, roc_auc
+from .attrpred import KernelParams, leave_out_scores, pairs_auc
 from .changepoint import cp_pr_auc, detect_change_points
-from .linkpred import KatzParams, average_precision
+from .linkpred import KatzParams, online_step_score
 from .selectors import (
     OnlineWindowSelector,
     ScoreLedger,
@@ -104,7 +104,8 @@ ONLINE_SELECTORS = (
 _NUMBER, _INTEGER = "must be a number", "must be an integer >= 1"
 _COUNT, _BOOL = 'must be a number >= 1 or "inf"', "must be true or false"
 # keys of a run config's flat `params` object -> (their rule, the nested
-# `EvalParams` field that holds them and enforces their range, if any)
+# `EvalParams` field that holds them and enforces their range; None when
+# `EvalParams` holds and checks them itself)
 _FLAT_KEYS = {
     "beta": (_NUMBER, "katz"),
     "theta": (_NUMBER, "kernel"),
@@ -131,12 +132,12 @@ def _flat_value(key: str, value: object) -> object:
         raise ValueError(rule)
     if rule in (_BOOL, _INTEGER):
         return value
-    if part is not None:
-        try:
-            replace(getattr(EvalParams(), part), **{key: float(value)})
-        except ValueError as exc:
-            # the classes word their ranges as "<field> must ..."
-            raise ValueError(str(exc).removeprefix(f"{key} ")) from None
+    owner = EvalParams() if part is None else getattr(EvalParams(), part)
+    try:
+        replace(owner, **{key: float(value)})
+    except ValueError as exc:
+        # the classes word their ranges as "<field> must ..."
+        raise ValueError(str(exc).removeprefix(f"{key} ")) from None
     return float(value)
 
 
@@ -162,6 +163,12 @@ class EvalParams:
     adage_patience: int = 3
     selector: SelectorParams = SelectorParams()
     carry_ledger: bool = False
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.tau < math.inf:
+            raise ValueError("tau must be a finite number >= 0")
+        if not 0.0 < self.adage_tol < math.inf:
+            raise ValueError("adage_tol must be a finite number > 0")
 
     @classmethod
     def from_flat(
@@ -230,29 +237,11 @@ def derive_seed(master: int, *parts: object) -> int:
 def _pool(jobs: int) -> Iterator[Callable[[Callable, Sequence], list]]:
     """One stage's map, over `jobs` worker processes that start at the
     first call of more than one item, or in this process when `jobs` <= 1."""
-    workers = ProcessPoolExecutor(jobs, initializer=_one_blas_thread) if jobs > 1 else None
+    workers = ProcessPoolExecutor(jobs) if jobs > 1 else None
     with workers or nullcontext():
         yield lambda fn, items: (
             list(workers.map(fn, items)) if workers and len(items) > 1 else [fn(i) for i in items]
         )
-
-
-def _one_blas_thread() -> None:
-    """Pool-worker initializer: numpy's BLAS on one thread, so `jobs`
-    workers use `jobs` CPUs rather than `jobs` times BLAS's thread count.
-    Calls the thread setter of the OpenBLAS that numpy wheels bundle; other
-    builds keep their setting."""
-    import ctypes
-
-    try:
-        setter = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_set_num_threads64_
-    except (AttributeError, OSError) as exc:
-        log.debug("pool worker: BLAS threads left as they are (%s)", exc)
-        return
-    setter.argtypes = [ctypes.c_int]
-    setter.restype = None
-    setter(1)
-    log.debug("pool worker: scipy-openblas64 BLAS pinned to one thread")
 
 
 # --------------------------------------------------------------------------
@@ -295,9 +284,7 @@ def _score_entry(
         score = cp_pr_auc(result.times, truth.times, segment.length)
         return score, {"detected": list(result.times), "truth": list(truth.times)}
     pairs = leave_out_scores(ws, attrs, params.batch_size, params.kernel)
-    _, positive = attrs.classes
-    score = roc_auc([s for s, _ in pairs], [lab == positive for _, lab in pairs])
-    return score, {"pairs": [[s, lab] for s, lab in pairs]}
+    return pairs_auc(pairs, attrs), {"pairs": [[s, lab] for s, lab in pairs]}
 
 
 def _score_row(
@@ -599,12 +586,8 @@ def _offline_report(
         aggregate = math.fsum(scores) / len(scores) if scores else None
         entry = {"score": aggregate, "method": "mean"}
     else:
-        pooled: list[tuple[float, bool]] = []
-        _, positive = attrs.classes
-        for c in cells:
-            pooled.extend((s, lab == positive) for s, lab in c.detail["pairs"])
-        aggregate = roc_auc([s for s, _ in pooled], [b for _, b in pooled])
-        entry = {"score": aggregate, "method": "pooled"}
+        pooled = [pair for c in cells for pair in c.detail["pairs"]]
+        entry = {"score": pairs_auc(pooled, attrs), "method": "pooled"}
     metadata = {
         "mode": "offline",
         "selector": selector,
@@ -686,13 +669,10 @@ def _online_pair(
     previous = None
     for local, g in enumerate(stream.graphs, start=1):
         if previous is not None and local > train_length:
-            positives = g.edges - previous.last_graph.edges
-            if positives:
-                ap = average_precision(previous.prediction, positives)
+            ap = online_step_score(previous.last_graph, g, params.katz)
+            if ap is not None:
                 scores.append(ap)
-                scored.append({"target_step": local, "chosen": previous.chosen, "score": ap})
-            else:
-                scored.append({"target_step": local, "chosen": previous.chosen, "score": None})
+            scored.append({"target_step": local, "chosen": previous.chosen, "score": ap})
         previous = sel.process(g)
         run_log.append(
             {

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import bisect
 from scipy.special import zeta
 
-from .attrpred import KernelParams, leave_out_auc, leave_out_scores, roc_auc
+from .attrpred import KernelParams, leave_out_scores, pairs_auc
 from .changepoint import cp_pr_auc, detect_change_points
 from .linkpred import KatzParams, ScoredPairs, katz_scores, online_step_score
 from .temporal import ChangePointLabels, GraphSequence, StaticGraph, VertexAttributes
@@ -329,7 +329,7 @@ def attr_window_quality(
     batch_size: int | None = None,
 ) -> float:
     """Leave-out attribute AUC with the whole segment windowed at `size`."""
-    return leave_out_auc(windowed_at(seq, size), attrs, batch_size, kernel)
+    return pairs_auc(leave_out_scores(windowed_at(seq, size), attrs, batch_size, kernel), attrs)
 
 
 def attr_split_window_quality(
@@ -355,9 +355,7 @@ def attr_split_window_quality(
         raise ValueError(f"size {size} exceeds a training half, cannot decouple")
     ws_fit = windowed_at(first, size)
     ws_eval = windowed_at(second, size)
-    pairs = leave_out_scores(ws_fit, attrs, batch_size, kernel, eval_ws=ws_eval)
-    _, positive = attrs.classes
-    return roc_auc([s for s, _ in pairs], [lab == positive for _, lab in pairs])
+    return pairs_auc(leave_out_scores(ws_fit, attrs, batch_size, kernel, eval_ws=ws_eval), attrs)
 
 
 # --------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from graphwin import (
     default_batch_size,
     edge_weight,
     fit_model,
-    leave_out_auc,
     leave_out_scores,
+    pairs_auc,
     predict_attribute,
     roc_auc,
     windowed_at,
@@ -262,11 +262,12 @@ def test_symmetric_evidence_gives_half():
     ws = windowed_at(seq_of(4, [], [], []), 1)  # no edges, no features
     pairs = leave_out_scores(ws, attrs, batch_size=2)
     assert all(s == 0.5 for s, _ in pairs)
-    assert leave_out_auc(ws, attrs, batch_size=2) == 0.5
+    assert pairs_auc(pairs, attrs) == 0.5
 
 
 def test_leave_out_auc_matches_components():
     attrs, ws = hand_instance()
     pairs = leave_out_scores(ws, attrs, batch_size=1)
     expected = roc_auc([s for s, _ in pairs], [lab == "b" for _, lab in pairs])
-    assert leave_out_auc(ws, attrs, batch_size=1) == expected
+    assert pairs_auc(pairs, attrs) == expected
+    assert pairs_auc([[s, lab] for s, lab in pairs], attrs) == expected  # as reports hold them

@@ -2,13 +2,18 @@
 from __future__ import annotations
 
 import json
+import math
 import shutil
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from graphwin import EvalParams, KatzParams, SelectorParams, run_suite, split_intervals
-from graphwin.cli import main
+from graphwin.cli import build_parser, main
 from graphwin.temporal import load_archive
+
+from helpers import parent_blas_threads
 
 
 EVENS = [0, 2, 4, 6]
@@ -28,6 +33,18 @@ def stream_text() -> str:
             edges.append((EVENS[t % 4], ODDS[(t + 1) % 4]))
         for u, v in edges:
             lines.append(f"v{u},v{v},{t}")
+    return "\n".join(lines) + "\n"
+
+
+def tie_rich_stream_text() -> str:
+    """12-step stream on 150 vertices: each step is five copies of one
+    random 30-vertex graph (edge probability 0.08), so many Katz scores tie
+    exactly and their order rests on how BLAS rounds them."""
+    rng = np.random.default_rng(0)
+    lines = []
+    for t in range(12):
+        block = [(u, v) for u in range(30) for v in range(u + 1, 30) if rng.random() < 0.08]
+        lines += [f"v{u + 30 * c},v{v + 30 * c},{t}" for c in range(5) for u, v in block]
     return "\n".join(lines) + "\n"
 
 
@@ -243,15 +260,36 @@ def test_evaluate_is_a_thin_wrapper_over_the_library(dataset):
     assert len(csv_lines) == 1 + len(report["cells"])
 
 
-def test_evaluate_reruns_are_byte_identical(dataset):
-    prefix = dataset["tmp"] / "out" / "run"
-    cfg_path = dataset["tmp"] / "run.json"
-    cfg_path.write_text(json.dumps(online_config(dataset, prefix)))
+def _reruns_agree(cfg: dict, cfg_path) -> None:
+    prefix = Path(cfg["output"])
+    cfg_path.write_text(json.dumps(cfg))
     assert main(["evaluate", str(cfg_path), "--jobs", "1"]) == 0
     blobs = (prefix.with_suffix(".json").read_bytes(), prefix.with_suffix(".csv").read_bytes())
     assert main(["evaluate", str(cfg_path), "--jobs", "2"]) == 0
     assert prefix.with_suffix(".json").read_bytes() == blobs[0]
     assert prefix.with_suffix(".csv").read_bytes() == blobs[1]
+
+
+def test_evaluate_reruns_are_byte_identical(dataset):
+    tmp = dataset["tmp"]
+    _reruns_agree(online_config(dataset, tmp / "out" / "run"), tmp / "run.json")
+    # a tie-rich n = 150 stream, large enough for BLAS to use its threads
+    (tmp / "tied.csv").write_text(tie_rich_stream_text())
+    assert main(["ingest", str(tmp / "tied.csv"), "--out", str(tmp / "tied")]) == 0
+    tied = {
+        **online_config(dataset, tmp / "out" / "tied"),
+        "archive": str(tmp / "tied"),
+        "selectors": ["online"],
+        "params": {"min_tests": 2, "top_count": 4},
+    }
+    with parent_blas_threads(2):
+        _reruns_agree(tied, tmp / "tied.json")
+
+
+def test_jobs_default_to_one():
+    parser = build_parser()
+    assert parser.parse_args(["evaluate", "run.json"]).jobs == 1
+    assert parser.parse_args(["sweep", "arch", "--tasks", "linkpred", "--out", "c.json"]).jobs == 1
 
 
 def test_evaluate_config_validation(dataset, capsys):
@@ -311,6 +349,15 @@ def test_evaluate_rejects_bad_param_values_before_compute(dataset, capsys):
         ({"params": {"beta": [1]}}, [f"params.beta {number} [1]"]),
         ({"params": {"alpha": None}}, [f"params.alpha {number} None"]),
         ({"params": {"tau": None}}, [f"params.tau {number} None"]),
+        ({"params": {"tau": math.nan, "adage_tol": math.inf}}, [
+            "params.tau must be a finite number >= 0, got nan",
+            "params.adage_tol must be a finite number > 0, got inf",
+        ]),
+        ({"params": {"tau": -1, "adage_tol": 0}}, [
+            "params.tau must be a finite number >= 0, got -1",
+            "params.adage_tol must be a finite number > 0, got 0",
+        ]),
+        ({"params": {"adage_tol": -1}}, ["params.adage_tol must be a finite number > 0, got -1"]),
         ({"params": {"alpha": True}}, [f"params.alpha {number} True"]),
         ({"params": {"alpha": 2, "theta": 1}}, [
             "params.alpha must lie in (0, 1], got 2",
@@ -381,6 +428,11 @@ def test_tuning_flags_are_validated_before_compute(dataset, capsys, monkeypatch)
     assert "--theta must lie in (0, 1), got 2.0" in err
     assert "--adage-patience must be an integer >= 1, got 0" in err
     assert "runtime error" not in err
+
+    rc = main(["select", str(dataset["archive"]), "--selector", "jaccard", "--tau", "nan"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "--tau must be a finite number >= 0, got nan" in err
 
 
 def test_evaluate_hyperparameter_grid(dataset):

@@ -1,9 +1,7 @@
 """Evaluation harness: interval plans, runners, curves, cross-task analyses."""
 from __future__ import annotations
 
-import ctypes
 import json
-import logging
 import math
 
 import numpy as np
@@ -40,7 +38,14 @@ from graphwin.selectors import (
 )
 from graphwin.temporal import ChangePointLabels, StaticGraph, VertexAttributes
 
-from helpers import clique_edges, graph, random_sequence, seq_of
+from helpers import (
+    blas_threads,
+    clique_edges,
+    graph,
+    parent_blas_threads,
+    random_sequence,
+    seq_of,
+)
 
 
 # --------------------------------------------------------------------------
@@ -235,38 +240,11 @@ def test_offline_suite_scores_each_windowed_span_once(monkeypatch):
         assert len(set(calls[name])) == len(calls[name])
 
 
-def _blas(name: str):
-    return getattr(ctypes.CDLL(np._core._multiarray_umath.__file__), f"scipy_openblas_{name}64_")
-
-
-def _blas_threads(_: int) -> int:
-    getter = _blas("get_num_threads")
-    getter.argtypes, getter.restype = [], ctypes.c_int
-    return getter()
-
-
-def test_pool_workers_run_blas_on_one_thread(caplog, monkeypatch):
-    try:
-        before = _blas_threads(0)
-    except (AttributeError, OSError):
-        pytest.skip("numpy's BLAS has no scipy-openblas64 thread getter")
-    with harness._pool(2) as pmap:
-        assert pmap(_blas_threads, [0, 1]) == [1, 1]
-    caplog.set_level(logging.DEBUG, logger="graphwin.harness")
-    try:
-        harness._one_blas_thread()
-        assert _blas_threads(0) == 1
-    finally:
-        setter = _blas("set_num_threads")
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-        setter(before)
-    monkeypatch.setattr(harness, "np", object())  # a build without the setter
-    harness._one_blas_thread()
-    assert [r.getMessage() for r in caplog.records] == [
-        "pool worker: scipy-openblas64 BLAS pinned to one thread",
-        "pool worker: BLAS threads left as they are "
-        "('object' object has no attribute '_core')",
-    ]
+def test_pool_workers_run_blas_as_the_parent_does():
+    """Workers keep the parent's BLAS thread count, so a score computed in
+    a worker rounds as it would in the parent."""
+    with parent_blas_threads(2), harness._pool(2) as pmap:
+        assert pmap(blas_threads, [0, 1]) == [2, 2]
 
 
 # --------------------------------------------------------------------------
