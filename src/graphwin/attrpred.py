@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
+from ._numeric import midranks
 from .temporal import CATEGORICAL, VertexAttributes
 from .windows import WindowedSequence
 
@@ -262,14 +262,15 @@ def leave_out_scores(
 
 
 def roc_auc(scores: Sequence[float], labels: Sequence[bool]) -> float:
-    """ROC-AUC via the rank-sum form with midrank tie handling."""
+    """ROC-AUC via the rank-sum form with midrank tie handling; a NaN score
+    gives a NaN AUC."""
     if len(scores) != len(labels):
         raise ValueError("scores and labels must align")
     pos = sum(1 for b in labels if b)
     neg = len(labels) - pos
     if pos == 0 or neg == 0:
         raise ValueError("single-class population: AUC is undefined")
-    ranks = rankdata(scores)
+    ranks = midranks(scores)
     rank_sum = float(sum(r for r, b in zip(ranks, labels) if b))
     return (rank_sum - pos * (pos + 1) / 2.0) / (pos * neg)
 

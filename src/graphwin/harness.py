@@ -20,8 +20,7 @@ import hashlib
 import json
 import logging
 import math
-import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -29,8 +28,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
+from ._numeric import midranks, t_two_sided_p
 from .attrpred import KernelParams, leave_out_scores, pairs_auc
 from .changepoint import cp_pr_auc, detect_change_points
 from .linkpred import KatzParams, online_step_score
@@ -237,7 +236,8 @@ def derive_seed(master: int, *parts: object) -> int:
 def _pool(jobs: int) -> Iterator[Callable[[Callable, Sequence], list]]:
     """One stage's map, over `jobs` worker processes that start at the
     first call of more than one item, or in this process when `jobs` <= 1."""
-    workers = ProcessPoolExecutor(jobs) if jobs > 1 else None
+    # futures.ProcessPoolExecutor imports multiprocessing at first access
+    workers = futures.ProcessPoolExecutor(jobs) if jobs > 1 else None
     with workers or nullcontext():
         yield lambda fn, items: (
             list(workers.map(fn, items)) if workers and len(items) > 1 else [fn(i) for i in items]
@@ -898,20 +898,27 @@ def cross_task_matrix(curves: CurveSet) -> dict:
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     """Rank correlation (Pearson of midranks) with a two-sided t-test p-value.
 
-    Zero rank variance makes the statistic undefined; (nan, nan) is returned
-    and logged.
+    A NaN in either sample, or a constant sample, makes the statistic
+    undefined; (nan, nan) is returned and the reason logged.
     """
     if len(xs) != len(ys):
         raise ValueError("paired samples must align")
     if len(xs) < 3:
         raise ValueError("rank correlation needs at least 3 pairs")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # constant input: we report nan ourselves
-        rho, p = scipy_stats.spearmanr(xs, ys)
-    if math.isnan(rho):
-        log.warning("zero rank variance; rank correlation undefined")
+    pairs = np.column_stack((np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)))
+    if np.isnan(pairs).any():
+        log.warning("NaN in a paired sample; rank correlation undefined")
         return (float("nan"), float("nan"))
-    return float(rho), float(p)
+    if (pairs == pairs[0]).all(axis=0).any():
+        log.warning("constant sample, zero rank variance; rank correlation undefined")
+        return (float("nan"), float("nan"))
+    ranks = np.column_stack((midranks(pairs[:, 0]), midranks(pairs[:, 1])))
+    rho = float(np.corrcoef(ranks, rowvar=False)[1, 0])
+    if abs(rho) == 1.0:
+        return rho, 0.0
+    dof = len(xs) - 2
+    t = rho * math.sqrt(dof / ((rho + 1.0) * (1.0 - rho)))
+    return rho, t_two_sided_p(t, dof)
 
 
 def spearman_table(curves: CurveSet) -> dict:

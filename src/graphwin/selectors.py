@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import bisect
-from scipy.special import zeta
 
+from ._numeric import bisect, zeta
 from .attrpred import KernelParams, leave_out_scores, pairs_auc
 from .changepoint import cp_pr_auc, detect_change_points
 from .linkpred import KatzParams, ScoredPairs, katz_scores, online_step_score

@@ -15,9 +15,13 @@ from __future__ import annotations
 
 import logging
 import math
+import warnings
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy import stats as scipy_stats
+from scipy.optimize import bisect
+from scipy.special import zeta
 
 from graphwin.attrpred import (
     VARIANCE_FLOOR,
@@ -29,7 +33,6 @@ from graphwin.attrpred import (
 )
 import graphwin
 from graphwin import harness
-from graphwin.attrpred import roc_auc
 from graphwin.changepoint import DetectionResult, _block_bits, cp_pr_auc, log_star
 from graphwin.harness import EvalParams, IntervalPlan, derive_seed
 from graphwin.linkpred import KatzParams, ScoredPairs, _truncated_matrix
@@ -53,6 +56,60 @@ log = logging.getLogger(__name__)
 
 _IMPROVEMENT_EPS = 1e-9
 _MAX_SWEEPS = 60
+
+
+# --------------------------------------------------------------------------
+# scipy-backed statistics
+
+
+def roc_auc(scores: Sequence[float], labels: Sequence[bool]) -> float:
+    """ROC-AUC via the rank-sum form with midrank tie handling."""
+    if len(scores) != len(labels):
+        raise ValueError("scores and labels must align")
+    pos = sum(1 for b in labels if b)
+    neg = len(labels) - pos
+    if pos == 0 or neg == 0:
+        raise ValueError("single-class population: AUC is undefined")
+    ranks = scipy_stats.rankdata(scores)
+    rank_sum = float(sum(r for r, b in zip(ranks, labels) if b))
+    return (rank_sum - pos * (pos + 1) / 2.0) / (pos * neg)
+
+
+def spearman(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+    """Rank correlation with a two-sided t-test p-value; (nan, nan) where
+    scipy finds it undefined."""
+    if len(xs) != len(ys):
+        raise ValueError("paired samples must align")
+    if len(xs) < 3:
+        raise ValueError("rank correlation needs at least 3 pairs")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # constant input
+        rho, p = scipy_stats.spearmanr(xs, ys)
+    if math.isnan(rho):
+        return (float("nan"), float("nan"))
+    return float(rho), float(p)
+
+
+def powerlaw_exponent(degrees: Sequence[int], lo: float = 1.01, hi: float = 20.0) -> float:
+    """Discrete power-law MLE exponent with minimum value 1, clamped to [lo, hi]."""
+    xs = np.asarray([d for d in degrees if d >= 1], dtype=float)
+    if xs.size == 0:
+        raise ValueError("no positive degrees to fit")
+    mean_log = float(np.mean(np.log(xs)))
+    if mean_log == 0.0:
+        return hi
+
+    def dlog_zeta(s: float, h: float = 1e-5) -> float:
+        return (math.log(zeta(s + h)) - math.log(zeta(s - h))) / (2 * h)
+
+    def objective(s: float) -> float:
+        return dlog_zeta(s) + mean_log
+
+    if objective(lo) >= 0.0:
+        return lo
+    if objective(hi) <= 0.0:
+        return hi
+    return float(bisect(objective, lo, hi, xtol=1e-10))
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import math
 
 import numpy as np
@@ -691,6 +692,27 @@ def test_spearman_table_pools_intervals():
     rho, p = table["alpha"]["beta"]
     assert rho == 1.0
     assert 0.0 <= p <= 1.0
+
+
+@pytest.mark.parametrize(
+    "beta, reason, not_reason",
+    [
+        (["nan", 0.5, 0.1, 0.2], "NaN in a paired sample", "rank variance"),
+        ([0.5, 0.5, 0.5, 0.5], "zero rank variance", "NaN"),
+    ],
+)
+def test_spearman_logs_why_it_is_undefined(caplog, beta, reason, not_reason):
+    # curves round-trip a NaN score as the string "nan"
+    curves = CurveSet.from_dict({
+        "tasks": ["alpha", "beta"],
+        "sizes": [1, 2],
+        "intervals": [[1, 4], [5, 8]],
+        "values": {"alpha": [[0.9, 0.5], [0.2, 0.8]], "beta": [beta[:2], beta[2:]]},
+    })
+    with caplog.at_level(logging.WARNING, logger="graphwin.harness"):
+        rho, p = spearman_table(curves)["alpha"]["beta"]
+    assert math.isnan(rho) and math.isnan(p)
+    assert reason in caplog.text and not_reason not in caplog.text
 
 
 # --------------------------------------------------------------------------

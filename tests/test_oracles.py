@@ -1,9 +1,11 @@
 """Differential tests: the package's kernels and its quality table against
 the plain references in `oracles.py`, with exact equality on random graphs
-and windowings."""
+and windowings, and its numpy statistics against the scipy-backed ones."""
 from __future__ import annotations
 
+import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,9 +33,15 @@ from graphwin import (
     score_curves,
     split_intervals,
 )
+from graphwin import selectors
+from graphwin._numeric import zeta
+from graphwin.attrpred import roc_auc
 from graphwin.changepoint import _SegmentState
+from graphwin.harness import spearman
+from graphwin.selectors import adage_select, powerlaw_exponent
 
 import oracles
+from helpers import random_sequence
 
 
 def community_sequence(rng: np.random.Generator, n: int, length: int) -> GraphSequence:
@@ -294,3 +302,105 @@ def test_quality_table_matches_cell_oracles(jobs):
             oracles.curve_cell(seq, plan, curves.sizes, attrs, truth, params, (task, idx))
             for idx in range(len(plan.spans))
         )
+
+
+# --------------------------------------------------------------------------
+# numpy statistics against scipy
+
+
+def same_float(got: float, want: float) -> bool:
+    return got == want or (math.isnan(got) and math.isnan(want))
+
+
+@seed(1702)
+@settings(max_examples=300, deadline=None)
+@given(
+    draw_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=2, max_value=400),
+    levels=st.sampled_from([1, 2, 5, 40, None]),
+    with_nan=st.booleans(),
+)
+def test_roc_auc_matches_scipy_oracle(draw_seed, n, levels, with_nan):
+    rng = np.random.default_rng(draw_seed)
+    # `levels` distinct values give heavy ties; None gives (almost) none
+    scores = rng.normal(size=n) if levels is None else rng.integers(0, levels, n) / levels
+    if with_nan:
+        scores[rng.integers(0, n)] = np.nan
+    labels = [bool(b) for b in rng.random(n) < rng.uniform(0.1, 0.9)]
+    labels[0], labels[-1] = True, False  # both classes
+    got, want = roc_auc(list(scores), labels), oracles.roc_auc(list(scores), labels)
+    assert same_float(got, want)
+    assert math.isnan(got) == with_nan
+
+
+@seed(1702)
+@settings(max_examples=400, deadline=None)
+@given(
+    draw_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=3, max_value=400),
+    kind=st.sampled_from(["noisy", "noisy", "ties", "constant", "monotone", "reversed", "nan"]),
+)
+def test_spearman_matches_scipy_oracle(draw_seed, n, kind):
+    rng = np.random.default_rng(draw_seed)
+    xs = rng.normal(size=n)
+    # noise from 1e-3 to 3 times the signal: p from about 1 down past 1e-300
+    ys = rng.uniform(-1.0, 1.0) * xs + rng.normal(size=n) * 10 ** rng.uniform(-3.0, 0.5)
+    if kind == "ties":
+        xs, ys = np.round(xs * 2) / 2, np.round(ys * 2) / 2
+    elif kind == "constant":
+        (xs if rng.random() < 0.5 else ys)[:] = 0.25
+    elif kind == "monotone":
+        ys = np.exp(xs)
+    elif kind == "reversed":
+        ys = -(xs**3)
+    elif kind == "nan":
+        (xs if rng.random() < 0.5 else ys)[rng.integers(0, n)] = np.nan
+    (rho, p), (want_rho, want_p) = spearman(list(xs), list(ys)), oracles.spearman(list(xs), list(ys))
+    assert same_float(rho, want_rho)
+    if math.isnan(want_p):
+        assert math.isnan(p)
+    else:
+        assert p == pytest.approx(want_p, rel=1e-12, abs=1e-300)
+    if kind in ("monotone", "reversed"):  # |rho| = 1 up to corrcoef's rounding
+        assert abs(rho) == pytest.approx(1.0) and p < 1e-300
+
+
+@seed(1702)
+@settings(max_examples=500, deadline=None)
+@given(s=st.floats(min_value=1.00999, max_value=20.00001))
+def test_zeta_matches_scipy_oracle(s):
+    assert zeta(s) == pytest.approx(oracles.zeta(s), rel=1e-14)
+
+
+def zipf_degrees(rng: np.random.Generator) -> list[int]:
+    count = int(rng.integers(1, 300))
+    degrees = rng.zipf(rng.uniform(1.3, 6.0), count).tolist()
+    return [int(d) for d in degrees] + [0] * int(rng.integers(0, 5))
+
+
+@seed(1702)
+@settings(max_examples=300, deadline=None)
+@given(draw_seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_powerlaw_exponent_matches_scipy_oracle(draw_seed):
+    degrees = zipf_degrees(np.random.default_rng(draw_seed))
+    assert powerlaw_exponent(degrees) == pytest.approx(
+        oracles.powerlaw_exponent(degrees), rel=1e-9
+    )
+
+
+@seed(1702)
+@settings(max_examples=60, deadline=None)
+@given(
+    draw_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=3, max_value=60),
+    length=st.integers(min_value=1, max_value=20),
+    tol_patience=st.sampled_from([(0.01, 3), (0.05, 2), (0.1, 2), (0.3, 1)]),
+)
+def test_adage_select_matches_scipy_oracle(draw_seed, n, length, tol_patience):
+    rng = np.random.default_rng(draw_seed)
+    seq = random_sequence(rng, n, length, float(rng.uniform(0.01, 0.3)))
+    prefixes = [seq.slice_steps(1, k) for k in range(1, length + 1)]
+    got = [adage_select(prefix, *tol_patience) for prefix in prefixes]
+    with mock.patch.object(selectors, "powerlaw_exponent", oracles.powerlaw_exponent):
+        want = [adage_select(prefix, *tol_patience) for prefix in prefixes]
+    assert got == want
