@@ -18,7 +18,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .harness import (
     OFFLINE_SELECTORS,
@@ -252,7 +252,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         cp_truth=cp_truth,
         params=params,
         dataset_id=arch.dataset_id,
-        jobs=args.jobs,
     )
     metadata = {
         "mode": "sweep",
@@ -375,7 +374,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         cp_truth=cp_truth,
         params=params,
         seed=seed,
-        jobs=args.jobs,
     )
     config_hash = _config_hash(config)
     report.metadata["dataset_id"] = arch.dataset_id
@@ -385,7 +383,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report.write_json(prefix.with_suffix(".json"))
     report.write_csv(prefix.with_suffix(".csv"))
     if hyper:
-        grid = hyperparam_sweep(seq, plan, **hyper, params=params, seed=seed, jobs=args.jobs)
+        grid = hyperparam_sweep(seq, plan, **hyper, params=params, seed=seed)
         sweep_out = {
             "grid": grid,
             "config_hash": config_hash,
@@ -410,26 +408,47 @@ def _csv_num(value) -> str:
 
 
 # --------------------------------------------------------------------------
+# the input boundary of analyze and report
+
+
+def _read_reports(paths: Sequence[str], read: Callable[[str, dict], object]) -> list:
+    """`read(path, report)` of the JSON object in each report file of
+    `paths`. Raises ValidationFailure naming the file, and the key where one
+    is missing, when a file is absent, is not a JSON object, or lacks a key
+    or holds a value of a type that `read` needs."""
+    errors = [f"report {p} does not exist" for p in paths if not Path(p).exists()]
+    if errors:
+        raise ValidationFailure(errors)
+    out = []
+    for path in paths:
+        try:
+            report = json.loads(Path(path).read_text(encoding="utf-8"))
+            if not isinstance(report, dict):
+                raise TypeError(f"a report is a JSON object, not a {type(report).__name__}")
+            out.append(read(path, report))
+        except json.JSONDecodeError as exc:
+            raise ValidationFailure([f"{path}: invalid JSON ({exc})"]) from None
+        except KeyError as exc:
+            raise ValidationFailure([f"{path}: missing key {exc}"]) from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValidationFailure([f"{path}: malformed report ({exc})"]) from None
+    return out
+
+
+# --------------------------------------------------------------------------
 # analyze
 
 
-def _load_curve_report(path: str) -> tuple[CurveSet, dict]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, dict) or not data.get("curves"):
+def _curves(path: str, report: dict) -> CurveSet:
+    if not report.get("curves"):
         raise ValidationFailure([f"{path}: no score curves in this report"])
-    return CurveSet.from_dict(data["curves"]), data.get("metadata", {})
+    return CurveSet.from_dict(report["curves"])
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    errors = [f"report {p} does not exist" for p in args.reports if not Path(p).exists()]
-    if errors:
-        raise ValidationFailure(errors)
-    loaded = []
-    for path in args.reports:
-        curves, metadata = _load_curve_report(path)
-        loaded.append((path, curves, metadata))
-    first_path, first, _ = loaded[0]
-    for path, curves, _ in loaded[1:]:
+    loaded = list(zip(args.reports, _read_reports(args.reports, _curves)))
+    first_path, first = loaded[0]
+    for path, curves in loaded[1:]:
         for what, key in [
             ("dataset id", lambda c: c.dataset_id),
             ("interval count", lambda c: len(c.intervals)),
@@ -441,7 +460,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     seen: dict[str, int] = {}
     names: list[str] = []
     values: dict[str, tuple] = {}
-    for index, (path, curves, _) in enumerate(loaded):
+    for index, (_, curves) in enumerate(loaded):
         for task in curves.tasks:
             name = task if task not in seen else f"{task}#{index}"
             seen.setdefault(task, index)
@@ -499,44 +518,43 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # report
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    errors = [f"report {p} does not exist" for p in args.reports if not Path(p).exists()]
-    if errors:
-        raise ValidationFailure(errors)
-    lines: list[str] = []
-    for path in args.reports:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        meta = data.get("metadata", {})
-        lines.append(f"## {Path(path).name}")
-        lines.append("")
-        for key in ("mode", "task", "dataset_id", "config_hash", "seed"):
-            if key in meta:
-                lines.append(f"- {key}: {meta[key]}")
-        lines.append("")
-        aggregates = data.get("aggregates", {})
-        if aggregates:
-            lines.append("| selector | task | score | method |")
-            lines.append("| --- | --- | --- | --- |")
-            for selector in sorted(aggregates):
-                for task in sorted(aggregates[selector]):
-                    entry = aggregates[selector][task]
-                    score = entry.get("score")
-                    shown = "skipped" if score is None else f"{score:.6f}"
-                    lines.append(f"| {selector} | {task} | {shown} | {entry.get('method')} |")
-            lines.append("")
-        cells = data.get("cells", [])
-        if cells:
-            lines.append("| selector | task | pair | test span | score |")
-            lines.append("| --- | --- | --- | --- | --- |")
-            for c in cells:
-                score = c.get("score")
+def _report_lines(path: str, data: dict) -> list[str]:
+    """One report file rendered as markdown lines."""
+    meta = data.get("metadata", {})
+    lines = [f"## {Path(path).name}", ""]
+    for key in ("mode", "task", "dataset_id", "config_hash", "seed"):
+        if key in meta:
+            lines.append(f"- {key}: {meta[key]}")
+    lines.append("")
+    aggregates = data.get("aggregates", {})
+    if aggregates:
+        lines.append("| selector | task | score | method |")
+        lines.append("| --- | --- | --- | --- |")
+        for selector in sorted(aggregates):
+            for task in sorted(aggregates[selector]):
+                entry = aggregates[selector][task]
+                score = entry.get("score")
                 shown = "skipped" if score is None else f"{score:.6f}"
-                span = "-".join(str(x) for x in c.get("test_span", []))
-                lines.append(
-                    f"| {c['selector']} | {c['task']} | {c['pair_index']} | {span} | {shown} |"
-                )
-            lines.append("")
-    text = "\n".join(lines).rstrip() + "\n"
+                lines.append(f"| {selector} | {task} | {shown} | {entry.get('method')} |")
+        lines.append("")
+    cells = data.get("cells", [])
+    if cells:
+        lines.append("| selector | task | pair | test span | score |")
+        lines.append("| --- | --- | --- | --- | --- |")
+        for c in cells:
+            score = c.get("score")
+            shown = "skipped" if score is None else f"{score:.6f}"
+            span = "-".join(str(x) for x in c.get("test_span", []))
+            lines.append(
+                f"| {c['selector']} | {c['task']} | {c['pair_index']} | {span} | {shown} |"
+            )
+        lines.append("")
+    return lines
+
+
+def cmd_report(args: argparse.Namespace) -> int:
+    blocks = _read_reports(args.reports, _report_lines)
+    text = "\n".join(line for lines in blocks for line in lines).rstrip() + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -546,6 +564,11 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------------------------
 # parser
+
+
+# measured at n <= 150, a worker pool never made a stage faster; the flag
+# stays so that existing scripts keep running
+_IGNORED = "accepted and ignored: every stage runs in this one process"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -595,13 +618,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=defaults.kernel.theta)
     p.add_argument("--batch-size", type=int, default=defaults.batch_size)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_IGNORED)
     p.add_argument("--out", required=True, help="curve report JSON path")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("evaluate", help="run a declarative config and write reports")
     p.add_argument("config", help="JSON run configuration")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_IGNORED)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("analyze", help="cross-task and stability analyses of curve reports")

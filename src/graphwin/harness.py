@@ -10,9 +10,10 @@ and its per-step predictions are scored across the test interval.
 
 Offline work reads one quality table per stage: an entry (task, span,
 windowing) is the task run on that windowing of the span, and each distinct
-entry is scored once, by `_score_entry`. Supervised selection is the argmax
-of a training span's row of uniform sizes, the offline cells read their test
-entries, and `score_curves` is the table of every uniform size.
+entry is scored once, by `_score_entry`, one row (task, span) at a time.
+Supervised selection is the argmax of a training span's row of uniform
+sizes, the offline cells read their test entries, and `score_curves` is the
+table of every uniform size.
 """
 from __future__ import annotations
 
@@ -20,12 +21,9 @@ import hashlib
 import json
 import logging
 import math
-from concurrent import futures
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
-from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -232,18 +230,6 @@ def derive_seed(master: int, *parts: object) -> int:
     return int(hashlib.sha256(text.encode()).hexdigest()[:16], 16)
 
 
-@contextmanager
-def _pool(jobs: int) -> Iterator[Callable[[Callable, Sequence], list]]:
-    """One stage's map, over `jobs` worker processes that start at the
-    first call of more than one item, or in this process when `jobs` <= 1."""
-    # futures.ProcessPoolExecutor imports multiprocessing at first access
-    workers = futures.ProcessPoolExecutor(jobs) if jobs > 1 else None
-    with workers or nullcontext():
-        yield lambda fn, items: (
-            list(workers.map(fn, items)) if workers and len(items) > 1 else [fn(i) for i in items]
-        )
-
-
 # --------------------------------------------------------------------------
 # The quality table
 
@@ -287,33 +273,12 @@ def _score_entry(
     return pairs_auc(pairs, attrs), {"pairs": [[s, lab] for s, lab in pairs]}
 
 
-def _score_row(
-    seq: GraphSequence,
-    attrs: VertexAttributes | None,
-    cp_truth: ChangePointLabels | None,
-    params: EvalParams,
-    row: tuple[str, tuple[int, int], tuple[Windowing, ...]],
-) -> list:
-    """The values of entries (kind, span, each of `windowings`): (score,
-    detail), or the ValueError the task raised."""
-    kind, span, windowings = row
-    segment = seq.slice_steps(*span)
-    truth = cp_truth.restrict(*span) if kind == "changepoint" else None
-    values = []
-    for windowing in windowings:
-        try:
-            values.append(_score_entry(kind, segment, windowing, attrs, truth, params))
-        except ValueError as exc:
-            values.append(exc)
-    return values
-
-
 class _QualityTable:
     """Task quality per entry of `seq`, each distinct entry scored once.
 
-    `fill` maps the entries the table lacks with `pmap`, one item per
-    (kind, span) row. Reading an entry whose task raised a ValueError
-    raises it.
+    `fill` scores the entries the table lacks one (kind, span) row at a
+    time, slicing the row's span once. Reading an entry whose task raised a
+    ValueError raises it.
     """
 
     def __init__(
@@ -322,10 +287,8 @@ class _QualityTable:
         attrs: VertexAttributes | None,
         cp_truth: ChangePointLabels | None,
         params: EvalParams,
-        pmap: Callable[[Callable, Sequence], list],
     ) -> None:
-        self.seq, self.cp_truth, self.pmap = seq, cp_truth, pmap
-        self.score_row = partial(_score_row, seq, attrs, cp_truth, params)
+        self.seq, self.attrs, self.cp_truth, self.params = seq, attrs, cp_truth, params
         self.values: dict[Entry, tuple[float, dict] | ValueError] = {}
 
     def fill(self, entries: Iterable[Entry]) -> None:
@@ -333,9 +296,15 @@ class _QualityTable:
         for kind, span, windowing in entries:
             if (kind, span, windowing) not in self.values:
                 rows.setdefault((kind, span), {})[windowing] = None
-        items = [(kind, span, tuple(ws)) for (kind, span), ws in rows.items()]
-        for (kind, span, windowings), values in zip(items, self.pmap(self.score_row, items)):
-            self.values.update(zip([(kind, span, w) for w in windowings], values))
+        for (kind, span), windowings in rows.items():
+            segment = self.seq.slice_steps(*span)
+            truth = self.cp_truth.restrict(*span) if kind == "changepoint" else None
+            for windowing in windowings:
+                try:
+                    value = _score_entry(kind, segment, windowing, self.attrs, truth, self.params)
+                except ValueError as exc:
+                    value = exc
+                self.values[kind, span, windowing] = value
 
     def __getitem__(self, entry: Entry) -> tuple[float, dict]:
         value = self.values[entry]
@@ -384,9 +353,8 @@ def choose_test_windowing(
         raise ValueError("supervised attribute selection needs attributes")
     if task not in _SUPERVISED_KIND:
         raise ValueError(f"no offline supervised selection for task {task!r}")
-    with _pool(1) as pmap:
-        table = _QualityTable(train, attrs, train_cp, params, pmap)
-        return table.select(_SUPERVISED_KIND[task], (1, train.length), test.length)
+    table = _QualityTable(train, attrs, train_cp, params)
+    return table.select(_SUPERVISED_KIND[task], (1, train.length), test.length)
 
 
 def _baseline_windowing(
@@ -505,7 +473,6 @@ def run_offline(
     cp_truth: ChangePointLabels | None = None,
     params: EvalParams = EvalParams(),
     seed: int = 0,
-    jobs: int = 1,
 ) -> ExperimentReport:
     """Evaluate one offline selector on one task across all interval pairs.
 
@@ -513,7 +480,7 @@ def run_offline(
     their (score, label) lists into a single AUC (the population repeats
     across test sets, so pooling is the meaningful combination).
     """
-    (report,) = _offline_reports(seq, plan, [selector], task, attrs, cp_truth, params, seed, jobs)
+    (report,) = _offline_reports(seq, plan, [selector], task, attrs, cp_truth, params, seed)
     return report
 
 
@@ -526,13 +493,12 @@ def _offline_reports(
     cp_truth: ChangePointLabels | None,
     params: EvalParams,
     seed: int,
-    jobs: int,
 ) -> list[ExperimentReport]:
     """`run_offline` for each selector, from one quality table. The
     baselines choose their windowings here first, so that one round scores
     the supervised training rows and the baseline entries together; the
     supervised selections then read their rows, and a second round scores
-    the supervised entries the table lacks. Both rounds share one pool."""
+    the supervised entries the table lacks."""
     if task not in ("attribute", "changepoint"):
         raise ValueError(f"offline evaluation covers attribute/changepoint, not {task!r}")
     for selector in selectors:
@@ -545,21 +511,20 @@ def _offline_reports(
     kind = _SUPERVISED_KIND[task]
     pairs = [(plan.spans[a], plan.spans[b]) for a, b in plan.pairs]
     supervised = "supervised" in selectors
-    with _pool(jobs) as pmap:
-        table = _QualityTable(seq, attrs, cp_truth, params, pmap)
-        cells = {}
-        for name in [name for name in selectors if name != "supervised"]:
-            for idx, (_, test) in enumerate(pairs):
-                cell_seed = derive_seed(seed, name, task, idx)
-                windowing = _baseline_windowing(name, seq.slice_steps(*test), params, cell_seed)
-                cells[name, idx] = (task, test, windowing)
-        training = [e for train, _ in pairs for e in _row(kind, train)] if supervised else []
-        table.fill(training + list(cells.values()))
-        if supervised:
-            for idx, (train, test) in enumerate(pairs):
-                windowing = table.select(kind, train, test[1] - test[0] + 1)
-                cells["supervised", idx] = (task, test, windowing)
-            table.fill(cells.values())
+    table = _QualityTable(seq, attrs, cp_truth, params)
+    cells = {}
+    for name in [name for name in selectors if name != "supervised"]:
+        for idx, (_, test) in enumerate(pairs):
+            cell_seed = derive_seed(seed, name, task, idx)
+            windowing = _baseline_windowing(name, seq.slice_steps(*test), params, cell_seed)
+            cells[name, idx] = (task, test, windowing)
+    training = [e for train, _ in pairs for e in _row(kind, train)] if supervised else []
+    table.fill(training + list(cells.values()))
+    if supervised:
+        for idx, (train, test) in enumerate(pairs):
+            windowing = table.select(kind, train, test[1] - test[0] + 1)
+            cells["supervised", idx] = (task, test, windowing)
+        table.fill(cells.values())
     reports = []
     for name in selectors:
         results = []
@@ -696,7 +661,6 @@ def run_online(
     *,
     params: EvalParams = EvalParams(),
     seed: int = 0,
-    jobs: int = 1,
 ) -> ExperimentReport:
     """One-step-ahead link prediction with per-step size selection.
 
@@ -708,19 +672,14 @@ def run_online(
     """
     if selector not in ONLINE_SELECTORS:
         raise ValueError(f"unknown online selector {selector!r}")
-    cell = partial(_online_pair, seq, plan, selector, params, seed)
-    pairs = range(len(plan.pairs))
-    if params.carry_ledger:
-        # each pair starts from the ledger the previous pair left
-        results, ledger = [], None
-        for idx in pairs:
-            score, detail, next_ledger = cell(idx, ledger)
+    results, ledger = [], None
+    for idx in range(len(plan.pairs)):
+        score, detail, kept = _online_pair(seq, plan, selector, params, seed, idx, ledger)
+        if params.carry_ledger:
+            # the next pair starts from the ledger this one left
             detail["carried_ledger"] = ledger is not None
-            results.append((score, detail))
-            ledger = next_ledger
-    else:
-        with _pool(jobs) as pmap:
-            results = [(score, detail) for score, detail, _ in pmap(cell, pairs)]
+            ledger = kept
+        results.append((score, detail))
     cells = _cells(selector, "linkpred", plan, results)
     scores = [c.score for c in cells if c.score is not None]
     aggregate = math.fsum(scores) / len(scores) if scores else None
@@ -752,7 +711,6 @@ def run_suite(
     cp_truth: ChangePointLabels | None = None,
     params: EvalParams = EvalParams(),
     seed: int = 0,
-    jobs: int = 1,
 ) -> ExperimentReport:
     """Run several selectors on one task and merge them into one report."""
     if mode not in ("offline", "online"):
@@ -760,11 +718,9 @@ def run_suite(
     if len(set(selectors)) != len(selectors):
         raise ValueError("duplicate selector names")
     if mode == "offline":
-        reports = _offline_reports(seq, plan, selectors, task, attrs, cp_truth, params, seed, jobs)
+        reports = _offline_reports(seq, plan, selectors, task, attrs, cp_truth, params, seed)
     else:
-        reports = [
-            run_online(seq, plan, name, params=params, seed=seed, jobs=jobs) for name in selectors
-        ]
+        reports = [run_online(seq, plan, name, params=params, seed=seed) for name in selectors]
     cells = [c for rep in reports for c in rep.cells]
     aggregates = {name: rep.aggregates[name] for name, rep in zip(selectors, reports)}
     metadata = {
@@ -833,7 +789,6 @@ def score_curves(
     cp_truth: ChangePointLabels | None = None,
     params: EvalParams = EvalParams(),
     dataset_id: str = "",
-    jobs: int = 1,
 ) -> CurveSet:
     """Quality of every uniform size, per task, per interval.
 
@@ -850,9 +805,8 @@ def score_curves(
     w_max = min(b - a + 1 for a, b in plan.spans)
     sizes = tuple(range(1, w_max + 1))
     rows = {(task, span): _row(task, span)[:w_max] for task in tasks for span in plan.spans}
-    with _pool(jobs) as pmap:
-        table = _QualityTable(seq, attrs, cp_truth, params, pmap)
-        table.fill(entry for row in rows.values() for entry in row)
+    table = _QualityTable(seq, attrs, cp_truth, params)
+    table.fill(entry for row in rows.values() for entry in row)
     values = {
         task: tuple(tuple(table[e][0] for e in rows[task, span]) for span in plan.spans)
         for task in tasks
@@ -978,7 +932,6 @@ def hyperparam_sweep(
     selector: str = "online",
     params: EvalParams = EvalParams(),
     seed: int = 0,
-    jobs: int = 1,
 ) -> list[dict]:
     """Aggregate online score across a one-axis-at-a-time grid over the
     ledger's retest budgets; every other value comes from `params`."""
@@ -987,9 +940,7 @@ def hyperparam_sweep(
     grid += [("top_count", v, SelectorParams(fixed, v, alpha)) for v in top_count_values]
     records = []
     for axis, value, knobs in grid:
-        report = run_online(
-            seq, plan, selector, params=replace(params, selector=knobs), seed=seed, jobs=jobs
-        )
+        report = run_online(seq, plan, selector, params=replace(params, selector=knobs), seed=seed)
         score = report.aggregates[selector]["linkpred"]["score"]
         records.append({"axis": axis, "value": value, "fixed": fixed, "score": score})
     return records

@@ -10,10 +10,8 @@ import numpy as np
 import pytest
 
 from graphwin import EvalParams, KatzParams, SelectorParams, run_suite, split_intervals
-from graphwin.cli import build_parser, main
+from graphwin.cli import main
 from graphwin.temporal import load_archive
-
-from helpers import parent_blas_threads
 
 
 EVENS = [0, 2, 4, 6]
@@ -183,7 +181,7 @@ def test_select_validation_enumerates_problems(dataset, capsys):
 def test_sweep_defaults_and_determinism(dataset, capsys):
     out_path = dataset["tmp"] / "curves.json"
     rc = main(["sweep", str(dataset["archive"]), "--tasks", "linkpred",
-               "--out", str(out_path), "--jobs", "1"])
+               "--out", str(out_path)])
     assert rc == 0
     data = json.loads(out_path.read_text())
     assert data["metadata"]["mode"] == "sweep"
@@ -191,7 +189,7 @@ def test_sweep_defaults_and_determinism(dataset, capsys):
     assert data["curves"]["sizes"] == [1, 2]
     first = out_path.read_bytes()
     rc = main(["sweep", str(dataset["archive"]), "--tasks", "linkpred",
-               "--out", str(out_path), "--jobs", "2"])
+               "--out", str(out_path)])
     assert rc == 0
     assert out_path.read_bytes() == first
 
@@ -234,7 +232,7 @@ def test_evaluate_is_a_thin_wrapper_over_the_library(dataset):
     prefix = dataset["tmp"] / "out" / "run"
     cfg_path = dataset["tmp"] / "run.json"
     cfg_path.write_text(json.dumps(online_config(dataset, prefix)))
-    assert main(["evaluate", str(cfg_path), "--jobs", "1"]) == 0
+    assert main(["evaluate", str(cfg_path)]) == 0
 
     report = json.loads(prefix.with_suffix(".json").read_text())
     arch = load_archive(dataset["archive"])
@@ -263,9 +261,9 @@ def test_evaluate_is_a_thin_wrapper_over_the_library(dataset):
 def _reruns_agree(cfg: dict, cfg_path) -> None:
     prefix = Path(cfg["output"])
     cfg_path.write_text(json.dumps(cfg))
-    assert main(["evaluate", str(cfg_path), "--jobs", "1"]) == 0
+    assert main(["evaluate", str(cfg_path)]) == 0
     blobs = (prefix.with_suffix(".json").read_bytes(), prefix.with_suffix(".csv").read_bytes())
-    assert main(["evaluate", str(cfg_path), "--jobs", "2"]) == 0
+    assert main(["evaluate", str(cfg_path)]) == 0
     assert prefix.with_suffix(".json").read_bytes() == blobs[0]
     assert prefix.with_suffix(".csv").read_bytes() == blobs[1]
 
@@ -282,14 +280,26 @@ def test_evaluate_reruns_are_byte_identical(dataset):
         "selectors": ["online"],
         "params": {"min_tests": 2, "top_count": 4},
     }
-    with parent_blas_threads(2):
-        _reruns_agree(tied, tmp / "tied.json")
+    _reruns_agree(tied, tmp / "tied.json")
 
 
-def test_jobs_default_to_one():
-    parser = build_parser()
-    assert parser.parse_args(["evaluate", "run.json"]).jobs == 1
-    assert parser.parse_args(["sweep", "arch", "--tasks", "linkpred", "--out", "c.json"]).jobs == 1
+def test_jobs_flag_is_ignored(dataset):
+    """`--jobs` is parsed for old scripts and changes no output byte, the
+    config hash included."""
+    tmp = dataset["tmp"]
+    cfg = online_config(dataset, tmp / "out" / "run")
+    cfg["hyperparams"] = {"min_tests_values": [1], "top_count_values": [2], "fixed": 2}
+    cfg_path = tmp / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    sweep = ["sweep", str(dataset["archive"]), "--tasks", "linkpred,changepoint",
+             "--changepoints", str(dataset["cps"]), "--out", str(tmp / "out" / "curves.json")]
+    outputs = {}
+    for extra in ([], ["--jobs", "2"]):
+        assert main(["evaluate", str(cfg_path), *extra]) == 0
+        assert main([*sweep, *extra]) == 0
+        outputs[tuple(extra)] = {p.name: p.read_bytes() for p in sorted((tmp / "out").iterdir())}
+    assert len(outputs[()]) == 5
+    assert outputs[("--jobs", "2")] == outputs[()]
 
 
 def test_evaluate_config_validation(dataset, capsys):
@@ -447,7 +457,7 @@ def test_evaluate_hyperparameter_grid(dataset):
     }
     cfg_path = dataset["tmp"] / "hyper.json"
     cfg_path.write_text(json.dumps(cfg))
-    assert main(["evaluate", str(cfg_path), "--jobs", "1"]) == 0
+    assert main(["evaluate", str(cfg_path)]) == 0
 
     csv_lines = (dataset["tmp"] / "out" / "h_sweep.csv").read_text().splitlines()
     assert csv_lines[0] == "axis,value,fixed,score"
@@ -550,7 +560,7 @@ def test_analyze_needs_curves(dataset, capsys):
     prefix = dataset["tmp"] / "out" / "run"
     cfg_path = dataset["tmp"] / "run.json"
     cfg_path.write_text(json.dumps(online_config(dataset, prefix)))
-    assert main(["evaluate", str(cfg_path), "--jobs", "1"]) == 0
+    assert main(["evaluate", str(cfg_path)]) == 0
     rc = main(["analyze", str(prefix.with_suffix(".json")),
                "--out-prefix", str(dataset["tmp"] / "x")])
     err = capsys.readouterr().err
@@ -566,7 +576,7 @@ def test_report_renders_markdown(dataset, capsys):
     prefix = dataset["tmp"] / "out" / "run"
     cfg_path = dataset["tmp"] / "run.json"
     cfg_path.write_text(json.dumps(online_config(dataset, prefix)))
-    assert main(["evaluate", str(cfg_path), "--jobs", "1"]) == 0
+    assert main(["evaluate", str(cfg_path)]) == 0
     report_json = prefix.with_suffix(".json")
     md_path = dataset["tmp"] / "run.md"
     capsys.readouterr()
@@ -578,6 +588,31 @@ def test_report_renders_markdown(dataset, capsys):
     assert "| online | linkpred |" in text
     assert main(["report", str(report_json)]) == 0
     assert capsys.readouterr().out == text
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("analyze", "[1, 2]", "a report is a JSON object, not a list"),
+        ("report", "[1, 2]", "a report is a JSON object, not a list"),
+        ("report", '{"cells": [{"score": 1}]}', "missing key 'selector'"),
+        ("analyze", '{"curves": {"tasks": ["x"]}}', "missing key 'sizes'"),
+        ("analyze", "not json", "invalid JSON"),
+        ("report", "not json", "invalid JSON"),
+    ],
+    ids=["analyze-list", "report-list", "report-cell-key", "analyze-curves-key",
+         "analyze-text", "report-text"],
+)
+def test_malformed_report_exits_one_naming_the_file(tmp_path, capsys, command, text, message):
+    bad = tmp_path / "x.json"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    out.mkdir()
+    flag = ["--out-prefix", str(out / "o")] if command == "analyze" else ["--out", str(out / "o.md")]
+    assert main([command, str(bad), *flag]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad}: " in err and message in err
+    assert list(out.iterdir()) == []
 
 
 # --------------------------------------------------------------------------

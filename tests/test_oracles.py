@@ -268,8 +268,7 @@ def test_leave_out_scores_match_oracle(draw_seed, n, length, theta, split):
     )
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_quality_table_matches_cell_oracles(jobs):
+def test_quality_table_matches_cell_oracles():
     """Offline suites and score curves read one quality table; every cell,
     aggregate and curve equals the cell that scored its own windowings."""
     rng = np.random.default_rng(31)
@@ -284,7 +283,7 @@ def test_quality_table_matches_cell_oracles(jobs):
     for task in ("attribute", "changepoint"):
         report = run_suite(
             seq, plan, "offline", OFFLINE_SELECTORS, task,
-            attrs=attrs, cp_truth=truth, params=params, seed=11, jobs=jobs,
+            attrs=attrs, cp_truth=truth, params=params, seed=11,
         )
         for name in OFFLINE_SELECTORS:
             want = [
@@ -294,9 +293,7 @@ def test_quality_table_matches_cell_oracles(jobs):
             got = [(c.score, c.detail) for c in report.cells if c.selector == name]
             assert got == want
             assert report.aggregates[name][task] == oracles.offline_aggregate(task, attrs, want)
-    curves = score_curves(
-        seq, plan, TASKS, attrs=attrs, cp_truth=truth, params=params, jobs=jobs
-    )
+    curves = score_curves(seq, plan, TASKS, attrs=attrs, cp_truth=truth, params=params)
     for task in TASKS:
         assert curves.values[task] == tuple(
             oracles.curve_cell(seq, plan, curves.sizes, attrs, truth, params, (task, idx))

@@ -1,4 +1,6 @@
 """No CLI stage imports scipy: numpy is the package's only runtime dependency.
+Nor does any stage import a process pool: every stage computes in the one
+CLI process, `--jobs` or not.
 
 scipy is installed wherever the tests run (the differential oracles use
 it), so nothing else would notice a stage that imports it again. Each stage
@@ -20,21 +22,23 @@ ROOT = Path(__file__).resolve().parents[1]
 CHILD = """
 import json, sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def unwanted_modules():
+    pools = {"concurrent.futures", "multiprocessing"}
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m in pools)
 
 from graphwin.cli import main
 
-seen = {"import graphwin.cli": [0, scipy_modules()]}
+seen = {"import graphwin.cli": [0, unwanted_modules()]}
 for name, argv in json.loads(sys.argv[1]):
-    seen[name] = [main(argv), scipy_modules()]
+    seen[name] = [main(argv), unwanted_modules()]
 print(json.dumps(seen))
 """
 
 
 def demo_stages(demo: Path) -> list[tuple[str, list[str]]]:
-    """The README demo pipeline at --jobs 1, with every selector of each
-    mode, plus a `select` of the baseline that fits power laws."""
+    """The README demo pipeline with every selector of each mode, plus a
+    `select` of the baseline that fits power laws, and then its `evaluate`
+    and `sweep` stages again at --jobs 2."""
     configs = []
     for task, mode, selectors in (
         ("linkpred", "online", ONLINE_SELECTORS),
@@ -48,7 +52,7 @@ def demo_stages(demo: Path) -> list[tuple[str, list[str]]]:
     for name, config in configs:
         path = demo / f"config-{name.replace(' ', '-')}.json"
         path.write_text(json.dumps(config))
-        stages.append((name, ["evaluate", str(path), "--jobs", "1"]))
+        stages.append((name, ["evaluate", str(path)]))
     stages.append(("select adage", [
         "select", str(demo / "archive"), "--selector", "adage", "--out", str(demo / "adage.json"),
     ]))
@@ -56,14 +60,18 @@ def demo_stages(demo: Path) -> list[tuple[str, list[str]]]:
         "sweep", str(demo / "archive"), "--tasks", "linkpred,attribute,changepoint",
         "--intervals", "3", "--attributes", str(demo / "attributes.csv"),
         "--target", "community", "--changepoints", str(demo / "changepoints.txt"),
-        "--batch-size", "1", "--out", str(demo / "curves.json"), "--jobs", "1",
+        "--batch-size", "1", "--out", str(demo / "curves.json"),
     ]))
     stages.append(("analyze", [
         "analyze", str(demo / "curves.json"), "--out-prefix", str(demo / "analysis"),
     ]))
     reports = [config["output"] for _, config in configs]
     stages.append(("report", ["report", *reports, "--out", str(demo / "report.md")]))
-    return stages
+    return stages + [
+        (f"{name} --jobs 2", [*argv, "--jobs", "2"])
+        for name, argv in stages
+        if argv[0] in ("evaluate", "sweep")
+    ]
 
 
 def test_no_cli_stage_imports_scipy(tmp_path):
