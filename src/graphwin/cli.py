@@ -456,6 +456,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         ]:
             if key(curves) != key(first):
                 raise ValidationFailure([f"{what} mismatch between {first_path} and {path}"])
+    for path, curves in loaded:
+        shape = (len(curves.intervals), len(curves.sizes))
+        for task, rows in curves.values.items():
+            if len(rows) != shape[0] or any(len(c) != shape[1] for c in rows):
+                raise ValidationFailure(
+                    [f"{path}: {task} curves are not {shape[0]} intervals by {shape[1]} sizes"]
+                )
     # merge into one collection; duplicate task names get a #index suffix
     seen: dict[str, int] = {}
     names: list[str] = []

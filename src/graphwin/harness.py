@@ -10,10 +10,13 @@ and its per-step predictions are scored across the test interval.
 
 Offline work reads one quality table per stage: an entry (task, span,
 windowing) is the task run on that windowing of the span, and each distinct
-entry is scored once, by `_score_entry`, one row (task, span) at a time.
-Supervised selection is the argmax of a training span's row of uniform
+entry is scored once, by `_QualityTable.score`, one row (task, span) at a
+time. Supervised selection is the argmax of a training span's row of uniform
 sizes, the offline cells read their test entries, and `score_curves` is the
-table of every uniform size.
+table of every uniform size. Link-prediction work reads one span table per
+stage (`SpanScores`), so each one-step-ahead score of a window span is
+computed once, whether a sweep entry, a ledger test or an emitted
+prediction needs it.
 """
 from __future__ import annotations
 
@@ -30,11 +33,13 @@ import numpy as np
 from ._numeric import midranks, t_two_sided_p
 from .attrpred import KernelParams, leave_out_scores, pairs_auc
 from .changepoint import cp_pr_auc, detect_change_points
-from .linkpred import KatzParams, online_step_score
+from .linkpred import KatzParams
 from .selectors import (
+    AdagePolicy,
     OnlineWindowSelector,
     ScoreLedger,
     SelectorParams,
+    SpanScores,
     adage_select,
     attr_split_window_quality,
     entropy_select,
@@ -248,37 +253,12 @@ def _row(kind: str, span: tuple[int, int]) -> list[Entry]:
     return [(kind, span, uniform_windowing(length, w)) for w in range(1, length + 1)]
 
 
-def _score_entry(
-    kind: str,
-    segment: GraphSequence,
-    windowing: Windowing,
-    attrs: VertexAttributes | None,
-    truth: ChangePointLabels | None,
-    params: EvalParams,
-) -> tuple[float, dict]:
-    """How task `kind` scores `segment` under `windowing`: the score, and
-    the detail an offline cell reports. `truth` holds the segment's change
-    points."""
-    size = windowing.sizes()[0]
-    if kind == "linkpred":
-        return linkpred_window_quality(segment, size, params.katz), {}
-    if kind == "attribute-split":
-        return attr_split_window_quality(segment, size, attrs, params.kernel, params.batch_size), {}
-    ws = apply_windowing(segment, windowing)
-    if kind == "changepoint":
-        result = detect_change_points(ws)
-        score = cp_pr_auc(result.times, truth.times, segment.length)
-        return score, {"detected": list(result.times), "truth": list(truth.times)}
-    pairs = leave_out_scores(ws, attrs, params.batch_size, params.kernel)
-    return pairs_auc(pairs, attrs), {"pairs": [[s, lab] for s, lab in pairs]}
-
-
 class _QualityTable:
     """Task quality per entry of `seq`, each distinct entry scored once.
 
     `fill` scores the entries the table lacks one (kind, span) row at a
     time, slicing the row's span once. Reading an entry whose task raised a
-    ValueError raises it.
+    ValueError raises it. Link-prediction rows read one span table.
     """
 
     def __init__(
@@ -290,6 +270,32 @@ class _QualityTable:
     ) -> None:
         self.seq, self.attrs, self.cp_truth, self.params = seq, attrs, cp_truth, params
         self.values: dict[Entry, tuple[float, dict] | ValueError] = {}
+        self.spans = SpanScores(params.katz)
+
+    def score(
+        self,
+        kind: str,
+        span: tuple[int, int],
+        segment: GraphSequence,
+        windowing: Windowing,
+        truth: ChangePointLabels | None,
+    ) -> tuple[float, dict]:
+        """How task `kind` scores `segment`, the steps of `span`, under
+        `windowing`: the score, and the detail an offline cell reports.
+        `truth` holds the segment's change points."""
+        attrs, kernel, batch = self.attrs, self.params.kernel, self.params.batch_size
+        size = windowing.sizes()[0]
+        if kind == "linkpred":
+            return linkpred_window_quality(segment, size, self.params.katz, self.spans, span[0]), {}
+        if kind == "attribute-split":
+            return attr_split_window_quality(segment, size, attrs, kernel, batch), {}
+        ws = apply_windowing(segment, windowing)
+        if kind == "changepoint":
+            result = detect_change_points(ws)
+            score = cp_pr_auc(result.times, truth.times, segment.length)
+            return score, {"detected": list(result.times), "truth": list(truth.times)}
+        pairs = leave_out_scores(ws, attrs, batch, kernel)
+        return pairs_auc(pairs, attrs), {"pairs": [[s, lab] for s, lab in pairs]}
 
     def fill(self, entries: Iterable[Entry]) -> None:
         rows: dict[tuple[str, tuple[int, int]], dict[Windowing, None]] = {}
@@ -301,7 +307,7 @@ class _QualityTable:
             truth = self.cp_truth.restrict(*span) if kind == "changepoint" else None
             for windowing in windowings:
                 try:
-                    value = _score_entry(kind, segment, windowing, self.attrs, truth, self.params)
+                    value = self.score(kind, span, segment, windowing, truth)
                 except ValueError as exc:
                     value = exc
                 self.values[kind, span, windowing] = value
@@ -567,25 +573,6 @@ def _offline_report(
 # Online evaluation
 
 
-def _adage_policy(rel_tol: float, patience: int) -> Callable[[GraphSequence], int]:
-    """`adage_select` on each history until it converges. A size shorter
-    than the history was returned on convergence and depends only on the
-    steps up to it, so every longer history returns it too and is not
-    refitted."""
-    converged: int | None = None
-
-    def policy(history: GraphSequence) -> int:
-        nonlocal converged
-        if converged is not None:
-            return converged
-        size = adage_select(history, rel_tol, patience)
-        if size < history.length:
-            converged = size
-        return size
-
-    return policy
-
-
 def _make_online_selector(
     name: str,
     n: int,
@@ -603,7 +590,7 @@ def _make_online_selector(
         "training-only": (None, flat, train_length),
         "hand-picked": (lambda history: 1, params.selector, None),
         "random": (lambda history: random_windowing(history.length, rng), params.selector, None),
-        "adage": (_adage_policy(params.adage_tol, params.adage_patience), params.selector, None),
+        "adage": (AdagePolicy(n, params.adage_tol, params.adage_patience), params.selector, None),
     }
     policy, knobs, freeze_after = table[name]
     return OnlineWindowSelector(
@@ -611,47 +598,79 @@ def _make_online_selector(
     )
 
 
-def _online_pair(
+def _online_reports(
     seq: GraphSequence,
     plan: IntervalPlan,
-    selector: str,
+    selectors: Sequence[str],
     params: EvalParams,
     seed: int,
-    pair_index: int,
-    ledger: ScoreLedger | None = None,
-) -> tuple[float | None, dict, ScoreLedger | None]:
-    a, b = plan.pairs[pair_index]
-    train_span, test_span = plan.spans[a], plan.spans[b]
-    stream = seq.slice_steps(train_span[0], test_span[1])
-    train_length = train_span[1] - train_span[0] + 1
-    pair_seed = derive_seed(seed, selector, "linkpred", pair_index)
-    sel = _make_online_selector(selector, seq.n, params, train_span, pair_seed)
-    if ledger is not None:
-        sel.ledger = ledger
-    scores: list[float] = []
-    scored: list[dict] = []
-    run_log: list[dict] = []
-    previous = None
-    for local, g in enumerate(stream.graphs, start=1):
-        if previous is not None and local > train_length:
-            ap = online_step_score(previous.last_graph, g, params.katz)
-            if ap is not None:
-                scores.append(ap)
-            scored.append({"target_step": local, "chosen": previous.chosen, "score": ap})
-        previous = sel.process(g)
-        run_log.append(
-            {
-                "step": local,
-                "tested": [[w, s] for w, s in previous.tested],
-                "chosen": previous.chosen,
-            }
-        )
-    kept = sel.ledger if sel.policy is None else None
-    detail = {"scored": scored, "log": run_log}
-    if not scores:
-        log.info("pair %s->%s has no scoreable steps; skipped", train_span, test_span)
-        return None, detail, kept
-    return math.fsum(scores) / len(scores), detail, kept
+) -> list[ExperimentReport]:
+    """`run_online` for each selector. One span table serves them all, and
+    the selectors of an interval pair step through its stream in lockstep,
+    in the given order, so the window graphs they share at a step are ranked
+    while still memoised. Between steps each keeps only the span and the
+    size of its latest prediction."""
+    for selector in selectors:
+        if selector not in ONLINE_SELECTORS:
+            raise ValueError(f"unknown online selector {selector!r}")
+    spans = SpanScores(params.katz)
+    results: dict[str, list] = {name: [] for name in selectors}
+    ledgers: dict[str, ScoreLedger | None] = dict.fromkeys(selectors)
+    for idx, (a, b) in enumerate(plan.pairs):
+        train_span, test_span = plan.spans[a], plan.spans[b]
+        first = train_span[0]
+        stream = seq.graphs[first - 1 : test_span[1]]
+        sels, details, emitted = {}, {}, {}
+        for name in selectors:
+            pair_seed = derive_seed(seed, name, "linkpred", idx)
+            sels[name] = sel = _make_online_selector(name, seq.n, params, train_span, pair_seed)
+            sel.spans, sel.ledger = spans, ledgers[name] or sel.ledger
+            details[name] = {"scored": [], "log": []}
+        for local, g in enumerate(stream, start=1):
+            for name, sel in sels.items():
+                if local > train_span[1] - first + 1:
+                    (start, end), chosen = emitted[name]
+                    ap = spans.score(stream, first, start, end)
+                    scored = {"target_step": local, "chosen": chosen, "score": ap}
+                    details[name]["scored"].append(scored)
+                record = sel.process(g)
+                cuts = record.windowing.cuts
+                span = (first + (cuts[-1] if cuts else 0), first + local - 1)
+                emitted[name] = span, record.chosen
+                tested = [[w, s] for w, s in record.tested]
+                entry = {"step": local, "tested": tested, "chosen": record.chosen}
+                details[name]["log"].append(entry)
+        for name, sel in sels.items():
+            detail = details[name]
+            scores = [e["score"] for e in detail["scored"] if e["score"] is not None]
+            if not scores:
+                log.info("pair %s->%s has no scoreable steps; skipped", train_span, test_span)
+            if params.carry_ledger:
+                # the next pair starts from the ledger this one left
+                detail["carried_ledger"] = ledgers[name] is not None
+                ledgers[name] = sel.ledger if sel.policy is None else None
+            results[name].append((math.fsum(scores) / len(scores) if scores else None, detail))
+    reports = []
+    for name in selectors:
+        cells = _cells(name, "linkpred", plan, results[name])
+        scores = [c.score for c in cells if c.score is not None]
+        aggregate = math.fsum(scores) / len(scores) if scores else None
+        metadata = {
+            "mode": "online",
+            "selector": name,
+            "task": "linkpred",
+            "seed": seed,
+            "carry_ledger": params.carry_ledger,
+            "params": {
+                "min_tests": params.selector.min_tests,
+                "top_count": params.selector.top_count,
+                "alpha": params.selector.alpha,
+            },
+            "intervals": [list(s) for s in plan.spans],
+        }
+        aggregates = {name: {"linkpred": {"score": aggregate, "method": "mean"}}}
+        reports.append(ExperimentReport(metadata, cells, aggregates))
+    return reports
 
 
 def run_online(
@@ -668,36 +687,12 @@ def run_online(
     stream; predictions targeting test-interval steps are scored by average
     precision against that step's new links. The ledger resets per pair
     unless `params.carry_ledger` is set. Pairs without a single scoreable
-    step are skipped; the aggregate is the mean of pair means.
+    step are skipped; the aggregate is the mean of pair means. This is the
+    suite's loop with one selector, and its report is the one `run_suite`
+    gives that selector.
     """
-    if selector not in ONLINE_SELECTORS:
-        raise ValueError(f"unknown online selector {selector!r}")
-    results, ledger = [], None
-    for idx in range(len(plan.pairs)):
-        score, detail, kept = _online_pair(seq, plan, selector, params, seed, idx, ledger)
-        if params.carry_ledger:
-            # the next pair starts from the ledger this one left
-            detail["carried_ledger"] = ledger is not None
-            ledger = kept
-        results.append((score, detail))
-    cells = _cells(selector, "linkpred", plan, results)
-    scores = [c.score for c in cells if c.score is not None]
-    aggregate = math.fsum(scores) / len(scores) if scores else None
-    metadata = {
-        "mode": "online",
-        "selector": selector,
-        "task": "linkpred",
-        "seed": seed,
-        "carry_ledger": params.carry_ledger,
-        "params": {
-            "min_tests": params.selector.min_tests,
-            "top_count": params.selector.top_count,
-            "alpha": params.selector.alpha,
-        },
-        "intervals": [list(s) for s in plan.spans],
-    }
-    aggregates = {selector: {"linkpred": {"score": aggregate, "method": "mean"}}}
-    return ExperimentReport(metadata, cells, aggregates)
+    (report,) = _online_reports(seq, plan, [selector], params, seed)
+    return report
 
 
 def run_suite(
@@ -712,7 +707,10 @@ def run_suite(
     params: EvalParams = EvalParams(),
     seed: int = 0,
 ) -> ExperimentReport:
-    """Run several selectors on one task and merge them into one report."""
+    """Run several selectors on one task and merge them into one report.
+    Offline selectors read one quality table; online ones read one span
+    table, in lockstep (see `_online_reports`), each with the cells its own
+    `run_online` report holds."""
     if mode not in ("offline", "online"):
         raise ValueError(f"mode must be 'offline' or 'online', not {mode!r}")
     if len(set(selectors)) != len(selectors):
@@ -720,7 +718,7 @@ def run_suite(
     if mode == "offline":
         reports = _offline_reports(seq, plan, selectors, task, attrs, cp_truth, params, seed)
     else:
-        reports = [run_online(seq, plan, name, params=params, seed=seed) for name in selectors]
+        reports = _online_reports(seq, plan, selectors, params, seed)
     cells = [c for rep in reports for c in rep.cells]
     aggregates = {name: rep.aggregates[name] for name, rep in zip(selectors, reports)}
     metadata = {

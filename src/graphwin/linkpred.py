@@ -10,10 +10,12 @@ the next step.
 
 A graph's ranking is computed once as three read-only arrays (pair ends and
 score, in rank order) and memoised per (graph, params) in a least-recently
-used cache of 16 entries: the online selector emits the size it has just
-tested, and a sweep retests the same windows, so the same graph is ranked
-over and over. `online_step_score` reads the arrays directly; `katz_scores`
-returns a fresh list built from them.
+used cache of 16 entries. The callers keep each window span's score in a
+span table (`selectors.SpanScores`); the memo serves the rankings a table
+does not hold. A step's prediction ranks the window its selector has just
+scored, and an online suite advances its selectors in lockstep, so the
+graphs they share at one step stay memoised. `online_step_score` reads the
+arrays directly; `katz_scores` returns a fresh list built from them.
 """
 from __future__ import annotations
 
@@ -107,6 +109,10 @@ def katz_matrix(graph: StaticGraph, params: KatzParams = KatzParams()) -> np.nda
     return _truncated_matrix(a, params.beta, params.max_path_len)
 
 
+# every pair u < v of n vertices in (u, v) order, shared by all rankings
+_pairs = functools.lru_cache(maxsize=8)(functools.partial(np.triu_indices, k=1))
+
+
 @functools.lru_cache(maxsize=16)
 def _ranked(
     graph: StaticGraph, params: KatzParams
@@ -114,16 +120,18 @@ def _ranked(
     """Candidate pairs (u < v, both endpoints with an edge, not joined) as
     read-only arrays u, v, score, by descending score, then by pair."""
     s = katz_matrix(graph, params)
+    n = graph.n
     ends = np.array(list(graph.edges), dtype=np.intp).reshape(-1, 2)
-    linked = np.zeros((graph.n, graph.n), dtype=bool)
-    linked[ends[:, 0], ends[:, 1]] = True
-    active = np.flatnonzero(np.bincount(ends.ravel(), minlength=graph.n))
-    iu, iv = np.triu_indices(len(active), k=1)
-    u, v = active[iu], active[iv]
-    open_ = ~linked[u, v]
-    u, v = u[open_], v[open_]
+    iu, iv = _pairs(n)
+    active = np.bincount(ends.ravel(), minlength=n) > 0
+    keep = active[iu] & active[iv]
+    # an edge (u, v) is pair u*n - u*(u+1)/2 + v - u - 1 of the triangle
+    u0 = ends[:, 0]
+    keep[u0 * n - u0 * (u0 + 1) // 2 + ends[:, 1] - u0 - 1] = False
+    u, v = iu[keep], iv[keep]
     score = s[u, v]
-    order = np.lexsort((v, u, -score))
+    # the pairs are in (u, v) order, so a stable sort breaks ties by pair
+    order = np.argsort(-score, kind="stable")
     out = (u[order], v[order], score[order])
     for arr in out:
         arr.flags.writeable = False

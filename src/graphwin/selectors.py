@@ -21,11 +21,12 @@ from ._numeric import bisect, zeta
 from .attrpred import KernelParams, leave_out_scores, pairs_auc
 from .changepoint import cp_pr_auc, detect_change_points
 from .linkpred import KatzParams, ScoredPairs, katz_scores, online_step_score
-from .temporal import ChangePointLabels, GraphSequence, StaticGraph, VertexAttributes
+from .temporal import ChangePointLabels, GraphSequence, StaticGraph, VertexAttributes, union_graphs
 from .windows import Windowing, last_window, uniform_windowing, windowed_at
 
 __all__ = [
     "SelectorParams",
+    "SpanScores",
     "ScoreLedger",
     "StepRecord",
     "OnlineWindowSelector",
@@ -39,6 +40,7 @@ __all__ = [
     "jaccard_select",
     "entropy_select",
     "adage_select",
+    "AdagePolicy",
     "random_windowing",
     "graph_entropy",
     "powerlaw_exponent",
@@ -71,6 +73,30 @@ class SelectorParams:
             raise ValueError("top_count must be >= 1")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
+
+
+class SpanScores:
+    """One-step-ahead link-prediction scores by absolute step span.
+
+    Entry (a, b) is `online_step_score` of the union of steps a..b against
+    step b + 1 (None where that step adds no new link). A table belongs to
+    one sequence, whose step numbers key it, and one `KatzParams`, and holds
+    these values only, never a graph: the readers of a stage share one.
+    """
+
+    def __init__(self, katz: KatzParams = KatzParams()) -> None:
+        self.katz = katz
+        self.values: dict[tuple[int, int], float | None] = {}
+
+    def score(
+        self, steps: Sequence[StaticGraph], first_step: int, a: int, b: int
+    ) -> float | None:
+        """Entry (a, b), scored from `steps` when missing: `steps[k]` is step
+        `first_step + k`, and they run through step b + 1."""
+        if (a, b) not in self.values:
+            window = union_graphs(steps[a - first_step : b - first_step + 1])
+            self.values[a, b] = online_step_score(window, steps[b - first_step + 1], self.katz)
+        return self.values[a, b]
 
 
 class ScoreLedger:
@@ -164,7 +190,10 @@ class OnlineWindowSelector:
     `top_count` best sizes are retested by ranking pairs of the history's
     last window at that size with `katz`; scores append to the ledger
     (steps without new links at a size append nothing; a size the ledger
-    already holds a score of at this step is not retested). The emitted
+    already holds a score of at this step is not retested). A test reads
+    its score from `spans`, a table of `katz` on the ledger clock that
+    scores (and builds the window) only on a miss; selectors on one stream
+    may be given one table to share. The emitted
     prediction uses the size with the best (decayed) ledger mean, smallest
     size on ties, size 1 before any score exists. `freeze_after=k` stops all
     testing after step k and pins the size chosen there (training-only
@@ -198,30 +227,31 @@ class OnlineWindowSelector:
         self.katz = katz
         self.policy = policy
         self.first_step = first_step
+        self.spans = SpanScores(katz)
         self.history: list[StaticGraph] = []
         self.ledger = ScoreLedger()
         self._frozen: int | None = 1 if freeze_after == 0 else None
 
     def process(self, incoming: StaticGraph) -> StepRecord:
-        i = len(self.history) + 1
+        self.history.append(incoming)
+        i = len(self.history)
         now = max(self.first_step + i - 1, self.ledger.latest())
         alpha = self.params.alpha
         tested: list[tuple[int, float | None]] = []
         ledger_driven = self.policy is None
         testing = ledger_driven and (self.freeze_after is None or i <= self.freeze_after)
         if i >= 2 and testing:
-            hist_seq = GraphSequence(self.n, tuple(self.history))
             fresh = {w for w in range(1, i) if self.ledger.count(w) < self.params.min_tests}
             best = set(self.ledger.top_sizes(now=now, alpha=alpha, count=self.params.top_count))
+            # the history before `incoming` ends at step `end`
+            end = self.first_step + i - 2
             # a carried-over ledger can rank sizes beyond this run's history,
             # and already holds a score of some sizes at `now`
             for w in sorted(w for w in fresh | best if w < i and not self.ledger.holds(w, now)):
-                last = last_window(hist_seq, uniform_windowing(i - 1, w))
-                score = online_step_score(last, incoming, self.katz)
+                score = self.spans.score(self.history, self.first_step, end - (i - 2) % w, end)
                 if score is not None:
                     self.ledger.append(w, now, score)
                 tested.append((w, score))
-        self.history.append(incoming)
         full = GraphSequence(self.n, tuple(self.history))
         if not ledger_driven:
             choice = self.policy(full)
@@ -291,17 +321,22 @@ def linkpred_window_quality(
     seq: GraphSequence,
     size: int,
     params: KatzParams = KatzParams(),
+    spans: SpanScores | None = None,
+    first_step: int = 1,
 ) -> float:
     """Mean one-step-ahead AP inside `seq` with histories windowed at `size`.
 
     Histories shorter than `size` collapse to a single window. Steps with no
-    new links are skipped; if no step is scoreable the quality is 0.
+    new links are skipped; if no step is scoreable the quality is 0. Scores
+    are read from `spans`, a table of `params` on whose clock `seq` starts
+    at `first_step` (a table of its own by default).
     """
+    if size < 1:
+        raise ValueError(f"window size {size} must be >= 1")
+    spans = SpanScores(params) if spans is None else spans
     scores: list[float] = []
-    for i in range(2, seq.length + 1):
-        history = seq.slice_steps(1, i - 1)
-        last = last_window(history, uniform_windowing(i - 1, min(size, i - 1)))
-        s = online_step_score(last, seq.step(i), params)
+    for end in range(first_step, first_step + seq.length - 1):
+        s = spans.score(seq.graphs, first_step, end - (end - first_step) % size, end)
         if s is not None:
             scores.append(s)
     if not scores:
@@ -511,31 +546,43 @@ def adage_select(seq: GraphSequence, rel_tol: float = 0.01, patience: int = 3) -
     degree sequence is all zero are skipped and break the run. Returns the
     full length if convergence never happens.
     """
-    previous: float | None = None
-    run = 0
-    seen: set[tuple[int, int]] = set()  # the opening window's edges
-    degree = [0] * seq.n
-    for w, g in enumerate(seq.graphs, start=1):
-        for u, v in g.edges - seen:
-            degree[u] += 1
-            degree[v] += 1
-        seen |= g.edges
-        degs = [d for d in degree if d >= 1]
-        if not degs:
-            previous = None
-            run = 0
-            log.info("size %d skipped: degree sequence all zero", w)
-            continue
-        gamma = powerlaw_exponent(degs)
-        if previous is not None:
-            if abs(gamma - previous) / previous < rel_tol:
-                run += 1
-            else:
-                run = 0
-            if run >= patience:
-                return w
-        previous = gamma
-    return seq.length
+    return AdagePolicy(seq.n, rel_tol, patience)(seq)
+
+
+class AdagePolicy:
+    """`adage_select` as an online policy: each call's history must extend
+    the previous call's. The opening window's degrees, the last exponent and
+    the run length carry over, so each step is fitted once."""
+
+    def __init__(self, n: int, rel_tol: float = 0.01, patience: int = 3) -> None:
+        self.rel_tol, self.patience = rel_tol, patience
+        self.seen: set[tuple[int, int]] = set()  # the opening window's edges
+        self.degree = [0] * n
+        self.previous: float | None = None
+        self.run = self.size = 0  # size: steps in the opening window
+        self.converged: int | None = None
+
+    def __call__(self, history: GraphSequence) -> int:
+        while self.converged is None and self.size < history.length:
+            g = history.graphs[self.size]
+            self.size += 1
+            for u, v in g.edges - self.seen:
+                self.degree[u] += 1
+                self.degree[v] += 1
+            self.seen |= g.edges
+            degs = [d for d in self.degree if d >= 1]
+            if not degs:
+                self.previous, self.run = None, 0
+                log.info("size %d skipped: degree sequence all zero", self.size)
+                continue
+            gamma = powerlaw_exponent(degs)
+            if self.previous is not None:
+                close = abs(gamma - self.previous) / self.previous < self.rel_tol
+                self.run = self.run + 1 if close else 0
+                if self.run >= self.patience:
+                    self.converged = self.size
+            self.previous = gamma
+        return history.length if self.converged is None else self.converged
 
 
 def random_windowing(length: int, rng: int | np.random.Generator) -> Windowing:

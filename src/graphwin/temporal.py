@@ -88,9 +88,8 @@ class StaticGraph:
 
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n), dtype=float)
-        for u, v in self.edges:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
+        ends = np.array(list(self.edges), dtype=np.intp).reshape(-1, 2)
+        a[ends[:, 0], ends[:, 1]] = a[ends[:, 1], ends[:, 0]] = 1.0
         return a
 
     def degrees(self) -> np.ndarray:

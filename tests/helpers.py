@@ -1,5 +1,8 @@
-"""Shared helpers for the test suite: graph building."""
+"""Shared helpers for the test suite: graph and stream building."""
 from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 
@@ -32,3 +35,32 @@ def clique_edges(vertices) -> set[tuple[int, int]]:
     vs = sorted(vertices)
     return {(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :]}
 
+
+
+def trace_streams() -> list[GraphSequence]:
+    """A scripted 4-step stream, four rotating split-stars and a random one."""
+    rng = np.random.default_rng(8)
+    scripted = seq_of(4, [(0, 1)], [(0, 1), (0, 2)], [(1, 2)], [(0, 3)])
+    star_steps = []
+    for p in range(4):
+        h = (2 * p) % 10
+        ls = [(h + i) % 10 for i in (1, 2, 3, 4)]
+        star_steps.append([(h, ls[0]), (h, ls[1])])
+        star_steps.append([(h, ls[2]), (h, ls[3])])
+        star_steps.append([(a, b) for i, a in enumerate(ls) for b in ls[i + 1 :]])
+    return [scripted, seq_of(10, *star_steps), random_sequence(rng, 8, 10, 0.3)]
+
+
+def planted_sequence(seed: int = 0, copies: int = 2) -> GraphSequence:
+    """The bundled demo's planted 36-step stream, its 30-vertex block
+    repeated `copies` times on disjoint vertices, so Katz scores tie."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "make_demo.py"
+    spec = importlib.util.spec_from_file_location("make_demo", path)
+    make_demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_demo)
+    block = make_demo.N
+    steps = [
+        [(u + c * block, v + c * block) for u, v in edges for c in range(copies)]
+        for edges in make_demo.demo_edges(seed)
+    ]
+    return seq_of(block * copies, *steps)

@@ -6,10 +6,14 @@ in another form: the relational classifier's neighbour-evidence loops
 state (one neighbour-count dict per vertex, float block counts, a Python
 loop per block update) and damped path-sum link ranking (an eigen-solve on
 every graph, a Python loop over candidate pairs, a sort on tuple keys and a
-per-item pair normalisation in average precision), and the offline cell and
-score-curve cell that each scored their own windowings (supervised selection
-calling a task-quality function per training size). Tests check that the
-package gives exactly equal results on random inputs.
+per-item pair normalisation in average precision; also the package's own
+solve ranked by a 3-key lexsort with an n-by-n linked matrix), the offline
+cell and score-curve cell that each scored their own windowings (supervised
+selection calling a task-quality function per training size), the window
+quality that builds every history's last window, and the online runner that
+drives one selector at a time, refitting the adage baseline on every
+history. Tests check that the package gives exactly equal results on random
+inputs.
 """
 from __future__ import annotations
 
@@ -32,15 +36,17 @@ from graphwin.attrpred import (
     edge_weight,
 )
 import graphwin
-from graphwin import harness
+from graphwin import harness, linkpred, selectors
 from graphwin.changepoint import DetectionResult, _block_bits, cp_pr_auc, log_star
-from graphwin.harness import EvalParams, IntervalPlan, derive_seed
+from graphwin.harness import CellResult, EvalParams, ExperimentReport, IntervalPlan, derive_seed
 from graphwin.linkpred import KatzParams, ScoredPairs, _truncated_matrix
 from graphwin.selectors import (
+    OnlineWindowSelector,
+    SelectorParams,
     attr_split_window_quality,
     attr_window_quality,
     cp_window_quality,
-    linkpred_window_quality,
+    random_windowing,
     supervised_offline_select,
 )
 from graphwin.temporal import (
@@ -50,7 +56,13 @@ from graphwin.temporal import (
     StaticGraph,
     VertexAttributes,
 )
-from graphwin.windows import WindowedSequence, Windowing, apply_windowing, uniform_windowing
+from graphwin.windows import (
+    WindowedSequence,
+    Windowing,
+    apply_windowing,
+    last_window,
+    uniform_windowing,
+)
 
 log = logging.getLogger(__name__)
 
@@ -514,6 +526,138 @@ def online_step_score(
         return None
     ranking = katz_scores(last, params)
     return average_precision(ranking, positives)
+
+
+def ranked(graph: StaticGraph, params: KatzParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The package's candidate pairs and scores in rank order: pairs of the
+    active vertices, an n-by-n matrix of linked pairs, a 3-key lexsort."""
+    s = linkpred.katz_matrix(graph, params)
+    ends = np.array(list(graph.edges), dtype=np.intp).reshape(-1, 2)
+    linked = np.zeros((graph.n, graph.n), dtype=bool)
+    linked[ends[:, 0], ends[:, 1]] = True
+    active = np.flatnonzero(np.bincount(ends.ravel(), minlength=graph.n))
+    iu, iv = np.triu_indices(len(active), k=1)
+    u, v = active[iu], active[iv]
+    open_ = ~linked[u, v]
+    u, v = u[open_], v[open_]
+    score = s[u, v]
+    order = np.lexsort((v, u, -score))
+    return u[order], v[order], score[order]
+
+
+def linkpred_window_quality(
+    seq: GraphSequence, size: int, params: KatzParams = KatzParams()
+) -> float:
+    """Mean one-step-ahead AP, each history sliced and its last window built."""
+    scores: list[float] = []
+    for i in range(2, seq.length + 1):
+        history = seq.slice_steps(1, i - 1)
+        last = last_window(history, uniform_windowing(i - 1, min(size, i - 1)))
+        s = graphwin.online_step_score(last, seq.step(i), params)
+        if s is not None:
+            scores.append(s)
+    return math.fsum(scores) / len(scores) if scores else 0.0
+
+
+# --------------------------------------------------------------------------
+# the online runner, one selector and one pair at a time
+
+
+def adage_select(seq: GraphSequence, rel_tol: float, patience: int) -> int:
+    """The adage baseline fitted from step 1 on every call."""
+    previous: float | None = None
+    run = 0
+    seen: set[tuple[int, int]] = set()
+    degree = [0] * seq.n
+    for w, g in enumerate(seq.graphs, start=1):
+        for u, v in g.edges - seen:
+            degree[u] += 1
+            degree[v] += 1
+        seen |= g.edges
+        degs = [d for d in degree if d >= 1]
+        if not degs:
+            previous, run = None, 0
+            continue
+        gamma = selectors.powerlaw_exponent(degs)
+        if previous is not None:
+            run = run + 1 if abs(gamma - previous) / previous < rel_tol else 0
+            if run >= patience:
+                return w
+        previous = gamma
+    return seq.length
+
+
+def online_selector(
+    name: str, n: int, params: EvalParams, train_span: tuple[int, int], seed: int
+) -> OnlineWindowSelector:
+    """The harness's online selector `name`, with a span table of its own."""
+    rng = np.random.default_rng(seed)
+    flat = SelectorParams(params.selector.min_tests, params.selector.top_count, 1.0)
+
+    def adage(history: GraphSequence) -> int:
+        return adage_select(history, params.adage_tol, params.adage_patience)
+
+    policy, knobs, freeze_after = {
+        "online": (None, flat, None),
+        "online-weighted": (None, params.selector, None),
+        "training-only": (None, flat, train_span[1] - train_span[0] + 1),
+        "hand-picked": (lambda history: 1, params.selector, None),
+        "random": (lambda history: random_windowing(history.length, rng), params.selector, None),
+        "adage": (adage, params.selector, None),
+    }[name]
+    return OnlineWindowSelector(
+        n, knobs, freeze_after, katz=params.katz, policy=policy, first_step=train_span[0]
+    )
+
+
+def run_online(
+    seq: GraphSequence, plan: IntervalPlan, selector: str, params: EvalParams, seed: int
+) -> ExperimentReport:
+    """One selector through each interval pair in turn; each emitted
+    prediction is scored from its own last window."""
+    cells, ledger = [], None
+    for idx, (a, b) in enumerate(plan.pairs):
+        train_span, test_span = plan.spans[a], plan.spans[b]
+        stream = seq.slice_steps(train_span[0], test_span[1])
+        train_length = train_span[1] - train_span[0] + 1
+        pair_seed = derive_seed(seed, selector, "linkpred", idx)
+        sel = online_selector(selector, seq.n, params, train_span, pair_seed)
+        if ledger is not None:
+            sel.ledger = ledger
+        scores, scored, run_log, previous = [], [], [], None
+        for local, g in enumerate(stream.graphs, start=1):
+            if previous is not None and local > train_length:
+                ap = graphwin.online_step_score(previous.last_graph, g, params.katz)
+                if ap is not None:
+                    scores.append(ap)
+                scored.append({"target_step": local, "chosen": previous.chosen, "score": ap})
+            previous = sel.process(g)
+            tested = [[w, s] for w, s in previous.tested]
+            run_log.append({"step": local, "tested": tested, "chosen": previous.chosen})
+        detail = {"scored": scored, "log": run_log}
+        if params.carry_ledger:
+            detail["carried_ledger"] = ledger is not None
+            ledger = sel.ledger if sel.policy is None else None
+        score = math.fsum(scores) / len(scores) if scores else None
+        cells.append(CellResult(selector, "linkpred", idx, train_span, test_span, score, detail))
+    means = [c.score for c in cells if c.score is not None]
+    metadata = {
+        "mode": "online",
+        "selector": selector,
+        "task": "linkpred",
+        "seed": seed,
+        "carry_ledger": params.carry_ledger,
+        "params": {
+            "min_tests": params.selector.min_tests,
+            "top_count": params.selector.top_count,
+            "alpha": params.selector.alpha,
+        },
+        "intervals": [list(s) for s in plan.spans],
+    }
+    aggregate = math.fsum(means) / len(means) if means else None
+    return ExperimentReport(
+        metadata, cells, {selector: {"linkpred": {"score": aggregate, "method": "mean"}}}
+    )
 
 
 # --------------------------------------------------------------------------

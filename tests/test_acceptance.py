@@ -29,7 +29,7 @@ from graphwin.temporal import (
     VertexAttributes,
 )
 from graphwin.windows import Windowing, apply_windowing, windowed_at
-from helpers import random_graph, random_sequence, seq_of
+from helpers import random_graph, random_sequence, trace_streams
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -183,24 +183,6 @@ class ReferenceSelector:
             "last": last,
             "prediction": katz_scores(last, self.params),
         }
-
-
-def trace_streams():
-    rng = np.random.default_rng(8)
-    scripted = seq_of(4, [(0, 1)], [(0, 1), (0, 2)], [(1, 2)], [(0, 3)])
-    star_steps = []
-    for p in range(4):
-        h = (2 * p) % 10
-        ls = [(h + i) % 10 for i in (1, 2, 3, 4)]
-        star_steps.append({canonical(h, ls[0]), canonical(h, ls[1])})
-        star_steps.append({canonical(h, ls[2]), canonical(h, ls[3])})
-        star_steps.append(
-            {canonical(a, b) for i, a in enumerate(ls) for b in ls[i + 1 :]}
-        )
-    star = GraphSequence(
-        10, tuple(StaticGraph(10, frozenset(s)) for s in star_steps), 1
-    )
-    return [scripted, star, random_sequence(rng, 8, 10, 0.3)]
 
 
 def assert_traces_match(seq, min_tests, top_count, alpha):

@@ -556,6 +556,29 @@ def test_analyze_refuses_mismatched_reports(dataset, capsys):
     assert f"dataset id mismatch between {base} and {foreign}" in err
 
 
+@pytest.mark.parametrize("cut", ["short-curve", "missing-interval"])
+def test_analyze_refuses_curves_that_do_not_fit_their_sizes(dataset, capsys, cut):
+    base = dataset["tmp"] / "base.json"
+    assert main(["sweep", str(dataset["archive"]), "--tasks", "linkpred",
+                 "--intervals", "3", "--out", str(base)]) == 0
+    data = json.loads(base.read_text())
+    curves = data["curves"]["values"]["linkpred"]
+    assert len(curves) == 3 and len(data["curves"]["sizes"]) > 1
+    if cut == "short-curve":
+        curves[1] = curves[1][:1]
+    else:
+        del curves[2]
+    bad = dataset["tmp"] / "bad.json"
+    bad.write_text(json.dumps(data))
+    out = dataset["tmp"] / "out"
+    out.mkdir()
+    for reports in ([bad], [base, bad]):
+        assert main(["analyze", *map(str, reports), "--out-prefix", str(out / "x")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {bad}: linkpred curves are not 3 intervals by" in err
+    assert list(out.iterdir()) == []
+
+
 def test_analyze_needs_curves(dataset, capsys):
     prefix = dataset["tmp"] / "out" / "run"
     cfg_path = dataset["tmp"] / "run.json"

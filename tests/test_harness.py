@@ -10,6 +10,7 @@ import pytest
 
 from graphwin import (
     OFFLINE_SELECTORS,
+    ONLINE_SELECTORS,
     CurveSet,
     EvalParams,
     GraphSequence,
@@ -31,19 +32,27 @@ from graphwin import (
     stability_curve,
     stability_diff,
 )
+from graphwin import linkpred
 from graphwin import selectors as selectors_module
+from graphwin.linkpred import online_step_score
 from graphwin.selectors import (
+    AdagePolicy,
+    SpanScores,
     attr_window_quality,
     cp_window_quality,
     linkpred_window_quality,
+    powerlaw_exponent,
 )
 from graphwin.temporal import ChangePointLabels, StaticGraph, VertexAttributes
 
+import oracles
 from helpers import (
     clique_edges,
     graph,
+    planted_sequence,
     random_sequence,
     seq_of,
+    trace_streams,
 )
 
 
@@ -349,28 +358,35 @@ def test_run_online_adage_honours_its_configured_test():
 
 
 def test_adage_policy_matches_adage_select_without_refitting(monkeypatch):
+    """The online adage policy, fed every prefix of a stream, returns what
+    a fit from step 1 returns on each, and fits each step at most once: as
+    many fits in all as one `adage_select` call on the whole stream."""
     fits = []
 
-    def counted(history, rel_tol, patience):
-        fits.append(history.length)
-        return adage_select(history, rel_tol, patience)
+    def counted(degrees):
+        fits.append(len(degrees))
+        return powerlaw_exponent(degrees)
 
-    monkeypatch.setattr(harness, "adage_select", counted)
+    monkeypatch.setattr(selectors_module, "powerlaw_exponent", counted)
     rng = np.random.default_rng(17)
+    streams = trace_streams() + [
+        random_sequence(rng, int(rng.integers(3, 13)), int(rng.integers(1, 21)),
+                        float(rng.uniform(0.05, 0.5)))
+        for _ in range(100)
+    ]
     converged = 0
-    for _ in range(100):
-        n, length = int(rng.integers(3, 13)), int(rng.integers(1, 21))
-        seq = random_sequence(rng, n, length, float(rng.uniform(0.05, 0.5)))
-        tol, patience = [(0.01, 3), (0.1, 2), (0.3, 1)][int(rng.integers(0, 3))]
-        prefixes = [seq.slice_steps(1, k) for k in range(1, length + 1)]
-        want = [adage_select(prefix, tol, patience) for prefix in prefixes]
-        policy = harness._adage_policy(tol, patience)
+    for k, seq in enumerate(streams):
+        tol, patience = [(0.01, 3), (0.1, 2), (0.3, 1)][k % 3]
+        prefixes = [seq.slice_steps(1, i) for i in range(1, seq.length + 1)]
+        want = [oracles.adage_select(prefix, tol, patience) for prefix in prefixes]
         fits.clear()
+        policy = AdagePolicy(seq.n, tol, patience)
         assert [policy(prefix) for prefix in prefixes] == want
-        # refits stop at the first prefix longer than the size it returns
-        first = next((k for k, w in enumerate(want, start=1) if w < k), length)
-        converged += first < length
-        assert fits == list(range(1, first + 1))
+        policy_fits = list(fits)
+        fits.clear()
+        assert adage_select(seq, tol, patience) == want[-1]
+        assert policy_fits == fits and len(fits) <= seq.length
+        converged += want[-1] < seq.length
     assert converged >= 20
 
 
@@ -399,6 +415,64 @@ def test_run_online_unknown_selector():
     seq = split_star_stream(2)
     with pytest.raises(ValueError, match="unknown online selector"):
         run_online(seq, split_intervals(6, 2), "fourier")
+
+
+def count_span_scores(monkeypatch) -> tuple[list, list]:
+    """(spans requested of any span table, spans it scored) from now on."""
+    requested, scored = [], []
+    read = SpanScores.score
+
+    def counted_read(self, steps, first_step, a, b):
+        requested.append((a, b))
+        return read(self, steps, first_step, a, b)
+
+    def counted_score(last, incoming, params):
+        scored.append((last, incoming))
+        return online_step_score(last, incoming, params)
+
+    monkeypatch.setattr(SpanScores, "score", counted_read)
+    monkeypatch.setattr(selectors_module, "online_step_score", counted_score)
+    return requested, scored
+
+
+PLANTED_PARAMS = EvalParams(selector=SelectorParams(min_tests=2, top_count=4, alpha=0.5))
+
+
+@pytest.mark.parametrize("carry_ledger", [False, True])
+def test_online_suite_scores_each_span_once(monkeypatch, carry_ledger):
+    """The ledger tests and the emitted predictions of every selector and
+    interval pair read one span table, so each span is scored once."""
+    requested, scored = count_span_scores(monkeypatch)
+    seq = planted_sequence()
+    params = EvalParams(selector=PLANTED_PARAMS.selector, carry_ledger=carry_ledger)
+    run_suite(seq, split_intervals(seq.length, 3), "online", ONLINE_SELECTORS, "linkpred",
+              params=params, seed=3)
+    assert len(scored) == len(set(requested)) < len(requested) / 2
+
+
+def test_score_curves_score_each_span_once(monkeypatch):
+    requested, scored = count_span_scores(monkeypatch)
+    seq = planted_sequence()
+    score_curves(seq, split_intervals(seq.length, 3), ["linkpred"])
+    assert len(scored) == len(set(requested)) < len(requested) / 2
+
+
+def test_online_suite_solves_each_window_graph_once(monkeypatch):
+    """Lockstep keeps the graphs the selectors share at a step in the
+    ranking memo, so a one-pair suite solves each window graph once."""
+    solved = []
+    solve = linkpred.katz_matrix
+
+    def counted(graph, params):
+        solved.append(graph)
+        return solve(graph, params)
+
+    monkeypatch.setattr(linkpred, "katz_matrix", counted)
+    linkpred._ranked.cache_clear()
+    seq = planted_sequence()
+    run_suite(seq, split_intervals(seq.length, 2), "online", ONLINE_SELECTORS, "linkpred",
+              params=PLANTED_PARAMS, seed=3)
+    assert solved and len(solved) == len(set(solved))
 
 
 # --------------------------------------------------------------------------

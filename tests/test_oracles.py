@@ -3,6 +3,7 @@ the plain references in `oracles.py`, with exact equality on random graphs
 and windowings, and its numpy statistics against the scipy-backed ones."""
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import replace
 from unittest import mock
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from graphwin import (
     OFFLINE_SELECTORS,
+    ONLINE_SELECTORS,
     TASKS,
     ChangePointLabels,
     EvalParams,
@@ -29,19 +31,21 @@ from graphwin import (
     katz_scores,
     leave_out_scores,
     online_step_score,
+    run_online,
     run_suite,
     score_curves,
     split_intervals,
+    windowed_at,
 )
-from graphwin import selectors
+from graphwin import linkpred, selectors
 from graphwin._numeric import zeta
 from graphwin.attrpred import roc_auc
 from graphwin.changepoint import _SegmentState
 from graphwin.harness import spearman
-from graphwin.selectors import adage_select, powerlaw_exponent
+from graphwin.selectors import SelectorParams, adage_select, powerlaw_exponent
 
 import oracles
-from helpers import random_sequence
+from helpers import planted_sequence, random_sequence, trace_streams
 
 
 def community_sequence(rng: np.random.Generator, n: int, length: int) -> GraphSequence:
@@ -132,7 +136,8 @@ def oracle_katz(g: StaticGraph, params: KatzParams) -> KatzParams:
     return params
 
 
-KATZ_KINDS = st.sampled_from(["random", "disconnected", "regular", "complete", "empty"])
+KATZ_KINDS_LIST = ["random", "disconnected", "regular", "complete", "empty"]
+KATZ_KINDS = st.sampled_from(KATZ_KINDS_LIST)
 # the larger betas put beta * max degree >= 1 on most graphs here: the
 # eigen-solve decides, and often falls back to truncation
 KATZ_PARAMS = st.builds(
@@ -190,6 +195,40 @@ def test_link_scoring_matches_oracle(draw_seed, kind, n, params):
         assert average_precision(ranking, positives) == oracles.average_precision(
             ranking, positives
         )
+
+
+def test_ranking_arrays_match_lexsort_oracle():
+    """Tie-rich graphs: every window of the planted stream at three sizes
+    (its block repeated, so pairs across copies tie at zero), and each
+    family of `katz_graph`."""
+    seq = planted_sequence(copies=3)
+    graphs = [g for size in (1, 3, 12) for g in windowed_at(seq, size).graphs]
+    rng = np.random.default_rng(4)
+    graphs += [katz_graph(rng, kind, n) for kind in KATZ_KINDS_LIST for n in (1, 2, 7, 12)]
+    for g in graphs:
+        for params in (KatzParams(), KatzParams(beta=0.25)):
+            got, want = linkpred._ranked(g, params), oracles.ranked(g, params)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("carry_ledger", [False, True])
+def test_online_suite_matches_sequential_oracle(carry_ledger):
+    """An online suite steps its selectors in lockstep over one span table;
+    each selector's report equals the one of that selector run alone, pair
+    by pair, scoring each emitted prediction from its own last window."""
+    streams = [(seq, 2) for seq in trace_streams()] + [(planted_sequence(), 3)]
+    knobs = [SelectorParams(), SelectorParams(min_tests=2, top_count=4, alpha=0.5)]
+    for (seq, count), selector in itertools.product(streams, knobs):
+        plan = split_intervals(seq.length, count)
+        params = EvalParams(selector=selector, carry_ledger=carry_ledger)
+        suite = run_suite(seq, plan, "online", ONLINE_SELECTORS, "linkpred", params=params, seed=5)
+        want = [oracles.run_online(seq, plan, name, params, 5) for name in ONLINE_SELECTORS]
+        assert suite.to_dict()["cells"] == [c for rep in want for c in rep.to_dict()["cells"]]
+        assert suite.aggregates == {
+            name: rep.aggregates[name] for name, rep in zip(ONLINE_SELECTORS, want)
+        }
+        for name, rep in zip(ONLINE_SELECTORS, want):
+            assert run_online(seq, plan, name, params=params, seed=5).to_dict() == rep.to_dict()
 
 
 @seed(1702)

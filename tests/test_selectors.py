@@ -283,6 +283,8 @@ def test_linkpred_window_quality_peaks_at_the_planted_period():
     assert q[3] > q[6]
     sel = supervised_offline_select(seq, lambda s, w: linkpred_window_quality(s, w))
     assert sel.chosen == 3
+    with pytest.raises(ValueError, match="window size 0 must be >= 1"):
+        linkpred_window_quality(seq, 0)
 
 
 def test_cp_window_quality_peaks_at_the_aligned_size():
