@@ -104,7 +104,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         delimiter=args.delimiter,
         on_self_loop="drop" if args.drop_self_loops else "error",
     )
-    if not parsed.events:
+    if len(parsed.events) == 0:
         raise DataFormatError(f"{args.stream} holds no edge events")
     seq = bin_initial(parsed.events, args.resolution, n=parsed.n, origin=args.origin)
     dataset_id = save_archive(seq, parsed.labels, args.out)

@@ -604,16 +604,18 @@ def _online_reports(
     selectors: Sequence[str],
     params: EvalParams,
     seed: int,
+    spans: SpanScores | None = None,
 ) -> list[ExperimentReport]:
-    """`run_online` for each selector. One span table serves them all, and
-    the selectors of an interval pair step through its stream in lockstep,
-    in the given order, so the window graphs they share at a step are ranked
-    while still memoised. Between steps each keeps only the span and the
-    size of its latest prediction."""
+    """`run_online` for each selector. One span table of `seq` and
+    `params.katz` serves them all (`spans`, or a new one), and the selectors
+    of an interval pair step through its stream in lockstep, in the given
+    order, so the window graphs they share at a step are ranked while still
+    memoised. Between steps each keeps only the span and the size of its
+    latest prediction."""
     for selector in selectors:
         if selector not in ONLINE_SELECTORS:
             raise ValueError(f"unknown online selector {selector!r}")
-    spans = SpanScores(params.katz)
+    spans = SpanScores(params.katz) if spans is None else spans
     results: dict[str, list] = {name: [] for name in selectors}
     ledgers: dict[str, ScoreLedger | None] = dict.fromkeys(selectors)
     for idx, (a, b) in enumerate(plan.pairs):
@@ -932,13 +934,15 @@ def hyperparam_sweep(
     seed: int = 0,
 ) -> list[dict]:
     """Aggregate online score across a one-axis-at-a-time grid over the
-    ledger's retest budgets; every other value comes from `params`."""
+    ledger's retest budgets; every other value comes from `params`. Every
+    grid point reads one span table: the budgets change no span's score."""
     alpha = params.selector.alpha
     grid = [("min_tests", v, SelectorParams(v, fixed, alpha)) for v in min_tests_values]
     grid += [("top_count", v, SelectorParams(fixed, v, alpha)) for v in top_count_values]
+    spans = SpanScores(params.katz)
     records = []
     for axis, value, knobs in grid:
-        report = run_online(seq, plan, selector, params=replace(params, selector=knobs), seed=seed)
-        score = report.aggregates[selector]["linkpred"]["score"]
+        reports = _online_reports(seq, plan, [selector], replace(params, selector=knobs), seed, spans)
+        score = reports[0].aggregates[selector]["linkpred"]["score"]
         records.append({"axis": axis, "value": value, "fixed": fixed, "score": score})
     return records

@@ -1,10 +1,11 @@
 """Edge-stream ingestion, initial binning, attributes, and on-disk archives.
 
 A raw dataset is a stream of `(src, dst, timestamp)` records over an undirected
-simple graph. Ingestion maps vertex labels to dense integer ids, bins events
-into a sequence of static graphs at a chosen time resolution, and persists the
-result as a deterministic archive directory. Vertex attribute tables and
-change-point label files ride along as sidecars keyed by the same labels.
+simple graph. Ingestion maps vertex labels to dense integer ids, parses events
+into an (m, 3) int64 `(u, v, t)` array, bins them with numpy into a sequence of
+static graphs at a chosen time resolution, and saves a deterministic archive.
+Attribute tables and change-point files ride along as sidecars keyed by the
+same labels. Every input file is UTF-8 text, with or without a byte-order mark.
 """
 from __future__ import annotations
 
@@ -12,15 +13,16 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
+from itertools import compress, cycle, islice
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
     "DataFormatError",
-    "EdgeEvent",
     "StaticGraph",
     "GraphSequence",
     "VertexAttributes",
@@ -40,29 +42,11 @@ CATEGORICAL = "categorical"
 CONTINUOUS = "continuous"
 
 ARCHIVE_FORMAT = 1
+_BLOCK = 1 << 12  # lines parsed at once: bounds the memory of their strings, and is cache-sized
 
 
 class DataFormatError(ValueError):
     """An input file violates its declared format."""
-
-
-def _canonical_pair(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
-@dataclass(frozen=True)
-class EdgeEvent:
-    """One undirected contact between two vertices at an integer time stamp."""
-
-    u: int
-    v: int
-    t: int
-
-    def __post_init__(self) -> None:
-        if self.u == self.v:
-            raise DataFormatError(f"self-loop event on vertex {self.u}")
-        if self.t < 0:
-            raise DataFormatError(f"negative timestamp {self.t}")
 
 
 @dataclass(frozen=True)
@@ -93,11 +77,8 @@ class StaticGraph:
         return a
 
     def degrees(self) -> np.ndarray:
-        d = np.zeros(self.n, dtype=int)
-        for u, v in self.edges:
-            d[u] += 1
-            d[v] += 1
-        return d
+        ends = np.array(list(self.edges), dtype=np.intp).reshape(-1)
+        return np.bincount(ends, minlength=self.n)
 
     def neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
@@ -112,12 +93,9 @@ def union_graphs(graphs: Sequence[StaticGraph]) -> StaticGraph:
     if not graphs:
         raise ValueError("cannot union zero graphs")
     n = graphs[0].n
-    acc: set[tuple[int, int]] = set()
-    for g in graphs:
-        if g.n != n:
-            raise ValueError("graphs have mismatched vertex counts")
-        acc |= g.edges
-    return StaticGraph(n, frozenset(acc))
+    if any(g.n != n for g in graphs):
+        raise ValueError("graphs have mismatched vertex counts")
+    return StaticGraph(n, frozenset().union(*(g.edges for g in graphs)))
 
 
 @dataclass(frozen=True)
@@ -138,9 +116,8 @@ class GraphSequence:
             raise ValueError("a graph sequence needs at least one step")
         if self.resolution < 1:
             raise ValueError("resolution must be a positive integer")
-        for g in self.graphs:
-            if g.n != self.n:
-                raise ValueError("step graph vertex count mismatch")
+        if any(g.n != self.n for g in self.graphs):
+            raise ValueError("step graph vertex count mismatch")
 
     @property
     def length(self) -> int:
@@ -159,51 +136,32 @@ class GraphSequence:
         return GraphSequence(self.n, self.graphs[start - 1 : end], self.resolution)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParsedStream:
-    """Events plus the label table assigning dense ids in first-appearance order."""
+    """Event columns plus the label table assigning dense ids in first-appearance order:
+    `events` is an (m, 3) int64 array of `(u, v, t)` rows, u < v, in stream order."""
 
-    events: tuple[EdgeEvent, ...]
+    events: np.ndarray
     labels: tuple[str, ...]
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
-    def label_ids(self) -> dict[str, int]:
-        return {lab: i for i, lab in enumerate(self.labels)}
 
-
-def _iter_lines(source: str | Path | Iterable[str] | io.TextIOBase) -> Iterable[str]:
+def _lines(source: str | Path | Iterable[str] | io.TextIOBase) -> Iterator[str]:
     if isinstance(source, Path):
-        with open(source, encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte-order mark, which would join the first label
+        with open(source, encoding="utf-8-sig") as fh:
             yield from fh
-    elif isinstance(source, str):
-        yield from source.splitlines()
     else:
-        yield from source
+        yield from source.splitlines() if isinstance(source, str) else source
 
 
-def parse_edge_stream(
-    source: str | Path | Iterable[str] | io.TextIOBase,
-    delimiter: str = ",",
-    on_self_loop: str = "error",
-) -> ParsedStream:
-    """Parse a delimited `src,dst,timestamp` stream into events and a label table.
-
-    Lines that are empty or start with ``#`` are skipped. Vertex labels get
-    dense ids in order of first appearance. Timestamps must be non-negative
-    integers. Self-loop records are rejected with a count and the first
-    offending line number, unless ``on_self_loop="drop"`` silently discards
-    them (their endpoints still enter the label table).
-    """
-    if on_self_loop not in ("error", "drop"):
-        raise ValueError("on_self_loop must be 'error' or 'drop'")
-    labels: dict[str, int] = {}
-    events: list[EdgeEvent] = []
-    loop_count = 0
-    first_loop_line = None
-    for lineno, raw in enumerate(_iter_lines(source), start=1):
+def _scan(lines: list[str], delimiter: str, offset: int) -> int | None:
+    """The first self-loop's line number, lines[0] being line offset + 1; a bad line raises."""
+    first_loop = None
+    for lineno, raw in enumerate(lines, start=offset + 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -221,54 +179,107 @@ def parse_edge_stream(
             raise DataFormatError(f"line {lineno}: timestamp {ts!r} is not an integer") from None
         if t < 0:
             raise DataFormatError(f"line {lineno}: negative timestamp {t}")
-        for lab in (src, dst):
-            if lab not in labels:
-                labels[lab] = len(labels)
-        if src == dst:
-            loop_count += 1
-            if first_loop_line is None:
-                first_loop_line = lineno
-            continue
-        u, v = _canonical_pair(labels[src], labels[dst])
-        events.append(EdgeEvent(u, v, t))
-    if loop_count and on_self_loop == "error":
-        raise DataFormatError(
-            f"{loop_count} self-loop event(s), first at line {first_loop_line}"
-        )
-    return ParsedStream(tuple(events), tuple(labels))
+        if t >= 2**63:
+            raise DataFormatError(f"line {lineno}: timestamp {t} does not fit in 64 bits")
+        if src == dst and first_loop is None:
+            first_loop = lineno
+    return first_loop
+
+
+def _columns(lines: list[str], delimiter: str, ids: defaultdict[str, int]) -> np.ndarray | None:
+    """The canonical `(u, v, t)` rows of `lines`, their labels numbered through
+    `ids` (a new one gets the next id); None if a line fails a check."""
+    rows = [line for line in filter(None, map(str.strip, lines)) if line[0] != "#"]
+    # one split over all rows; row i holds fields 3i..3i+2 if they and 2 delimiters span it
+    fields = delimiter.join(rows).split(delimiter) if rows else []
+    labels = list(map(str.strip, compress(fields, cycle((True, True, False)))))
+    try:
+        widths = np.fromiter(map(len, fields), np.int64, len(fields)).reshape(-1, 3).sum(axis=1)
+        row_widths = np.fromiter(map(len, rows), np.int64, len(rows)) - 2 * len(delimiter)
+        if not (all(labels) and np.array_equal(widths, row_widths)):
+            return None
+        times = np.fromiter(map(int, fields[2::3]), np.int64, len(rows))
+    except (ValueError, OverflowError):
+        return None
+    a, b = np.fromiter(map(ids.__getitem__, labels), np.int64, len(labels)).reshape(-1, 2).T
+    return np.column_stack((np.minimum(a, b), np.maximum(a, b), times))
+
+
+def parse_edge_stream(
+    source: str | Path | Iterable[str] | io.TextIOBase,
+    delimiter: str = ",",
+    on_self_loop: str = "error",
+) -> ParsedStream:
+    """Parse a delimited `src,dst,timestamp` stream into event columns and a label table.
+
+    Lines that are empty or start with ``#`` are skipped. Vertex labels get
+    dense ids in order of first appearance. Timestamps must be integers in
+    [0, 2**63). Self-loop records are rejected with a count and the first
+    offending line number, unless ``on_self_loop="drop"`` silently discards
+    them (their endpoints still enter the label table). Blocks of lines are
+    checked column by column, and one that fails is rescanned line by line; a
+    delimiter holds no digit, so no valid row ends in a part of it.
+    """
+    if on_self_loop not in ("error", "drop"):
+        raise ValueError("on_self_loop must be 'error' or 'drop'")
+    if any(c.isdecimal() for c in delimiter):
+        raise ValueError(f"delimiter {delimiter!r} must not contain a digit")
+    lines, ids, blocks, loop_count, first_loop = _lines(source), defaultdict(), [], 0, None
+    ids.default_factory = ids.__len__  # a label not yet seen gets the next id
+    while chunk := list(islice(lines, _BLOCK)):
+        block = _columns(chunk, delimiter, ids)
+        if block is None or (block[:, 2] < 0).any():
+            _scan(chunk, delimiter, _BLOCK * len(blocks))  # raises the first bad line's error
+        loops = block[:, 0] == block[:, 1]
+        if on_self_loop == "error" and loops.any():
+            loop_count += int(loops.sum())
+            first_loop = first_loop or _scan(chunk, delimiter, _BLOCK * len(blocks))
+        blocks.append(block[~loops])
+    if loop_count:
+        raise DataFormatError(f"{loop_count} self-loop event(s), first at line {first_loop}")
+    return ParsedStream(np.concatenate([np.empty((0, 3), np.int64), *blocks]), tuple(ids))
 
 
 def bin_initial(
-    events: Sequence[EdgeEvent],
+    events: np.ndarray | Sequence[tuple[int, int, int]],
     resolution: int,
     n: int | None = None,
     origin: int | None = None,
 ) -> GraphSequence:
-    """Bin events into a graph sequence at the given time resolution.
+    """Bin `(u, v, t)` event rows into a graph sequence at the given time resolution.
 
     Step i (1-based) collects every event with timestamp in the half-open
     interval [origin + (i-1)*resolution, origin + i*resolution). The origin
     defaults to the earliest timestamp; passing an explicit one (e.g. a
     midnight epoch) aligns bins to calendar boundaries. Duplicate edges within
-    a bin collapse.
+    a bin collapse. Rows must be canonical (0 <= u < v < n) with t >= 0.
     """
-    if not events:
+    if len(events) == 0:
         raise DataFormatError("cannot bin an empty event stream")
     if resolution < 1:
         raise ValueError("resolution must be a positive integer")
-    t_min = min(e.t for e in events)
-    t_max = max(e.t for e in events)
-    if origin is None:
-        origin = t_min
-    elif origin > t_min:
-        raise ValueError(f"origin {origin} is later than the earliest event {t_min}")
-    if n is None:
-        n = 1 + max(max(e.u, e.v) for e in events)
-    length = (t_max - origin) // resolution + 1
-    bins: list[set[tuple[int, int]]] = [set() for _ in range(length)]
-    for e in events:
-        bins[(e.t - origin) // resolution].add((e.u, e.v))
-    graphs = tuple(StaticGraph(n, frozenset(b)) for b in bins)
+    rows = np.asarray(events)
+    if rows.ndim != 2 or rows.shape[1] != 3 or rows.dtype.kind not in "iu":
+        raise ValueError(f"events must be (m, 3) integer rows, not {rows.dtype} {rows.shape}")
+    u, v, t = rows.astype(np.int64).T
+    if (u == v).any():
+        raise DataFormatError(f"self-loop event on vertex {u[np.argmax(u == v)]}")
+    if (t < 0).any():
+        raise DataFormatError(f"negative timestamp {t[np.argmax(t < 0)]}")
+    origin = int(t.min()) if origin is None else origin
+    if origin > t.min():
+        raise ValueError(f"origin {origin} is later than the earliest event {t.min()}")
+    n = 1 + int(rows[:, :2].max()) if n is None else n
+    if (int(t.max()) - origin) // resolution >= 2**63 // (n * n):
+        raise ValueError(f"too many steps to bin {n} vertices with int64 (step, u, v) keys")
+    bad = np.flatnonzero((u < 0) | (u > v) | (v >= n))
+    if bad.size:
+        raise ValueError(f"edge ({u[bad[0]]}, {v[bad[0]]}) not canonical for n={n}")
+    # sorted distinct (step, u, v) keys; each step's edges are one run of them
+    step, pair = np.divmod(np.unique(((t - origin) // resolution * n + u) * n + v), n * n)
+    bounds = np.searchsorted(step, np.arange(int(step[-1]) + 2)).tolist()
+    edges = list(zip(*(x.tolist() for x in np.divmod(pair, n))))
+    graphs = tuple(StaticGraph(n, frozenset(edges[a:b])) for a, b in zip(bounds, bounds[1:]))
     return GraphSequence(n, graphs, resolution)
 
 
@@ -299,8 +310,7 @@ class VertexAttributes:
     @property
     def classes(self) -> tuple[str, str]:
         """(negative, positive) target values in lexicographic order."""
-        vals = sorted({str(r[self.target]) for r in self.rows if self.target in r})
-        return (vals[0], vals[1])
+        return tuple(sorted({str(r[self.target]) for r in self.rows if self.target in r}))
 
     @property
     def feature_names(self) -> tuple[str, ...]:
@@ -321,12 +331,10 @@ def _parse_types_line(line: str, feature_cols: Sequence[str]) -> dict[str, str]:
         raise DataFormatError(
             f"#types line declares {len(kinds)} kinds for {len(feature_cols)} columns"
         )
-    out = {}
     for col, kind in zip(feature_cols, kinds):
         if kind not in (CATEGORICAL, CONTINUOUS):
             raise DataFormatError(f"unknown column kind {kind!r} for {col!r}")
-        out[col] = kind
-    return out
+    return dict(zip(feature_cols, kinds))
 
 
 def load_attributes(
@@ -348,9 +356,9 @@ def load_attributes(
     ids = {lab: i for i, lab in enumerate(labels)}
     header: list[str] | None = None
     types_line: dict[str, str] | None = None
-    rows: list[dict[str, object]] = [dict() for _ in labels]
-    seen: set[int] = set()
-    for lineno, raw in enumerate(_iter_lines(source), start=1):
+    # each vertex's cells, kept as text until the column kinds are known
+    cells: list[list[str] | None] = [None] * len(labels)
+    for lineno, raw in enumerate(_lines(source), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -373,11 +381,9 @@ def load_attributes(
         lab = parts[0]
         if lab not in ids:
             raise DataFormatError(f"line {lineno}: vertex label {lab!r} not in the edge stream")
-        v = ids[lab]
-        if v in seen:
+        if cells[ids[lab]] is not None:
             raise DataFormatError(f"line {lineno}: duplicate record for vertex {lab!r}")
-        seen.add(v)
-        rows[v] = {"_parts": parts}  # finalized below once types are known
+        cells[ids[lab]] = parts[1:]
     if header is None:
         raise DataFormatError("attribute file has no header row")
     feature_cols = header[1:]
@@ -392,23 +398,20 @@ def load_attributes(
     if types[target] != CATEGORICAL:
         raise DataFormatError(f"target column {target!r} must be categorical")
     final_rows: list[dict[str, object]] = []
-    for v in range(len(labels)):
+    for v, row in enumerate(cells):
         rec: dict[str, object] = {}
-        raw_row = rows[v]
-        if raw_row:
-            parts = raw_row["_parts"]
-            for col, cell in zip(feature_cols, parts[1:]):
-                if cell == "":
-                    continue
-                if types[col] == CONTINUOUS:
-                    try:
-                        rec[col] = float(cell)
-                    except ValueError:
-                        raise DataFormatError(
-                            f"vertex {labels[v]!r}: non-numeric value {cell!r} in continuous column {col!r}"
-                        ) from None
-                else:
-                    rec[col] = cell
+        for col, cell in zip(feature_cols, row or ()):
+            if cell == "":
+                continue
+            if types[col] == CONTINUOUS:
+                try:
+                    rec[col] = float(cell)
+                except ValueError:
+                    raise DataFormatError(
+                        f"vertex {labels[v]!r}: non-numeric value {cell!r} in continuous column {col!r}"
+                    ) from None
+            else:
+                rec[col] = cell
         final_rows.append(rec)
     types = {c: types[c] for c in feature_cols}
     return VertexAttributes(len(labels), target, types, tuple(final_rows))
@@ -421,9 +424,8 @@ class ChangePointLabels:
     times: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for a, b in zip(self.times, self.times[1:]):
-            if a >= b:
-                raise ValueError("change-point times must be strictly increasing")
+        if any(a >= b for a, b in zip(self.times, self.times[1:])):
+            raise ValueError("change-point times must be strictly increasing")
 
     def restrict(self, start: int, end: int) -> "ChangePointLabels":
         """Times within 1-based inclusive [start, end], re-indexed to the span."""
@@ -438,7 +440,7 @@ def load_change_points(
 ) -> ChangePointLabels:
     """Load change-point step indices (one per line), validated against `length`."""
     times: list[int] = []
-    for lineno, raw in enumerate(_iter_lines(source), start=1):
+    for lineno, raw in enumerate(_lines(source), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -461,7 +463,8 @@ class LoadedArchive:
     dataset_id: str
 
 
-def _archive_payload(seq: GraphSequence, labels: Sequence[str]) -> tuple[str, str]:
+def _archive_payload(seq: GraphSequence, labels: Sequence[str]) -> tuple[str, str, str]:
+    """The manifest (without its id) and steps.csv texts, and the dataset id they hash to."""
     manifest = {
         "format_version": ARCHIVE_FORMAT,
         "n": seq.n,
@@ -469,13 +472,11 @@ def _archive_payload(seq: GraphSequence, labels: Sequence[str]) -> tuple[str, st
         "resolution": seq.resolution,
         "labels": list(labels),
     }
-    steps_lines = ["step,u,v"]
-    for i, g in enumerate(seq.graphs, start=1):
-        for u, v in sorted(g.edges):
-            steps_lines.append(f"{i},{u},{v}")
-    steps_csv = "\n".join(steps_lines) + "\n"
+    rows = (f"{i},{u},{v}\n" for i, g in enumerate(seq.graphs, 1) for u, v in sorted(g.edges))
+    steps_csv = "step,u,v\n" + "".join(rows)
     manifest_json = json.dumps(manifest, sort_keys=True, indent=2)
-    return manifest_json, steps_csv
+    digest = hashlib.sha256((manifest_json + steps_csv).encode()).hexdigest()
+    return manifest_json, steps_csv, digest
 
 
 def save_archive(seq: GraphSequence, labels: Sequence[str], directory: str | Path) -> str:
@@ -489,10 +490,8 @@ def save_archive(seq: GraphSequence, labels: Sequence[str], directory: str | Pat
         raise ValueError("label table size must match vertex count")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    manifest_json, steps_csv = _archive_payload(seq, labels)
-    dataset_id = hashlib.sha256((manifest_json + steps_csv).encode()).hexdigest()
-    manifest = json.loads(manifest_json)
-    manifest["dataset_id"] = dataset_id
+    manifest_json, steps_csv, dataset_id = _archive_payload(seq, labels)
+    manifest = {**json.loads(manifest_json), "dataset_id": dataset_id}
     (directory / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
@@ -527,16 +526,14 @@ def load_archive(directory: str | Path) -> LoadedArchive:
     if not isinstance(labels, list) or len(labels) != n:
         raise DataFormatError(f"{manifest_path}: 'labels' must list {n} vertex labels")
     bins: list[set[tuple[int, int]]] = [set() for _ in range(length)]
-    for lineno, line in enumerate(steps_text.splitlines(), start=1):
-        if lineno == 1:
-            if line != "step,u,v":
-                raise DataFormatError(f"{steps_path} line 1: header mismatch")
-            continue
+    rows = steps_text.splitlines()
+    if rows[:1] != ["step,u,v"]:
+        raise DataFormatError(f"{steps_path} line 1: header mismatch")
+    for lineno, line in enumerate(rows[1:], start=2):
         if not line:
             continue
         try:
-            step_s, u_s, v_s = line.split(",")
-            step, u, v = int(step_s), int(u_s), int(v_s)
+            step, u, v = map(int, line.split(","))
         except ValueError:
             raise DataFormatError(f"{steps_path} line {lineno}: malformed row {line!r}") from None
         if not 1 <= step <= length:
@@ -545,8 +542,7 @@ def load_archive(directory: str | Path) -> LoadedArchive:
             raise DataFormatError(f"{steps_path} line {lineno}: edge ({u}, {v}) not canonical, n={n}")
         bins[step - 1].add((u, v))
     seq = GraphSequence(n, tuple(StaticGraph(n, frozenset(b)) for b in bins), resolution)
-    manifest_json, steps_csv = _archive_payload(seq, labels)
-    dataset_id = hashlib.sha256((manifest_json + steps_csv).encode()).hexdigest()
+    dataset_id = _archive_payload(seq, labels)[2]
     recorded = manifest.get("dataset_id")
     if recorded is not None and recorded != dataset_id:
         raise DataFormatError("archive content does not match its recorded dataset id")

@@ -858,3 +858,13 @@ def test_hyperparam_sweep_matches_direct_runs():
         seed=7,
     )
     assert records[1]["score"] == direct_top.aggregates["online"]["linkpred"]["score"]
+
+
+def test_hyperparam_sweep_scores_each_span_once(monkeypatch):
+    """The retest budgets change no span's score, so every grid point reads
+    one span table."""
+    requested, scored = count_span_scores(monkeypatch)
+    seq = planted_sequence()
+    hyperparam_sweep(seq, split_intervals(seq.length, 3), min_tests_values=[1, 2, 4],
+                     top_count_values=[1, 2], params=PLANTED_PARAMS, seed=3)
+    assert len(scored) == len(set(requested)) < len(requested) / 2

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,6 +20,7 @@ from graphwin import (
     ONLINE_SELECTORS,
     TASKS,
     ChangePointLabels,
+    DataFormatError,
     EvalParams,
     GraphSequence,
     KatzParams,
@@ -27,17 +30,19 @@ from graphwin import (
     Windowing,
     apply_windowing,
     average_precision,
+    bin_initial,
     detect_change_points,
     katz_scores,
     leave_out_scores,
     online_step_score,
+    parse_edge_stream,
     run_online,
     run_suite,
     score_curves,
     split_intervals,
     windowed_at,
 )
-from graphwin import linkpred, selectors
+from graphwin import linkpred, selectors, temporal
 from graphwin._numeric import zeta
 from graphwin.attrpred import roc_auc
 from graphwin.changepoint import _SegmentState
@@ -439,4 +444,90 @@ def test_adage_select_matches_scipy_oracle(draw_seed, n, length, tol_patience):
     got = [adage_select(prefix, *tol_patience) for prefix in prefixes]
     with mock.patch.object(selectors, "powerlaw_exponent", oracles.powerlaw_exponent):
         want = [adage_select(prefix, *tol_patience) for prefix in prefixes]
+    assert got == want
+
+
+# --------------------------------------------------------------------------
+# edge-stream ingest
+
+STREAM_LABELS = st.sampled_from(["a", "b", "c", "node 4", "é"])
+PADDING = st.sampled_from(["", " ", "  ", "\u00a0"])
+BAD_ROWS = st.sampled_from(
+    ["a,b", "a,b,c,1", "a,,1", " ,b,2", "a,b,x", "a,b,1.5", "a,b,", "a,b,-3", "a,b,3:"]
+)
+
+
+@st.composite
+def raw_streams(draw, malformed: bool) -> tuple[list[str], str]:
+    """The lines (without endings) and delimiter of a raw edge stream: rows
+    with padded fields, among comments and blank lines, and bad rows when
+    `malformed`. Few labels and times give self-loops and duplicate contacts."""
+    delimiter = draw(st.sampled_from([",", "\t", "::"]))
+    kinds = ["row"] * 12 + ["loop", "comment", "blank"] + ["bad"] * 2 * malformed
+    lines = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=25)):
+        if kind in ("row", "loop"):
+            t = draw(st.integers(min_value=0, max_value=12))
+            stamp = draw(st.sampled_from([str(t), f"0{t}", f"+{t}"]))
+            src = draw(STREAM_LABELS)
+            dst = src if kind == "loop" else draw(STREAM_LABELS.filter(lambda x: x != src))
+            fields = (src, dst, stamp)
+            lines.append(delimiter.join(draw(PADDING) + f + draw(PADDING) for f in fields))
+        elif kind == "comment":
+            lines.append(draw(PADDING) + "# " + draw(STREAM_LABELS))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t ", "\u3000"])))
+        else:
+            lines.append(draw(BAD_ROWS).replace(",", delimiter))
+    return lines, delimiter
+
+
+def ingest_outcome(parse, bin_, source, delimiter, policy, resolution, shift):
+    """(labels, event rows, binned sequence), or the `DataFormatError`
+    message, of one parse-and-bin implementation; `shift` puts an explicit
+    origin that many time units before the earliest event."""
+    try:
+        events, labels = parse(source, delimiter, policy)
+        rows = [[e.u, e.v, e.t] for e in events] if isinstance(events, tuple) else events.tolist()
+        origin = None if shift is None or not rows else min(r[2] for r in rows) - shift
+        return labels, rows, bin_(events, resolution, n=len(labels), origin=origin)
+    except DataFormatError as exc:
+        return str(exc)
+
+
+def parse_columns(source, delimiter, policy):
+    parsed = parse_edge_stream(source, delimiter, policy)
+    assert parsed.events.dtype == np.int64 and parsed.events.shape == (len(parsed.events), 3)
+    return parsed.events, parsed.labels
+
+
+@seed(1702)
+@settings(max_examples=200, deadline=None)
+@given(
+    stream=st.one_of(raw_streams(malformed=False), raw_streams(malformed=True)),
+    ending=st.sampled_from(["\n", "\r\n", "\r"]),
+    form=st.sampled_from(["text", "lines", "file", "file with mark"]),
+    policy=st.sampled_from(["error", "drop"]),
+    resolution=st.integers(min_value=1, max_value=7),
+    shift=st.one_of(st.none(), st.integers(min_value=0, max_value=9)),
+    block=st.sampled_from([1, 2, 5, temporal._BLOCK]),
+)
+def test_ingest_matches_oracle(stream, ending, form, policy, resolution, shift, block):
+    """Also with lines parsed in blocks of `block`, so that errors, self-loops
+    and labels cross block boundaries."""
+    lines, delimiter = stream
+    text = "".join(line + ending for line in lines)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(temporal, "_BLOCK", block):
+        if form == "text":
+            source = text
+        elif form == "lines":
+            source = [line + ending for line in lines]
+        else:
+            source = Path(tmp) / "stream.csv"
+            source.write_bytes(b"\xef\xbb\xbf" * (form == "file with mark") + text.encode())
+        got = ingest_outcome(parse_columns, bin_initial, source, delimiter, policy, resolution, shift)
+        want = ingest_outcome(
+            oracles.parse_edge_stream, oracles.bin_initial, source, delimiter, policy,
+            resolution, shift,
+        )
     assert got == want

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from graphwin import (
     ChangePointLabels,
     DataFormatError,
-    EdgeEvent,
     GraphSequence,
     StaticGraph,
     VertexAttributes,
@@ -36,9 +36,15 @@ def test_parse_assigns_dense_ids_by_first_appearance():
     text = "b,a,0\nc,a,1\na,c,2\n"
     parsed = parse_edge_stream(text)
     assert parsed.labels == ("b", "a", "c")
-    assert parsed.label_ids() == {"b": 0, "a": 1, "c": 2}
     # pairs are canonicalized u < v
-    assert [(e.u, e.v, e.t) for e in parsed.events] == [(0, 1, 0), (1, 2, 1), (1, 2, 2)]
+    assert parsed.events.tolist() == [[0, 1, 0], [1, 2, 1], [1, 2, 2]]
+
+
+def test_parse_returns_int64_columns():
+    for text, m in (("a,b,0\nb,c,7\n", 2), ("# nothing here\n", 0), ("a,a,3\n", 0)):
+        parsed = parse_edge_stream(text, on_self_loop="drop")
+        assert parsed.events.dtype == np.int64 and parsed.events.shape == (m, 3)
+        assert len(parsed.events) == m
 
 
 def test_parse_skips_comments_and_blank_lines():
@@ -72,7 +78,39 @@ def test_parse_self_loop_policy():
 
 def test_parse_custom_delimiter():
     parsed = parse_edge_stream("a\tb\t5\n", delimiter="\t")
-    assert parsed.events == (EdgeEvent(0, 1, 5),)
+    assert parsed.events.tolist() == [[0, 1, 5]]
+    # a multi-character delimiter, and a row whose timestamp ends in part of it
+    assert parse_edge_stream("a :: b :: 5\n", delimiter="::").events.tolist() == [[0, 1, 5]]
+    with pytest.raises(DataFormatError, match=r"line 1: timestamp '5:' is not an integer"):
+        parse_edge_stream("a::b::5:\nc::d::1\n", delimiter="::")
+
+
+def test_parse_rejects_delimiters_with_digits_and_huge_timestamps():
+    with pytest.raises(ValueError, match="must not contain a digit"):
+        parse_edge_stream("a5b51\n", delimiter="5")
+    with pytest.raises(DataFormatError, match=r"line 2: timestamp 9223372036854775808 does not fit"):
+        parse_edge_stream(f"a,b,1\nb,c,{2**63}\n")
+    assert parse_edge_stream(f"a,b,{2**63 - 1}\n").events.tolist() == [[0, 1, 2**63 - 1]]
+
+
+def test_byte_order_mark_is_not_part_of_the_first_label(tmp_path):
+    text = "a,b,0\nb,a,1\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    for path in (plain, marked):
+        parsed = parse_edge_stream(path)
+        assert parsed.labels == ("a", "b")
+        save_archive(bin_initial(parsed.events, 1, n=parsed.n), parsed.labels, tmp_path / path.stem)
+    for name in ("manifest.json", "steps.csv"):
+        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "marked" / name).read_bytes()
+    sidecar = tmp_path / "attributes.csv"
+    # behind a mark, the opening comment would be read as the header
+    sidecar.write_bytes(b"\xef\xbb\xbf# export\nvertex,group\n#types: categorical\na,x\nb,y\n")
+    assert load_attributes(sidecar, "group", ("a", "b")).target_of(0) == "x"
+    sidecar = tmp_path / "changepoints.txt"
+    sidecar.write_bytes(b"\xef\xbb\xbf2\n")
+    assert load_change_points(sidecar, 3).times == (2,)
 
 
 # --------------------------------------------------------------------------
@@ -80,7 +118,7 @@ def test_parse_custom_delimiter():
 
 
 def test_bin_initial_basic_layout():
-    events = [EdgeEvent(0, 1, 10), EdgeEvent(1, 2, 11), EdgeEvent(0, 2, 15)]
+    events = [(0, 1, 10), (1, 2, 11), (0, 2, 15)]
     seq = bin_initial(events, resolution=3)
     # origin 10; bins [10,13), [13,16)
     assert seq.length == 2
@@ -90,14 +128,14 @@ def test_bin_initial_basic_layout():
 
 
 def test_bin_initial_duplicates_collapse():
-    events = [EdgeEvent(0, 1, 0), EdgeEvent(0, 1, 0), EdgeEvent(0, 1, 1)]
+    events = np.array([(0, 1, 0), (0, 1, 0), (0, 1, 1)])
     seq = bin_initial(events, resolution=2)
     assert seq.length == 1
     assert seq.step(1).edge_count == 1
 
 
 def test_bin_initial_explicit_origin_alignment():
-    events = [EdgeEvent(0, 1, 5)]
+    events = [(0, 1, 5)]
     seq = bin_initial(events, resolution=4, origin=0)
     assert seq.length == 2
     assert seq.step(1).edge_count == 0
@@ -110,7 +148,26 @@ def test_bin_initial_rejects_bad_input():
     with pytest.raises(DataFormatError):
         bin_initial([], resolution=1)
     with pytest.raises(ValueError):
-        bin_initial([EdgeEvent(0, 1, 0)], resolution=0)
+        bin_initial([(0, 1, 0)], resolution=0)
+
+
+def test_bin_initial_checks_event_rows():
+    # every row is checked, and the first bad one is named
+    with pytest.raises(DataFormatError, match="self-loop event on vertex 2"):
+        bin_initial([(0, 1, 0), (2, 2, 1)], resolution=1)
+    with pytest.raises(DataFormatError, match="negative timestamp -4"):
+        bin_initial([(0, 1, 0), (1, 2, -4)], resolution=1)
+    with pytest.raises(ValueError, match=r"edge \(2, 1\) not canonical for n=3"):
+        bin_initial([(0, 1, 0), (2, 1, 1)], resolution=1)
+    with pytest.raises(ValueError, match=r"edge \(0, 3\) not canonical for n=3"):
+        bin_initial([(0, 1, 0), (0, 3, 1)], resolution=1, n=3)
+    with pytest.raises(ValueError, match=r"edge \(-1, 1\) not canonical for n=2"):
+        bin_initial([(-1, 1, 0)], resolution=1)
+    with pytest.raises(ValueError, match="too many steps to bin 4 vertices"):
+        bin_initial([(0, 1, 0), (0, 1, 2**62)], resolution=1, n=4)
+    for bad in ([(0, 1)], [(0.0, 1.0, 2.0)], np.zeros((2, 3, 1), dtype=int)):
+        with pytest.raises(ValueError, match="events must be"):
+            bin_initial(bad, resolution=1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -130,8 +187,8 @@ def test_bin_initial_rejects_bad_input():
 def test_binning_then_windowing_equals_coarser_binning(events, resolution, factor):
     """Binning at r then windowing at w gives the graphs of binning at r*w
     directly, when both share the same origin."""
-    evs = [EdgeEvent(min(u, v), max(u, v), t) for u, v, t in events]
-    origin = min(e.t for e in evs)
+    evs = [(min(u, v), max(u, v), t) for u, v, t in events]
+    origin = min(t for _, _, t in evs)
     fine = bin_initial(evs, resolution, n=6, origin=origin)
     factor = min(factor, fine.length)  # a window cannot outgrow the sequence
     coarse = bin_initial(evs, resolution * factor, n=6, origin=origin)
