@@ -21,7 +21,7 @@ import copy
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .windows import WindowedSequence
 __all__ = [
     "log_star",
     "binary_entropy",
-    "segment_cost",
     "DetectionResult",
     "detect_change_points",
     "cp_pr_auc",
@@ -74,33 +73,6 @@ def _block_bits(cells: int, ones: int) -> float:
     if cells == 0:
         return 0.0
     return math.log2(cells + 1) + cells * binary_entropy(ones / cells)
-
-
-def segment_cost(graphs: Sequence[StaticGraph], groups: Sequence[Iterable[int]]) -> float:
-    """Description length (bits) of a graph segment under a vertex partition.
-
-    cost = log*(k) + sum_i log*(|group_i|)
-         + sum over unordered group pairs and diagonals of
-           [log2(cells+1) + cells * H(density)]
-
-    where a diagonal block of a size-s group has s*(s-1)/2 cells per graph, an
-    off-diagonal block |a|*|b| cells per graph, cells aggregate over the whole
-    segment, and density is the block's total edge count over those cells.
-    Invariant under any vertex relabelling that respects the partition.
-    """
-    if not graphs:
-        raise ValueError("a segment needs at least one graph")
-    n = graphs[0].n
-    group_lists = [sorted(set(g)) for g in groups]
-    flat = [v for grp in group_lists for v in grp]
-    if sorted(flat) != list(range(n)):
-        raise ValueError("groups must partition the vertex set exactly")
-    if any(len(grp) == 0 for grp in group_lists):
-        raise ValueError("empty groups are not allowed")
-    assign = np.empty(n, dtype=int)
-    for gi, grp in enumerate(group_lists):
-        assign[grp] = gi
-    return _SegmentState(graphs, assign).cost()
 
 
 class _SegmentState:

@@ -2,9 +2,10 @@
 
 Pairs are scored by the damped path-count sum S = sum_{l>=1} beta^l * A^l,
 solved in closed form as (I - beta*A)^{-1} - I whenever beta times the
-spectral radius is below one, else by truncating the series. The spectral
-radius never exceeds the largest degree, so when beta times the largest
-degree is below one the closed form is used without an eigen-solve.
+spectral radius is below one. Only where the series diverges (beta times the
+radius is at least one) is it truncated instead, at its first 8 terms. The
+spectral radius never exceeds the largest degree, so when beta times the
+largest degree is below one the closed form is used without an eigen-solve.
 Prediction quality is ranking average precision against the new links of
 the next step.
 
@@ -45,6 +46,9 @@ ScoredPairs = list[tuple[tuple[int, int], float]]
 
 _EPS = float(np.finfo(float).eps)
 
+# terms of the series kept where it diverges
+_MAX_PATH_LEN = 8
+
 # the divergence fallback warns once per process, later hits log at debug
 _fallback_warned = False
 
@@ -53,21 +57,16 @@ _fallback_warned = False
 class KatzParams:
     """Damped path-sum parameters.
 
-    beta: per-edge damping factor in (0, 1).
-    exact: prefer the closed-form solve; falls back to truncation when the
-        series does not converge (beta * spectral radius >= 1).
-    max_path_len: truncation length for the series fallback.
+    beta: per-edge damping factor in (0, 1). The scores are the closed-form
+        solve; only where the series diverges (beta * spectral radius >= 1)
+        are they its first 8 terms instead.
     """
 
     beta: float = 0.005
-    exact: bool = True
-    max_path_len: int = 8
 
     def __post_init__(self) -> None:
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
-        if self.max_path_len < 1:
-            raise ValueError("max_path_len must be >= 1")
 
 
 def _truncated_matrix(a: np.ndarray, beta: float, max_len: int) -> np.ndarray:
@@ -82,31 +81,29 @@ def katz_matrix(graph: StaticGraph, params: KatzParams = KatzParams()) -> np.nda
     """Dense matrix of damped path-count scores between all vertex pairs."""
     global _fallback_warned
     a = graph.adjacency()
-    if params.exact:
-        if graph.edge_count == 0:
-            return np.zeros_like(a)
-        # spectral radius <= max degree, so under the degree bound the
-        # series converges without an eigen-solve
-        bound = params.beta * float(a.sum(axis=1).max())
-        if bound >= 1.0:
-            # eigvalsh is backward stable: the true radius lies within about
-            # n*eps (relative) of the computed one, and where beta * radius
-            # is 1 within that error, I - beta*A is singular to working
-            # precision and the series diverges
-            radius = float(np.max(np.abs(np.linalg.eigvalsh(a))))
-            bound = params.beta * radius * (1.0 + graph.n * _EPS)
-        if bound < 1.0:
-            m = np.eye(graph.n) - params.beta * a
-            s = np.linalg.solve(m, np.eye(graph.n)) - np.eye(graph.n)
-            return s
-        log.log(
-            logging.DEBUG if _fallback_warned else logging.WARNING,
-            "series diverges (beta*radius = %.4f >= 1); falling back to truncation at %d",
-            bound,
-            params.max_path_len,
-        )
-        _fallback_warned = True
-    return _truncated_matrix(a, params.beta, params.max_path_len)
+    if graph.edge_count == 0:
+        return np.zeros_like(a)
+    # spectral radius <= max degree, so under the degree bound the series
+    # converges without an eigen-solve
+    bound = params.beta * float(a.sum(axis=1).max())
+    if bound >= 1.0:
+        # eigvalsh is backward stable: the true radius lies within about
+        # n*eps (relative) of the computed one, and where beta * radius is 1
+        # within that error, I - beta*A is singular to working precision and
+        # the series diverges
+        radius = float(np.max(np.abs(np.linalg.eigvalsh(a))))
+        bound = params.beta * radius * (1.0 + graph.n * _EPS)
+    if bound < 1.0:
+        m = np.eye(graph.n) - params.beta * a
+        return np.linalg.solve(m, np.eye(graph.n)) - np.eye(graph.n)
+    log.log(
+        logging.DEBUG if _fallback_warned else logging.WARNING,
+        "series diverges (beta*radius = %.4f >= 1); falling back to truncation at %d",
+        bound,
+        _MAX_PATH_LEN,
+    )
+    _fallback_warned = True
+    return _truncated_matrix(a, params.beta, _MAX_PATH_LEN)
 
 
 # every pair u < v of n vertices in (u, v) order, shared by all rankings

@@ -295,17 +295,12 @@ class OfflineSelection:
     failures: Mapping[int, str]
 
 
-def supervised_offline_select(
-    seq: GraphSequence,
-    quality: QualityFn,
-    size_limit: int | None = None,
-) -> OfflineSelection:
+def supervised_offline_select(seq: GraphSequence, quality: QualityFn) -> OfflineSelection:
     """Evaluate every uniform size on training data; best score wins, ties to
     the smallest size. Sizes whose quality call fails are skipped and logged."""
-    limit = seq.length if size_limit is None else min(size_limit, seq.length)
     scores: dict[int, float] = {}
     failures: dict[int, str] = {}
-    for w in range(1, limit + 1):
+    for w in range(1, seq.length + 1):
         try:
             scores[w] = quality(seq, w)
         except ValueError as exc:
@@ -510,13 +505,14 @@ def entropy_select(seq: GraphSequence) -> Windowing:
     return Windowing(seq.length, tuple(bounds[:-1]))
 
 
-def powerlaw_exponent(degrees: Sequence[int], lo: float = 1.01, hi: float = 20.0) -> float:
+def powerlaw_exponent(degrees: Sequence[int]) -> float:
     """Discrete power-law MLE exponent with minimum value 1.
 
-    Solves zeta'(g)/zeta(g) = -mean(log x) by bisection. A degenerate sample
-    (all values 1) pushes the likelihood maximum to infinity; the exponent is
-    clamped at `hi`.
+    Solves zeta'(g)/zeta(g) = -mean(log x) by bisection in [1.01, 20], and
+    clamps at those ends. A degenerate sample (all values 1) pushes the
+    likelihood maximum to infinity; the exponent is clamped at 20.
     """
+    lo, hi = 1.01, 20.0
     xs = np.asarray([d for d in degrees if d >= 1], dtype=float)
     if xs.size == 0:
         raise ValueError("no positive degrees to fit")

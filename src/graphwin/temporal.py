@@ -155,7 +155,9 @@ def _lines(source: str | Path | Iterable[str] | io.TextIOBase) -> Iterator[str]:
         with open(source, encoding="utf-8-sig") as fh:
             yield from fh
     else:
-        yield from source.splitlines() if isinstance(source, str) else source
+        # a str breaks only at \n, \r\n and \r, as a file does, not at
+        # the other breaks that str.splitlines knows (\x0c, \u2028, ...)
+        yield from io.StringIO(source, newline=None) if isinstance(source, str) else source
 
 
 def _scan(lines: list[str], delimiter: str, offset: int) -> int | None:
@@ -341,21 +343,19 @@ def load_attributes(
     source: str | Path | Iterable[str] | io.TextIOBase,
     target: str,
     labels: Sequence[str],
-    column_types: Mapping[str, str] | None = None,
-    delimiter: str = ",",
 ) -> VertexAttributes:
-    """Load a delimited attribute table keyed by edge-stream vertex labels.
+    """Load a comma-separated attribute table keyed by edge-stream vertex labels.
 
     The first row is a header whose first column holds the vertex label; the
-    remaining columns are features. Every feature column must be declared
-    categorical or continuous, either via `column_types` or a `#types:` line
-    (kinds in column order) anywhere before the data rows. Empty cells are
+    remaining columns are features. The file declares every feature column
+    categorical or continuous in a `#types:` line after the header (kinds in
+    column order, e.g. `#types: categorical, continuous`). Empty cells are
     missing values. Vertices absent from the file carry empty records;
     labels absent from the edge stream are an error.
     """
     ids = {lab: i for i, lab in enumerate(labels)}
     header: list[str] | None = None
-    types_line: dict[str, str] | None = None
+    types: dict[str, str] | None = None  # feature column -> kind, in column order
     # each vertex's cells, kept as text until the column kinds are known
     cells: list[list[str] | None] = [None] * len(labels)
     for lineno, raw in enumerate(_lines(source), start=1):
@@ -366,9 +366,9 @@ def load_attributes(
             if line.lower().startswith("#types"):
                 if header is None:
                     raise DataFormatError(f"line {lineno}: #types must follow the header")
-                types_line = _parse_types_line(line, header[1:])
+                types = _parse_types_line(line, header[1:])
             continue
-        parts = [p.strip() for p in line.split(delimiter)]
+        parts = [p.strip() for p in line.split(",")]
         if header is None:
             header = parts
             if len(header) < 2:
@@ -389,12 +389,8 @@ def load_attributes(
     feature_cols = header[1:]
     if target not in feature_cols:
         raise DataFormatError(f"target column {target!r} not among {feature_cols}")
-    types: dict[str, str] = dict(column_types) if column_types else (types_line or {})
-    missing_decl = [c for c in feature_cols if c not in types]
-    if missing_decl:
-        raise DataFormatError(
-            f"column kinds undeclared for {missing_decl}; add a #types line or pass column_types"
-        )
+    if types is None:
+        raise DataFormatError(f"column kinds undeclared for {feature_cols}; add a #types line")
     if types[target] != CATEGORICAL:
         raise DataFormatError(f"target column {target!r} must be categorical")
     final_rows: list[dict[str, object]] = []
@@ -413,7 +409,6 @@ def load_attributes(
             else:
                 rec[col] = cell
         final_rows.append(rec)
-    types = {c: types[c] for c in feature_cols}
     return VertexAttributes(len(labels), target, types, tuple(final_rows))
 
 
@@ -526,7 +521,8 @@ def load_archive(directory: str | Path) -> LoadedArchive:
     if not isinstance(labels, list) or len(labels) != n:
         raise DataFormatError(f"{manifest_path}: 'labels' must list {n} vertex labels")
     bins: list[set[tuple[int, int]]] = [set() for _ in range(length)]
-    rows = steps_text.splitlines()
+    # read_text turned \r\n and \r into \n, so this splits as a file is split
+    rows = steps_text.split("\n")
     if rows[:1] != ["step,u,v"]:
         raise DataFormatError(f"{steps_path} line 1: header mismatch")
     for lineno, line in enumerate(rows[1:], start=2):

@@ -100,10 +100,10 @@ class WindowedSequence:
         """Each windowed graph's neighbour lists, built once per sequence."""
         return tuple(g.neighbor_lists() for g in self.graphs)
 
-    def to_graph_sequence(self, resolution: int | None = None) -> GraphSequence:
-        """View the windowed graphs as a sequence of their own (for re-windowing)."""
-        res = resolution if resolution is not None else self.source.resolution
-        return GraphSequence(self.n, self.graphs, res)
+    def to_graph_sequence(self) -> GraphSequence:
+        """View the windowed graphs as a sequence of their own (for re-windowing),
+        at the source's resolution."""
+        return GraphSequence(self.n, self.graphs, self.source.resolution)
 
 
 def apply_windowing(seq: GraphSequence, windowing: Windowing) -> WindowedSequence:

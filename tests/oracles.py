@@ -473,26 +473,21 @@ def detect_change_points(ws: WindowedSequence) -> DetectionResult:
 # damped path-sum link prediction
 
 
-def katz_matrix(graph: StaticGraph, params: KatzParams = KatzParams()) -> np.ndarray:
+def katz_matrix(
+    graph: StaticGraph, params: KatzParams = KatzParams(), truncate: bool = False
+) -> np.ndarray:
+    """(I - beta*A)^{-1} - I, or with `truncate` the series' first 8 terms."""
     a = graph.adjacency()
-    if params.exact:
-        if graph.edge_count == 0:
-            return np.zeros_like(a)
-        radius = float(np.max(np.abs(np.linalg.eigvalsh(a))))
-        if params.beta * radius < 1.0:
-            m = np.eye(graph.n) - params.beta * a
-            s = np.linalg.solve(m, np.eye(graph.n)) - np.eye(graph.n)
-            return s
-        log.warning(
-            "series diverges (beta*radius = %.4f >= 1); falling back to truncation at %d",
-            params.beta * radius,
-            params.max_path_len,
-        )
-    return _truncated_matrix(a, params.beta, params.max_path_len)
+    if truncate:
+        return _truncated_matrix(a, params.beta, 8)
+    m = np.eye(graph.n) - params.beta * a
+    return np.linalg.solve(m, np.eye(graph.n)) - np.eye(graph.n)
 
 
-def katz_scores(graph: StaticGraph, params: KatzParams = KatzParams()) -> ScoredPairs:
-    s = katz_matrix(graph, params)
+def katz_scores(
+    graph: StaticGraph, params: KatzParams = KatzParams(), truncate: bool = False
+) -> ScoredPairs:
+    s = katz_matrix(graph, params, truncate)
     deg = graph.degrees()
     active = [v for v in range(graph.n) if deg[v] > 0]
     out: ScoredPairs = []
@@ -525,11 +520,12 @@ def online_step_score(
     last: StaticGraph,
     incoming: StaticGraph,
     params: KatzParams = KatzParams(),
+    truncate: bool = False,
 ) -> float | None:
     positives = incoming.edges - last.edges
     if not positives:
         return None
-    ranking = katz_scores(last, params)
+    ranking = katz_scores(last, params, truncate)
     return average_precision(ranking, positives)
 
 

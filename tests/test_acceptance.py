@@ -89,7 +89,7 @@ def test_change_point_score_matches_unit_step_integration():
 def test_katz_exact_solve_matches_truncated_path_sums():
     rng = np.random.default_rng(76)
     beta = 0.005
-    params = KatzParams(beta=beta, exact=True)
+    params = KatzParams(beta=beta)
     start = time.perf_counter()
     for _ in range(200):
         n = int(rng.integers(2, 31))

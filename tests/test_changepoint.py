@@ -15,7 +15,6 @@ from graphwin import (
     cp_pr_auc,
     detect_change_points,
     log_star,
-    segment_cost,
     windowed_at,
 )
 
@@ -76,6 +75,14 @@ def segment_cost_oracle(graphs, groups) -> float:
     return cost
 
 
+def state_cost(graphs, groups) -> float:
+    """The search state's cost of a segment under a partition given as groups."""
+    assign = np.empty(graphs[0].n, dtype=int)
+    for gi, grp in enumerate(groups):
+        assign[grp] = gi
+    return changepoint._SegmentState(graphs, assign).cost()
+
+
 def test_segment_cost_matches_oracle():
     rng = np.random.default_rng(9)
     for _ in range(20):
@@ -93,33 +100,23 @@ def test_segment_cost_matches_oracle():
         groups = [list(range(cut)), list(range(cut, n))]
         if not groups[1]:
             groups = [groups[0]]
-        assert segment_cost(graphs, groups) == pytest.approx(
+        assert state_cost(graphs, groups) == pytest.approx(
             segment_cost_oracle(graphs, groups), abs=1e-9
         )
 
 
 def test_two_blocks_compress_better_split():
     g = graph(8, clique_edges(range(4)) | clique_edges(range(4, 8)))
-    together = segment_cost([g], [list(range(8))])
-    apart = segment_cost([g], [list(range(4)), list(range(4, 8))])
+    together = state_cost([g], [list(range(8))])
+    apart = state_cost([g], [list(range(4)), list(range(4, 8))])
     assert apart < together
 
 
 def test_segment_cost_group_order_irrelevant():
     g = graph(6, clique_edges(range(3)) | {(3, 4)})
-    a = segment_cost([g], [[0, 1, 2], [3, 4, 5]])
-    b = segment_cost([g], [[5, 4, 3], [2, 1, 0]])
+    a = state_cost([g], [[0, 1, 2], [3, 4, 5]])
+    b = state_cost([g], [[5, 4, 3], [2, 1, 0]])
     assert a == pytest.approx(b, abs=1e-12)
-
-
-def test_segment_cost_validation():
-    g = graph(3, [(0, 1)])
-    with pytest.raises(ValueError):
-        segment_cost([], [[0, 1, 2]])
-    with pytest.raises(ValueError):
-        segment_cost([g], [[0, 1]])  # not a partition
-    with pytest.raises(ValueError):
-        segment_cost([g], [[0, 1, 2], []])  # empty group
 
 
 # --------------------------------------------------------------------------

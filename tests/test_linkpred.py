@@ -37,8 +37,6 @@ def test_params_validation():
         KatzParams(beta=0.0)
     with pytest.raises(ValueError):
         KatzParams(beta=1.0)
-    with pytest.raises(ValueError):
-        KatzParams(max_path_len=0)
 
 
 def test_single_edge_closed_form():
@@ -65,8 +63,7 @@ def test_exact_solve_matches_walk_enumeration():
 
 def test_truncation_fallback_when_series_diverges():
     g = graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])  # K6, radius 5
-    params = KatzParams(beta=0.25, max_path_len=8)  # 0.25 * 5 >= 1
-    m = katz_matrix(g, params)
+    m = katz_matrix(g, KatzParams(beta=0.25))  # 0.25 * 5 >= 1
     oracle = walk_sum_oracle(g.adjacency(), 0.25, 8)
     assert np.max(np.abs(m - oracle)) < 1e-9
 
@@ -83,7 +80,7 @@ def test_truncation_fallback_when_series_diverges():
 def test_series_at_the_convergence_bound_truncates(g, beta):
     # beta * radius = 1: I - beta*A is singular, and a computed radius a few
     # ulps low must not send it to the closed-form solve
-    m = katz_matrix(g, KatzParams(beta=beta, max_path_len=8))
+    m = katz_matrix(g, KatzParams(beta=beta))
     assert np.max(np.abs(m - walk_sum_oracle(g.adjacency(), beta, 8))) < 1e-9
 
 
@@ -94,18 +91,21 @@ def test_degree_bound_skips_the_eigen_solve(monkeypatch):
     monkeypatch.setattr(linkpred.np.linalg, "eigvalsh", no_eigen_solve)
     g = graph(6, clique_edges(range(6)))  # max degree 5, beta * 5 = 0.5
     exact = katz_matrix(g, KatzParams(beta=0.1))
-    series = katz_matrix(g, KatzParams(beta=0.1, exact=False, max_path_len=80))
+    series = linkpred._truncated_matrix(g.adjacency(), 0.1, 80)
     assert np.max(np.abs(exact - series)) < 1e-12
 
 
 def test_divergence_fallback_warns_once_per_process(caplog, monkeypatch):
     monkeypatch.setattr(linkpred, "_fallback_warned", False)
     params = KatzParams(beta=0.5)
+    k5 = graph(5, clique_edges(range(5)))
     with caplog.at_level(logging.DEBUG, logger="graphwin.linkpred"):
-        katz_matrix(graph(5, clique_edges(range(5))), params)
+        m = katz_matrix(k5, params)
         katz_matrix(graph(6, clique_edges(range(6))), params)
     fallbacks = [r for r in caplog.records if "diverges" in r.getMessage()]
     assert [r.levelno for r in fallbacks] == [logging.WARNING, logging.DEBUG]
+    # the one truncation path: the series' first 8 terms
+    assert np.array_equal(m, linkpred._truncated_matrix(k5.adjacency(), 0.5, 8))
 
 
 def test_truncation_error_bound():
@@ -119,7 +119,7 @@ def test_truncation_error_bound():
         if g.edge_count == 0:
             continue
         exact = katz_matrix(g, KatzParams(beta=beta))
-        truncated = katz_matrix(g, KatzParams(beta=beta, exact=False, max_path_len=max_len))
+        truncated = linkpred._truncated_matrix(g.adjacency(), beta, max_len)
         radius = float(np.max(np.abs(np.linalg.eigvalsh(g.adjacency()))))
         bound = beta ** (max_len + 1) * n * radius ** (max_len + 1) / (1 - beta * radius)
         assert np.max(np.abs(exact - truncated)) <= bound + 1e-15

@@ -234,8 +234,7 @@ def test_supervised_offline_select_picks_best_smallest():
     table = {1: 0.4, 2: 0.9, 3: 0.9, 4: 0.1}
     sel = supervised_offline_select(
         seq_of(3, [(0, 1)], [(1, 2)], [(0, 2)], resolution=1).slice_steps(1, 3),
-        lambda seq, w: table[w] if w <= 4 else 0.0,
-        size_limit=4,
+        lambda seq, w: table[w],
     )
     assert sel.chosen == 2  # ties go to the smaller size
     assert sel.scores == {1: 0.4, 2: 0.9, 3: 0.9}

@@ -113,6 +113,35 @@ def test_byte_order_mark_is_not_part_of_the_first_label(tmp_path):
     assert load_change_points(sidecar, 3).times == (2,)
 
 
+def _outcome(load, source):
+    """What a loader makes of a source: its result, or its error message."""
+    try:
+        out = load(source)
+    except DataFormatError as exc:
+        return str(exc)
+    return (out.events.tolist(), out.labels) if hasattr(out, "events") else out
+
+
+@pytest.mark.parametrize(
+    "load, text",
+    [
+        # each break str.splitlines knows beyond \n, \r\n and \r sits inside a label
+        (parse_edge_stream, "a\x0bb,c\x0cd,1\r\ne\x1cf,g\x1dh,2\ri\x1ej,k\x85l,3\nm\u2028n,o\u2029p,4\n"),
+        (
+            lambda src: load_attributes(src, "grp", ("a\x0cb", "c")),
+            "vertex,grp\r\n#types: categorical\ra\x0cb,x\nc,y\u2028z\n",
+        ),
+        (lambda src: load_change_points(src, 10), "2\r\n# a note\x0cwith a break\r7\n"),
+        (lambda src: load_change_points(src, 10), "3\u20285\n"),
+    ],
+    ids=["stream", "attributes", "change-points", "change-point-error"],
+)
+def test_str_source_splits_lines_as_a_file_does(tmp_path, load, text):
+    path = tmp_path / "source.txt"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _outcome(load, text) == _outcome(load, path)
+
+
 # --------------------------------------------------------------------------
 # binning
 
@@ -273,8 +302,6 @@ def test_load_attributes_errors():
     no_types = "vertex,grp\na,x\nb,y\n"
     with pytest.raises(DataFormatError, match="undeclared"):
         load_attributes(no_types, "grp", ("a", "b"))
-    attrs = load_attributes(no_types, "grp", ("a", "b"), column_types={"grp": "categorical"})
-    assert attrs.classes == ("x", "y")
     dup = "vertex,grp\n#types: categorical\na,x\na,y\n"
     with pytest.raises(DataFormatError, match="duplicate record"):
         load_attributes(dup, "grp", ("a", "b"))
@@ -366,6 +393,7 @@ def test_archive_manifest_is_json(tmp_path: Path):
         ("1,1,0", r"steps\.csv line 3: edge \(1, 0\) not canonical"),
         ("1,0,3", r"steps\.csv line 3: edge \(0, 3\) not canonical, n=3"),
         ("1,0,1,2", r"steps\.csv line 3: malformed row"),
+        ("1,0,1\x0c2,1,2", r"steps\.csv line 3: malformed row"),
         ("4,0,1", r"steps\.csv line 3: step 4 outside \[1, 3\]"),
     ],
 )

@@ -86,7 +86,7 @@ def test_to_graph_sequence_keeps_content_and_scales_resolution():
     seq = seq_of(3, [(0, 1)], [(1, 2)], [(0, 2)], resolution=2)
     ws = windowed_at(seq, 2)
     out = ws.to_graph_sequence()
-    assert out.length == 2
+    assert (out.length, out.resolution) == (2, 2)
     assert out.step(1).edges == frozenset({(0, 1), (1, 2)})
     assert out.step(2).edges == frozenset({(0, 2)})
 
