@@ -37,7 +37,6 @@ from .linkpred import KatzParams
 from .selectors import (
     AdagePolicy,
     OnlineWindowSelector,
-    ScoreLedger,
     SelectorParams,
     SpanScores,
     adage_select,
@@ -101,10 +100,10 @@ ONLINE_SELECTORS = (
 )
 
 # what a flat `params` value must be: a number (never bool, which JSON
-# true/false parse to); an integer >= 1; a retest budget, a number or the
-# string "inf" (unbounded); or true/false
+# true/false parse to); an integer >= 1; or a retest budget, a number or
+# the string "inf" (unbounded)
 _NUMBER, _INTEGER = "must be a number", "must be an integer >= 1"
-_COUNT, _BOOL = 'must be a number >= 1 or "inf"', "must be true or false"
+_COUNT = 'must be a number >= 1 or "inf"'
 # keys of a run config's flat `params` object -> (their rule, the nested
 # `EvalParams` field that holds them and enforces their range; None when
 # `EvalParams` holds and checks them itself)
@@ -118,7 +117,6 @@ _FLAT_KEYS = {
     "tau": (_NUMBER, None),
     "adage_tol": (_NUMBER, None),
     "adage_patience": (_INTEGER, None),
-    "carry_ledger": (_BOOL, None),
 }
 
 
@@ -129,10 +127,10 @@ def _flat_value(key: str, value: object) -> object:
     rule, part = _FLAT_KEYS[key]
     if rule is _COUNT and value == "inf":
         return math.inf
-    types = {_BOOL: (bool,), _INTEGER: (int,)}.get(rule, (int, float))
+    types = (int,) if rule is _INTEGER else (int, float)
     if type(value) not in types or (rule is _INTEGER and value < 1):
         raise ValueError(rule)
-    if rule in (_BOOL, _INTEGER):
+    if rule is _INTEGER:
         return value
     owner = EvalParams() if part is None else getattr(EvalParams(), part)
     try:
@@ -152,9 +150,8 @@ class EvalParams:
     batch_size: attribute leave-out batch size (None = the default size).
     tau: the jaccard baseline's rise threshold.
     adage_tol, adage_patience: the adage baseline's convergence test.
-    selector: the online ledger's knobs.
-    carry_ledger: each online interval pair starts from the ledger the
-        previous pair left instead of an empty one.
+    selector: the online ledger's knobs; every online interval pair
+        starts from an empty ledger.
     """
 
     katz: KatzParams = KatzParams()
@@ -164,7 +161,6 @@ class EvalParams:
     adage_tol: float = 0.01
     adage_patience: int = 3
     selector: SelectorParams = SelectorParams()
-    carry_ledger: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.tau < math.inf:
@@ -617,7 +613,6 @@ def _online_reports(
             raise ValueError(f"unknown online selector {selector!r}")
     spans = SpanScores(params.katz) if spans is None else spans
     results: dict[str, list] = {name: [] for name in selectors}
-    ledgers: dict[str, ScoreLedger | None] = dict.fromkeys(selectors)
     for idx, (a, b) in enumerate(plan.pairs):
         train_span, test_span = plan.spans[a], plan.spans[b]
         first = train_span[0]
@@ -626,7 +621,7 @@ def _online_reports(
         for name in selectors:
             pair_seed = derive_seed(seed, name, "linkpred", idx)
             sels[name] = sel = _make_online_selector(name, seq.n, params, train_span, pair_seed)
-            sel.spans, sel.ledger = spans, ledgers[name] or sel.ledger
+            sel.spans = spans
             details[name] = {"scored": [], "log": []}
         for local, g in enumerate(stream, start=1):
             for name, sel in sels.items():
@@ -642,15 +637,11 @@ def _online_reports(
                 tested = [[w, s] for w, s in record.tested]
                 entry = {"step": local, "tested": tested, "chosen": record.chosen}
                 details[name]["log"].append(entry)
-        for name, sel in sels.items():
+        for name in selectors:
             detail = details[name]
             scores = [e["score"] for e in detail["scored"] if e["score"] is not None]
             if not scores:
                 log.info("pair %s->%s has no scoreable steps; skipped", train_span, test_span)
-            if params.carry_ledger:
-                # the next pair starts from the ledger this one left
-                detail["carried_ledger"] = ledgers[name] is not None
-                ledgers[name] = sel.ledger if sel.policy is None else None
             results[name].append((math.fsum(scores) / len(scores) if scores else None, detail))
     reports = []
     for name in selectors:
@@ -662,7 +653,8 @@ def _online_reports(
             "selector": name,
             "task": "linkpred",
             "seed": seed,
-            "carry_ledger": params.carry_ledger,
+            # every pair starts from an empty ledger; the key keeps report bytes stable
+            "carry_ledger": False,
             "params": {
                 "min_tests": params.selector.min_tests,
                 "top_count": params.selector.top_count,
@@ -687,11 +679,10 @@ def run_online(
 
     For each (train, test) pair the selector consumes the whole contiguous
     stream; predictions targeting test-interval steps are scored by average
-    precision against that step's new links. The ledger resets per pair
-    unless `params.carry_ledger` is set. Pairs without a single scoreable
-    step are skipped; the aggregate is the mean of pair means. This is the
-    suite's loop with one selector, and its report is the one `run_suite`
-    gives that selector.
+    precision against that step's new links. Each pair starts from an
+    empty ledger. Pairs without a single scoreable step are skipped; the
+    aggregate is the mean of pair means. This is the suite's loop with one
+    selector, and its report is the one `run_suite` gives that selector.
     """
     (report,) = _online_reports(seq, plan, [selector], params, seed)
     return report

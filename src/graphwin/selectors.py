@@ -104,24 +104,10 @@ class ScoreLedger:
 
     def __init__(self) -> None:
         self._entries: dict[int, list[tuple[int, float]]] = {}
-        self._held: set[tuple[int, int]] = set()
-        self._latest = 0
 
     def append(self, size: int, step: int, score: float) -> None:
-        """Record a score; a (size, step) pair already held keeps its first
-        score, so a ledger carried over an overlapping span counts each step once."""
-        if (size, step) in self._held:
-            return
-        self._held.add((size, step))
-        self._latest = max(self._latest, step)
+        """Record the score of `size` at `step`; every append is one more entry."""
         self._entries.setdefault(size, []).append((step, score))
-
-    def latest(self) -> int:
-        """The newest step holding a score (0 when empty)."""
-        return self._latest
-
-    def holds(self, size: int, step: int) -> bool:
-        return (size, step) in self._held
 
     def count(self, size: int) -> int:
         return len(self._entries.get(size, ()))
@@ -189,26 +175,22 @@ class OnlineWindowSelector:
     graph, every size seen fewer than `min_tests` times and the current
     `top_count` best sizes are retested by ranking pairs of the history's
     last window at that size with `katz`; scores append to the ledger
-    (steps without new links at a size append nothing; a size the ledger
-    already holds a score of at this step is not retested). A test reads
-    its score from `spans`, a table of `katz` on the ledger clock that
-    scores (and builds the window) only on a miss; selectors on one stream
-    may be given one table to share. The emitted
-    prediction uses the size with the best (decayed) ledger mean, smallest
-    size on ties, size 1 before any score exists. `freeze_after=k` stops all
-    testing after step k and pins the size chosen there (training-only
-    selection).
+    (steps without new links at a size append nothing). A test reads its
+    score from `spans`, a table of `katz` on the ledger clock that scores
+    (and builds the window) only on a miss; selectors on one stream may be
+    given one table to share. The emitted prediction uses the size with the
+    best (decayed) ledger mean, smallest size on ties, size 1 before any
+    score exists. `freeze_after=k` stops all testing after step k and pins
+    the size chosen there (training-only selection).
 
     A `policy` replaces the ledger and nothing is tested. It is called on
     the history, incoming graph included, and returns either a uniform size,
     which is clamped to the history and reported as `chosen`, or a
     `Windowing`, which is used as it is and reported as `chosen=None`.
 
-    `first_step` numbers the first graph on the ledger clock. A ledger
-    carried from one run to the next over the same stream needs absolute
-    step numbers, and a run that replays steps the carried ledger already
-    scored ranks them at the ledger's newest step, so no decay weight sees
-    an entry from the future.
+    `first_step` numbers the first graph on the ledger clock, so the keys
+    of `spans` are absolute steps of the stream. Each selector starts from
+    an empty ledger.
     """
 
     def __init__(
@@ -230,12 +212,12 @@ class OnlineWindowSelector:
         self.spans = SpanScores(katz)
         self.history: list[StaticGraph] = []
         self.ledger = ScoreLedger()
-        self._frozen: int | None = 1 if freeze_after == 0 else None
+        self._frozen: int | None = None
 
     def process(self, incoming: StaticGraph) -> StepRecord:
         self.history.append(incoming)
         i = len(self.history)
-        now = max(self.first_step + i - 1, self.ledger.latest())
+        now = self.first_step + i - 1
         alpha = self.params.alpha
         tested: list[tuple[int, float | None]] = []
         ledger_driven = self.policy is None
@@ -245,9 +227,7 @@ class OnlineWindowSelector:
             best = set(self.ledger.top_sizes(now=now, alpha=alpha, count=self.params.top_count))
             # the history before `incoming` ends at step `end`
             end = self.first_step + i - 2
-            # a carried-over ledger can rank sizes beyond this run's history,
-            # and already holds a score of some sizes at `now`
-            for w in sorted(w for w in fresh | best if w < i and not self.ledger.holds(w, now)):
+            for w in sorted(fresh | best):
                 score = self.spans.score(self.history, self.first_step, end - (i - 2) % w, end)
                 if score is not None:
                     self.ledger.append(w, now, score)
@@ -266,7 +246,7 @@ class OnlineWindowSelector:
         if isinstance(choice, Windowing):
             chosen, windowing = None, choice
         else:
-            # a carried-over ledger can rank sizes beyond this run's history
+            # a policy may return a size beyond the history
             chosen = min(choice, i)
             windowing = uniform_windowing(i, chosen)
         last = last_window(full, windowing)

@@ -326,16 +326,19 @@ class VertexAttributes:
         return tuple(v for v in range(self.n) if self.target in self.rows[v])
 
 
-def _parse_types_line(line: str, feature_cols: Sequence[str]) -> dict[str, str]:
-    body = line.split(":", 1)[1]
+def _parse_types_line(line: str, lineno: int, feature_cols: Sequence[str]) -> dict[str, str]:
+    head, colon, body = line.partition(":")
+    if not colon:
+        raise DataFormatError(f"line {lineno}: {head!r} needs a ':' before the column kinds")
     kinds = [k.strip() for k in body.split(",")]
     if len(kinds) != len(feature_cols):
         raise DataFormatError(
-            f"#types line declares {len(kinds)} kinds for {len(feature_cols)} columns"
+            f"line {lineno}: #types line declares {len(kinds)} kinds"
+            f" for {len(feature_cols)} columns"
         )
     for col, kind in zip(feature_cols, kinds):
         if kind not in (CATEGORICAL, CONTINUOUS):
-            raise DataFormatError(f"unknown column kind {kind!r} for {col!r}")
+            raise DataFormatError(f"line {lineno}: unknown column kind {kind!r} for {col!r}")
     return dict(zip(feature_cols, kinds))
 
 
@@ -349,9 +352,10 @@ def load_attributes(
     The first row is a header whose first column holds the vertex label; the
     remaining columns are features. The file declares every feature column
     categorical or continuous in a `#types:` line after the header (kinds in
-    column order, e.g. `#types: categorical, continuous`). Empty cells are
-    missing values. Vertices absent from the file carry empty records;
-    labels absent from the edge stream are an error.
+    column order, e.g. `#types: categorical, continuous`); header column
+    names are distinct. Empty cells are missing values. Vertices absent
+    from the file carry empty records; labels absent from the edge stream
+    are an error.
     """
     ids = {lab: i for i, lab in enumerate(labels)}
     header: list[str] | None = None
@@ -366,13 +370,16 @@ def load_attributes(
             if line.lower().startswith("#types"):
                 if header is None:
                     raise DataFormatError(f"line {lineno}: #types must follow the header")
-                types = _parse_types_line(line, header[1:])
+                types = _parse_types_line(line, lineno, header[1:])
             continue
         parts = [p.strip() for p in line.split(",")]
         if header is None:
             header = parts
             if len(header) < 2:
                 raise DataFormatError("attribute header needs a label column and features")
+            repeated = sorted({col for col in header if header.count(col) > 1})
+            if repeated:
+                raise DataFormatError(f"line {lineno}: repeated column names {repeated}")
             continue
         if len(parts) != len(header):
             raise DataFormatError(

@@ -616,15 +616,13 @@ def run_online(
 ) -> ExperimentReport:
     """One selector through each interval pair in turn; each emitted
     prediction is scored from its own last window."""
-    cells, ledger = [], None
+    cells = []
     for idx, (a, b) in enumerate(plan.pairs):
         train_span, test_span = plan.spans[a], plan.spans[b]
         stream = seq.slice_steps(train_span[0], test_span[1])
         train_length = train_span[1] - train_span[0] + 1
         pair_seed = derive_seed(seed, selector, "linkpred", idx)
         sel = online_selector(selector, seq.n, params, train_span, pair_seed)
-        if ledger is not None:
-            sel.ledger = ledger
         scores, scored, run_log, previous = [], [], [], None
         for local, g in enumerate(stream.graphs, start=1):
             if previous is not None and local > train_length:
@@ -636,9 +634,6 @@ def run_online(
             tested = [[w, s] for w, s in previous.tested]
             run_log.append({"step": local, "tested": tested, "chosen": previous.chosen})
         detail = {"scored": scored, "log": run_log}
-        if params.carry_ledger:
-            detail["carried_ledger"] = ledger is not None
-            ledger = sel.ledger if sel.policy is None else None
         score = math.fsum(scores) / len(scores) if scores else None
         cells.append(CellResult(selector, "linkpred", idx, train_span, test_span, score, detail))
     means = [c.score for c in cells if c.score is not None]
@@ -647,7 +642,7 @@ def run_online(
         "selector": selector,
         "task": "linkpred",
         "seed": seed,
-        "carry_ledger": params.carry_ledger,
+        "carry_ledger": False,
         "params": {
             "min_tests": params.selector.min_tests,
             "top_count": params.selector.top_count,

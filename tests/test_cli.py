@@ -211,6 +211,18 @@ def test_sweep_validation(dataset, capsys):
     assert "task attribute needs --attributes" in err
 
 
+def test_sweep_rejects_a_types_line_without_colon(dataset, capsys):
+    attrs = dataset["tmp"] / "nocolon.csv"
+    attrs.write_text(dataset["attrs"].read_text().replace("#types:", "#types"))
+    out = dataset["tmp"] / "x.json"
+    rc = main(["sweep", str(dataset["archive"]), "--tasks", "attribute",
+               "--attributes", str(attrs), "--target", "y", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "line 2: '#types categorical' needs a ':'" in err
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------------
 # evaluate
 
@@ -342,17 +354,16 @@ def test_evaluate_rejects_bad_param_values_before_compute(dataset, capsys):
     number = "must be a number, got"
     budget = 'must be a number >= 1 or "inf", got'
     cases = [
-        ({"params": {"carry_ledger": "false"}},
-         ["params.carry_ledger must be true or false, got 'false'"]),
+        ({"params": {"carry_ledger": False}}, ["unknown params keys ['carry_ledger']"]),
         ({"params": {"batch_size": "x"}}, ["params.batch_size must be an integer >= 1, got 'x'"]),
         ({"params": {"batch_size": 0}}, ["params.batch_size must be an integer >= 1, got 0"]),
         ({"params": {"batch_size": True}},
          ["params.batch_size must be an integer >= 1, got True"]),
         (
-            {"params": {"batch_size": 1.5, "carry_ledger": 1}},
+            {"params": {"batch_size": 1.5, "adage_patience": 0}},
             [
                 "params.batch_size must be an integer >= 1, got 1.5",
-                "params.carry_ledger must be true or false, got 1",
+                "params.adage_patience must be an integer >= 1, got 0",
             ],
         ),
         ({"params": {"min_tests": None}}, [f"params.min_tests {budget} None"]),
@@ -411,7 +422,7 @@ def test_evaluate_rejects_bad_param_values_before_compute(dataset, capsys):
         for message in messages:
             assert message in err, (override, err)
         assert not any(path.exists() for path in outputs), override
-    cfg_path.write_text(json.dumps({**cfg, "params": {"batch_size": 1, "carry_ledger": False}}))
+    cfg_path.write_text(json.dumps({**cfg, "params": {"batch_size": 1, "adage_patience": 3}}))
     assert main(["evaluate", str(cfg_path)]) == 0
     assert prefix.with_suffix(".json").exists()
 

@@ -14,7 +14,6 @@ from graphwin import (
     CurveSet,
     EvalParams,
     GraphSequence,
-    ScoreLedger,
     SelectorParams,
     adage_select,
     cross_task_matrix,
@@ -282,65 +281,6 @@ def test_run_online_jobs_do_not_change_the_report():
     assert r1.to_dict() == r2.to_dict()
 
 
-def test_run_online_carry_ledger_links_pairs():
-    seq = split_star_stream(6)
-    plan = split_intervals(18, 3)
-    carried = run_online(seq, plan, "online", params=EvalParams(carry_ledger=True), seed=3)
-    fresh = run_online(seq, plan, "online", params=EvalParams(carry_ledger=False), seed=3)
-    assert [c.detail["carried_ledger"] for c in carried.cells] == [False, True]
-    assert "carried_ledger" not in fresh.cells[0].detail
-    # first pair starts empty either way; the second inherits scores
-    assert carried.cells[0].score == fresh.cells[0].score
-    assert carried.cells[1].score != fresh.cells[1].score
-    assert carried.metadata["carry_ledger"] is True
-
-
-def test_carried_ledger_keys_entries_by_absolute_step(monkeypatch):
-    """A carried ledger must never hold an entry dated after the step it is
-    ranked at (its decay weight would exceed 1), nor one (size, step) twice."""
-    seq = random_sequence(np.random.default_rng(1), 12, 30, 0.25)
-    plan = split_intervals(seq.length, 3)
-    mean = ScoreLedger.mean
-    checked = []
-
-    def checked_mean(self, size, now, alpha):
-        steps = [step for step, _ in self.snapshot()[size]]
-        assert max(steps) <= now
-        assert len(set(steps)) == len(steps)
-        checked.append(size)
-        return mean(self, size, now, alpha)
-
-    monkeypatch.setattr(ScoreLedger, "mean", checked_mean)
-    rep = run_online(seq, plan, "online-weighted", params=EvalParams(carry_ledger=True))
-    assert [c.detail["carried_ledger"] for c in rep.cells] == [False, True]
-    assert checked
-
-
-def test_carried_ledger_skips_sizes_it_already_scored(monkeypatch):
-    """Pair 1 replays pair 0's test span as its training span. A size whose
-    score at the ledger's step is already held is not retested: the test
-    could only offer a score the ledger drops."""
-    seq = random_sequence(np.random.default_rng(1), 12, 30, 0.25)
-    plan = split_intervals(seq.length, 3)
-    params = EvalParams(carry_ledger=True)
-    skipping = run_online(seq, plan, "online-weighted", params=params)
-    monkeypatch.setattr(ScoreLedger, "holds", lambda self, size, step: False)
-    replaying = run_online(seq, plan, "online-weighted", params=params)
-
-    def tests(report):
-        return [sum(len(entry["tested"]) for entry in c.detail["log"]) for c in report.cells]
-
-    assert tests(replaying) == [174, 109]
-    assert tests(skipping) == [174, 95]
-    for kept, full in zip(skipping.cells, replaying.cells):
-        assert kept.score == full.score
-        assert kept.detail["scored"] == full.detail["scored"]
-        for step, whole in zip(kept.detail["log"], full.detail["log"]):
-            assert step["chosen"] == whole["chosen"]
-            assert all(test in whole["tested"] for test in step["tested"])
-    assert skipping.aggregates == replaying.aggregates
-
-
 def test_run_online_adage_honours_its_configured_test():
     seq = random_sequence(np.random.default_rng(2), 10, 24, 0.2)
     plan = split_intervals(seq.length, 2)
@@ -438,15 +378,13 @@ def count_span_scores(monkeypatch) -> tuple[list, list]:
 PLANTED_PARAMS = EvalParams(selector=SelectorParams(min_tests=2, top_count=4, alpha=0.5))
 
 
-@pytest.mark.parametrize("carry_ledger", [False, True])
-def test_online_suite_scores_each_span_once(monkeypatch, carry_ledger):
+def test_online_suite_scores_each_span_once(monkeypatch):
     """The ledger tests and the emitted predictions of every selector and
     interval pair read one span table, so each span is scored once."""
     requested, scored = count_span_scores(monkeypatch)
     seq = planted_sequence()
-    params = EvalParams(selector=PLANTED_PARAMS.selector, carry_ledger=carry_ledger)
     run_suite(seq, split_intervals(seq.length, 3), "online", ONLINE_SELECTORS, "linkpred",
-              params=params, seed=3)
+              params=PLANTED_PARAMS, seed=3)
     assert len(scored) == len(set(requested)) < len(requested) / 2
 
 

@@ -208,8 +208,7 @@ def test_ranking_arrays_match_lexsort_oracle():
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
-@pytest.mark.parametrize("carry_ledger", [False, True])
-def test_online_suite_matches_sequential_oracle(carry_ledger):
+def test_online_suite_matches_sequential_oracle():
     """An online suite steps its selectors in lockstep over one span table;
     each selector's report equals the one of that selector run alone, pair
     by pair, scoring each emitted prediction from its own last window."""
@@ -217,7 +216,7 @@ def test_online_suite_matches_sequential_oracle(carry_ledger):
     knobs = [SelectorParams(), SelectorParams(min_tests=2, top_count=4, alpha=0.5)]
     for (seq, count), selector in itertools.product(streams, knobs):
         plan = split_intervals(seq.length, count)
-        params = EvalParams(selector=selector, carry_ledger=carry_ledger)
+        params = EvalParams(selector=selector)
         suite = run_suite(seq, plan, "online", ONLINE_SELECTORS, "linkpred", params=params, seed=5)
         want = [oracles.run_online(seq, plan, name, params, 5) for name in ONLINE_SELECTORS]
         assert suite.to_dict()["cells"] == [c for rep in want for c in rep.to_dict()["cells"]]

@@ -51,7 +51,6 @@ def test_ledger_counts_and_means():
     led = ScoreLedger()
     led.append(2, 1, 0.5)
     led.append(2, 3, 0.7)
-    led.append(2, 3, 0.1)  # (size, step) already held: the first score stays
     assert led.count(2) == 2
     assert led.count(9) == 0
     assert led.sizes() == [2]
@@ -172,21 +171,6 @@ def test_freeze_after_zero_never_tests():
         rec = sel.process(g)
         assert rec.tested == ()
         assert rec.chosen == 1
-
-
-def test_online_selector_clamps_carried_ledger_sizes():
-    # a ledger carried over from a longer run ranks sizes this run cannot
-    # window yet; they are skipped for testing and the choice is clamped
-    led = ScoreLedger()
-    led.append(3, 2, 0.9)
-    sel = OnlineWindowSelector(4)
-    sel.ledger = led
-    rec = sel.process(graph(4, [(0, 1)]))
-    assert rec.chosen == 1
-    assert rec.tested == ()
-    rec = sel.process(graph(4, [(0, 2)]))
-    assert rec.chosen == 2  # argmax is size 3, clamped to the 2-step history
-    assert [w for w, _ in rec.tested] == [1]
 
 
 def test_fixed_online_selector():

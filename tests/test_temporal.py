@@ -311,6 +311,16 @@ def test_load_attributes_errors():
     cont_target = "vertex,grp\n#types: continuous\na,1\nb,2\n"
     with pytest.raises(DataFormatError, match="must be categorical"):
         load_attributes(cont_target, "grp", ("a", "b"))
+    # a repeated name would key two columns as one and drop the first
+    repeated = "vertex,grp,f,f\n#types: categorical, categorical, continuous\na,x,1,2\nb,y,3,4\n"
+    with pytest.raises(DataFormatError, match=r"line 1: repeated column names \['f'\]"):
+        load_attributes(repeated, "grp", ("a", "b"))
+
+
+def test_types_line_without_colon_names_the_line():
+    text = "vertex,grp\n#types categorical\na,x\nb,y\n"
+    with pytest.raises(DataFormatError, match="line 2: '#types categorical' needs a ':'"):
+        load_attributes(text, "grp", ("a", "b"))
 
 
 def test_attributes_validation_direct():
