@@ -16,15 +16,15 @@ span table (`selectors.SpanScores`); the memo serves the rankings a table
 does not hold. A step's prediction ranks the window its selector has just
 scored, and an online suite advances its selectors in lockstep, so the
 graphs they share at one step stay memoised. `online_step_score` reads the
-arrays directly; `katz_scores` returns a fresh list built from them.
+arrays directly; `katz_scores` returns a read-only view of them.
 """
 from __future__ import annotations
 
 import functools
 import logging
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -40,9 +40,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-# ((u, v), score) in descending score order, lexicographic pair order on ties.
-ScoredPairs = list[tuple[tuple[int, int], float]]
 
 _EPS = float(np.finfo(float).eps)
 
@@ -135,16 +132,44 @@ def _ranked(
     return out
 
 
+class ScoredPairs(Sequence):
+    """Read-only ((u, v), score) sequence over one ranking's read-only arrays
+    u, v, score: an item is built only when read, and a slice is a view."""
+
+    def __init__(self, u: np.ndarray, v: np.ndarray, score: np.ndarray) -> None:
+        self.u, self.v, self.score = u, v, score
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ScoredPairs(self.u[i], self.v[i], self.score[i])
+        return (int(self.u[i]), int(self.v[i])), float(self.score[i])
+
+    def __iter__(self):
+        return zip(zip(self.u.tolist(), self.v.tolist()), self.score.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ScoredPairs):
+            mine, theirs = (self.u, self.v, self.score), (other.u, other.v, other.score)
+            return all(map(np.array_equal, mine, theirs))
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    __hash__ = None
+
+
 def katz_scores(graph: StaticGraph, params: KatzParams = KatzParams()) -> ScoredPairs:
     """Ranked candidate pairs of `graph` by damped path-count score.
 
     Only pairs whose endpoints both have non-zero degree are scored, and pairs
     already joined by an edge are excluded. Ties break lexicographically by
-    pair, so the ranking is total and deterministic. Each call returns a new
-    list.
+    pair, so the ranking is total and deterministic. The result is a
+    read-only view of the memoised ranking, so no caller can change it.
     """
-    u, v, score = _ranked(graph, params)
-    return list(zip(zip(u.tolist(), v.tolist()), score.tolist()))
+    return ScoredPairs(*_ranked(graph, params))
 
 
 def _ap(ranks: Sequence[int] | np.ndarray, positive_count: int) -> float:

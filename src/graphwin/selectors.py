@@ -153,7 +153,7 @@ class StepRecord:
         returned a windowing (the random baseline), even a uniform one.
     last_graph: final window of the emitted windowing; the next step's new
         links are measured against it.
-    prediction: the Katz ranking of `last_graph`.
+    prediction: read-only view of the memoised Katz ranking of `last_graph`.
     """
 
     step: int

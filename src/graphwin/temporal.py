@@ -351,15 +351,16 @@ def load_attributes(
 
     The first row is a header whose first column holds the vertex label; the
     remaining columns are features. The file declares every feature column
-    categorical or continuous in a `#types:` line after the header (kinds in
-    column order, e.g. `#types: categorical, continuous`); header column
-    names are distinct. Empty cells are missing values. Vertices absent
-    from the file carry empty records; labels absent from the edge stream
-    are an error.
+    categorical or continuous in one `#types:` line after the header (kinds in
+    column order, e.g. `#types: categorical, continuous`); other `#` lines
+    are comments. Header column names are distinct. Empty cells are missing
+    values. Vertices absent from the file carry empty records; labels absent
+    from the edge stream are an error.
     """
     ids = {lab: i for i, lab in enumerate(labels)}
     header: list[str] | None = None
     types: dict[str, str] | None = None  # feature column -> kind, in column order
+    types_lineno: int | None = None
     # each vertex's cells, kept as text until the column kinds are known
     cells: list[list[str] | None] = [None] * len(labels)
     for lineno, raw in enumerate(_lines(source), start=1):
@@ -367,10 +368,14 @@ def load_attributes(
         if not line:
             continue
         if line.startswith("#"):
-            if line.lower().startswith("#types"):
+            # `#types` then ':', a space or the end; `#typesetting: ...` is a comment
+            if line[:6].lower() == "#types" and (line[6:7] == ":" or not line[6:7].strip()):
                 if header is None:
                     raise DataFormatError(f"line {lineno}: #types must follow the header")
+                if types_lineno is not None:
+                    raise DataFormatError(f"line {lineno}: second #types line, first at line {types_lineno}")
                 types = _parse_types_line(line, lineno, header[1:])
+                types_lineno = lineno
             continue
         parts = [p.strip() for p in line.split(",")]
         if header is None:

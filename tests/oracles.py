@@ -43,7 +43,7 @@ import graphwin
 from graphwin import harness, linkpred, selectors
 from graphwin.changepoint import DetectionResult, _block_bits, cp_pr_auc, log_star
 from graphwin.harness import CellResult, EvalParams, ExperimentReport, IntervalPlan, derive_seed
-from graphwin.linkpred import KatzParams, ScoredPairs, _truncated_matrix
+from graphwin.linkpred import KatzParams, _truncated_matrix
 from graphwin.selectors import (
     OnlineWindowSelector,
     SelectorParams,
@@ -486,11 +486,11 @@ def katz_matrix(
 
 def katz_scores(
     graph: StaticGraph, params: KatzParams = KatzParams(), truncate: bool = False
-) -> ScoredPairs:
+) -> list[tuple[tuple[int, int], float]]:
     s = katz_matrix(graph, params, truncate)
     deg = graph.degrees()
     active = [v for v in range(graph.n) if deg[v] > 0]
-    out: ScoredPairs = []
+    out: list[tuple[tuple[int, int], float]] = []
     for ia, u in enumerate(active):
         for v in active[ia + 1 :]:
             if (u, v) in graph.edges:

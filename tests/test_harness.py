@@ -413,6 +413,42 @@ def test_online_suite_solves_each_window_graph_once(monkeypatch):
     assert solved and len(solved) == len(set(solved))
 
 
+def test_online_suite_builds_no_prediction_item(monkeypatch):
+    """Every step's prediction is a view of the memoised ranking that no
+    report reads, so the demo stream's online suite builds none of its
+    items, and it solves as many window graphs as when each prediction was
+    a list (211)."""
+    counts = {"items": 0, "predictions": 0, "solves": 0}
+    get = linkpred.ScoredPairs.__getitem__
+    rank, solve = selectors_module.katz_scores, linkpred.katz_matrix
+
+    def counted_iter(self):
+        counts["items"] += 1
+        return iter(())
+
+    def counted_get(self, i):
+        counts["items"] += 1
+        return get(self, i)
+
+    def counted_rank(graph, params):
+        counts["predictions"] += 1
+        return rank(graph, params)
+
+    def counted_solve(graph, params):
+        counts["solves"] += 1
+        return solve(graph, params)
+
+    monkeypatch.setattr(linkpred.ScoredPairs, "__iter__", counted_iter)
+    monkeypatch.setattr(linkpred.ScoredPairs, "__getitem__", counted_get)
+    monkeypatch.setattr(selectors_module, "katz_scores", counted_rank)
+    monkeypatch.setattr(linkpred, "katz_matrix", counted_solve)
+    linkpred._ranked.cache_clear()
+    seq = planted_sequence(copies=1)
+    run_suite(seq, split_intervals(seq.length, 3), "online", ONLINE_SELECTORS, "linkpred",
+              params=PLANTED_PARAMS, seed=3)
+    assert counts == {"items": 0, "predictions": len(ONLINE_SELECTORS) * 2 * 24, "solves": 211}
+
+
 # --------------------------------------------------------------------------
 # suite merging
 

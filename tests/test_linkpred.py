@@ -17,6 +17,7 @@ from graphwin import (
     windowed_at,
 )
 
+import oracles
 from helpers import clique_edges, graph, random_graph, seq_of
 
 
@@ -167,14 +168,46 @@ def test_memoised_ranking_is_read_only():
             arr[0] = 0
 
 
-def test_katz_scores_returns_a_fresh_list():
+def test_katz_scores_is_a_read_only_view_of_the_memo():
     g = random_graph(np.random.default_rng(5), 10, 0.3)
     first = katz_scores(g)
     want = list(first)
-    first.reverse()
-    first[0] = ((0, 0), 1.0)
-    first.append(((1, 1), 2.0))
-    assert katz_scores(g) == want
+    assert len(want) > 3
+    with pytest.raises(AttributeError):
+        first.append(((1, 1), 2.0))
+    with pytest.raises(AttributeError):
+        first.reverse()
+    with pytest.raises(TypeError):
+        first[0] = ((0, 0), 1.0)
+    for arr in (first.u, first.v, first.score):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    again = katz_scores(g)
+    assert again == want and want == again and again == first
+    assert again != want[:-1] and want[1:] != again
+    assert len(first) == len(want)
+    assert first[-1] == want[-1] and first[-len(want)] == want[0]
+    with pytest.raises(IndexError):
+        first[len(want)]
+    for cut in (slice(1, None), slice(None, -2), slice(None, None, 2), slice(-3, -1)):
+        assert first[cut] == want[cut] and want[cut] == first[cut]
+        assert isinstance(first[cut], linkpred.ScoredPairs)
+    assert first.index(want[2]) == 2
+    assert want[1] in first and ((0, 0), 1.0) not in first
+    with pytest.raises(TypeError):
+        hash(first)
+
+
+def test_katz_scores_match_the_plain_ranking():
+    rng = np.random.default_rng(13)
+    for _ in range(30):
+        g = random_graph(rng, int(rng.integers(1, 12)), float(rng.uniform(0.1, 0.6)))
+        want = oracles.katz_scores(g)
+        got = katz_scores(g)
+        assert got == want and want == got
+        assert [got[i] for i in range(len(got))] == want
+        assert list(reversed(got)) == want[::-1]
 
 
 def test_ranking_memo_is_bounded():

@@ -323,6 +323,19 @@ def test_types_line_without_colon_names_the_line():
         load_attributes(text, "grp", ("a", "b"))
 
 
+def test_comment_starting_with_types_is_not_the_kinds_line():
+    text = "vertex,grp\n#typesetting: see notes\n#Types: categorical\na,x\nb,y\n"
+    attrs = load_attributes(text, "grp", ("a", "b"))
+    assert attrs.types == {"grp": "categorical"}
+    assert attrs.labeled() == (0, 1)
+
+
+def test_second_types_line_names_both_lines():
+    text = "vertex,grp,f\n#types: categorical, continuous\na,x,1\n#types: categorical, categorical\nb,y,2\n"
+    with pytest.raises(DataFormatError, match=r"line 4: .*second #types line.*line 2"):
+        load_attributes(text, "grp", ("a", "b"))
+
+
 def test_attributes_validation_direct():
     with pytest.raises(ValueError, match="one row per vertex"):
         VertexAttributes(3, "y", {"y": "categorical"}, ({"y": "a"}, {"y": "b"}))
