@@ -29,7 +29,6 @@ from .harness import (
     EvalParams,
     ExperimentReport,
     IntervalPlan,
-    _flat_value,
     _jsonable,
     _write_json,
     choose_test_windowing,
@@ -342,9 +341,10 @@ def _hyper_grid(hyper: object, errors: list[str]) -> dict | None:
 
     def budget(name: str, value: object) -> object:
         try:
-            return _flat_value("min_tests", value)
+            params = EvalParams.from_flat({"min_tests": value}, lambda _: f"hyperparams.{name}")
+            return params.selector.min_tests
         except ValueError as exc:
-            errors.append(f"hyperparams.{name} {exc}, got {value!r}")
+            errors.append(str(exc))
 
     grid = {"selector": selector, "fixed": budget("fixed", hyper.get("fixed", 10))}
     for key in ("min_tests_values", "top_count_values"):

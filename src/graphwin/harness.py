@@ -10,13 +10,12 @@ and its per-step predictions are scored across the test interval.
 
 Offline work reads one quality table per stage: an entry (task, span,
 windowing) is the task run on that windowing of the span, and each distinct
-entry is scored once, by `_QualityTable.score`, one row (task, span) at a
-time. Supervised selection is the argmax of a training span's row of uniform
-sizes, the offline cells read their test entries, and `score_curves` is the
-table of every uniform size. Link-prediction work reads one span table per
-stage (`SpanScores`), so each one-step-ahead score of a window span is
-computed once, whether a sweep entry, a ledger test or an emitted
-prediction needs it.
+entry is scored once, when it is first read. Supervised selection is the
+argmax of a training span's row of uniform sizes, the offline cells read
+their test entries, and `score_curves` is the table of every uniform size.
+Link-prediction work reads one span table per stage (`SpanScores`), so each
+one-step-ahead score of a window span is computed once, whether a sweep
+entry, a ledger test or an emitted prediction needs it.
 """
 from __future__ import annotations
 
@@ -26,7 +25,7 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -99,14 +98,13 @@ ONLINE_SELECTORS = (
     "adage",
 )
 
-# what a flat `params` value must be: a number (never bool, which JSON
-# true/false parse to); an integer >= 1; or a retest budget, a number or
-# the string "inf" (unbounded)
+# keys of a run config's flat `params` object -> (the JSON type their value
+# must have, the nested `EvalParams` field that holds them; None when
+# `EvalParams` holds them itself). A number is never a bool, which JSON
+# true/false parse to; a retest budget is a number or "inf" (unbounded).
+# The classes that hold the values enforce their ranges.
 _NUMBER, _INTEGER = "must be a number", "must be an integer >= 1"
 _COUNT = 'must be a number >= 1 or "inf"'
-# keys of a run config's flat `params` object -> (their rule, the nested
-# `EvalParams` field that holds them and enforces their range; None when
-# `EvalParams` holds and checks them itself)
 _FLAT_KEYS = {
     "beta": (_NUMBER, "katz"),
     "theta": (_NUMBER, "kernel"),
@@ -118,27 +116,6 @@ _FLAT_KEYS = {
     "adage_tol": (_NUMBER, None),
     "adage_patience": (_INTEGER, None),
 }
-
-
-def _flat_value(key: str, value: object) -> object:
-    """The JSON `value` of flat params key `key` as `EvalParams` holds it.
-    Raises ValueError saying what the value must be when it breaks its rule
-    or lies outside the range its parameter class enforces."""
-    rule, part = _FLAT_KEYS[key]
-    if rule is _COUNT and value == "inf":
-        return math.inf
-    types = (int,) if rule is _INTEGER else (int, float)
-    if type(value) not in types or (rule is _INTEGER and value < 1):
-        raise ValueError(rule)
-    if rule is _INTEGER:
-        return value
-    owner = EvalParams() if part is None else getattr(EvalParams(), part)
-    try:
-        replace(owner, **{key: float(value)})
-    except ValueError as exc:
-        # the classes word their ranges as "<field> must ..."
-        raise ValueError(str(exc).removeprefix(f"{key} ")) from None
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -163,6 +140,10 @@ class EvalParams:
     selector: SelectorParams = SelectorParams()
 
     def __post_init__(self) -> None:
+        batch = 1 if self.batch_size is None else self.batch_size
+        for key, value in (("batch_size", batch), ("adage_patience", self.adage_patience)):
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(f"{key} must be an integer >= 1")
         if not 0.0 <= self.tau < math.inf:
             raise ValueError("tau must be a finite number >= 0")
         if not 0.0 < self.adage_tol < math.inf:
@@ -178,24 +159,26 @@ class EvalParams:
         renders it."""
         unknown = sorted(set(flat) - set(_FLAT_KEYS))
         problems = [f"unknown params keys {unknown}"] if unknown else []
-        values = {}
-        for key in _FLAT_KEYS:
-            if key in flat:
-                try:
-                    values[key] = _flat_value(key, flat[key])
-                except ValueError as exc:
-                    problems.append(f"{name(key)} {exc}, got {flat[key]!r}")
+        params = cls()
+        for key, (rule, part) in _FLAT_KEYS.items():
+            if key not in flat:
+                continue
+            raw = flat[key]
+            value = math.inf if rule is _COUNT and raw == "inf" else raw
+            if type(value) not in ((int,) if rule is _INTEGER else (int, float)):
+                problems.append(f"{name(key)} {rule}, got {raw!r}")
+                continue
+            value = value if rule is _INTEGER else float(value)
+            try:
+                if part is not None:
+                    value = replace(getattr(params, part), **{key: value})
+                params = replace(params, **{part or key: value})
+            except ValueError as exc:
+                # the classes word their ranges as "<field> must ..."
+                problems.append(f"{name(key)} {str(exc).removeprefix(key + ' ')}, got {raw!r}")
         if problems:
             raise ValueError("; ".join(problems))
-        d = cls()
-        fields = {}
-        for key, value in values.items():
-            part = _FLAT_KEYS[key][1]
-            if part is None:
-                fields[key] = value
-            else:
-                fields[part] = replace(fields.get(part, getattr(d, part)), **{key: value})
-        return replace(d, **fields)
+        return params
 
 
 @dataclass(frozen=True)
@@ -250,11 +233,9 @@ def _row(kind: str, span: tuple[int, int]) -> list[Entry]:
 
 
 class _QualityTable:
-    """Task quality per entry of `seq`, each distinct entry scored once.
-
-    `fill` scores the entries the table lacks one (kind, span) row at a
-    time, slicing the row's span once. Reading an entry whose task raised a
-    ValueError raises it. Link-prediction rows read one span table.
+    """Task quality per entry of `seq`, each distinct entry scored once:
+    when it is first read. Reading an entry whose task raised a ValueError
+    raises it again. Link-prediction entries read one span table.
     """
 
     def __init__(
@@ -268,18 +249,11 @@ class _QualityTable:
         self.values: dict[Entry, tuple[float, dict] | ValueError] = {}
         self.spans = SpanScores(params.katz)
 
-    def score(
-        self,
-        kind: str,
-        span: tuple[int, int],
-        segment: GraphSequence,
-        windowing: Windowing,
-        truth: ChangePointLabels | None,
-    ) -> tuple[float, dict]:
-        """How task `kind` scores `segment`, the steps of `span`, under
-        `windowing`: the score, and the detail an offline cell reports.
-        `truth` holds the segment's change points."""
+    def score(self, kind: str, span: tuple[int, int], windowing: Windowing) -> tuple[float, dict]:
+        """How task `kind` scores the steps of `span` under `windowing`: the
+        score, and the detail an offline cell reports."""
         attrs, kernel, batch = self.attrs, self.params.kernel, self.params.batch_size
+        segment = self.seq.slice_steps(*span)
         size = windowing.sizes()[0]
         if kind == "linkpred":
             return linkpred_window_quality(segment, size, self.params.katz, self.spans, span[0]), {}
@@ -287,28 +261,19 @@ class _QualityTable:
             return attr_split_window_quality(segment, size, attrs, kernel, batch), {}
         ws = apply_windowing(segment, windowing)
         if kind == "changepoint":
+            truth = self.cp_truth.restrict(*span)
             result = detect_change_points(ws)
             score = cp_pr_auc(result.times, truth.times, segment.length)
             return score, {"detected": list(result.times), "truth": list(truth.times)}
         pairs = leave_out_scores(ws, attrs, batch, kernel)
         return pairs_auc(pairs, attrs), {"pairs": [[s, lab] for s, lab in pairs]}
 
-    def fill(self, entries: Iterable[Entry]) -> None:
-        rows: dict[tuple[str, tuple[int, int]], dict[Windowing, None]] = {}
-        for kind, span, windowing in entries:
-            if (kind, span, windowing) not in self.values:
-                rows.setdefault((kind, span), {})[windowing] = None
-        for (kind, span), windowings in rows.items():
-            segment = self.seq.slice_steps(*span)
-            truth = self.cp_truth.restrict(*span) if kind == "changepoint" else None
-            for windowing in windowings:
-                try:
-                    value = self.score(kind, span, segment, windowing, truth)
-                except ValueError as exc:
-                    value = exc
-                self.values[kind, span, windowing] = value
-
     def __getitem__(self, entry: Entry) -> tuple[float, dict]:
+        if entry not in self.values:
+            try:
+                self.values[entry] = self.score(*entry)
+            except ValueError as exc:
+                self.values[entry] = exc
         value = self.values[entry]
         if isinstance(value, ValueError):
             raise value
@@ -318,7 +283,6 @@ class _QualityTable:
         """Supervised selection: the best uniform size of the row at training
         `span`, clamped to the test length."""
         row = _row(kind, span)
-        self.fill(row)
         if kind == "changepoint" and not self.cp_truth.restrict(*span).times:
             log.info("training interval has no change points; selection sees empty truth")
         train = self.seq.slice_steps(*span)
@@ -496,11 +460,9 @@ def _offline_reports(
     params: EvalParams,
     seed: int,
 ) -> list[ExperimentReport]:
-    """`run_offline` for each selector, from one quality table. The
-    baselines choose their windowings here first, so that one round scores
-    the supervised training rows and the baseline entries together; the
-    supervised selections then read their rows, and a second round scores
-    the supervised entries the table lacks."""
+    """`run_offline` for each selector, from one quality table: its
+    training rows pick the supervised windowings, and every cell reads its
+    test entry."""
     if task not in ("attribute", "changepoint"):
         raise ValueError(f"offline evaluation covers attribute/changepoint, not {task!r}")
     for selector in selectors:
@@ -510,29 +472,18 @@ def _offline_reports(
         raise ValueError("attribute evaluation needs attributes")
     if task == "changepoint" and cp_truth is None:
         raise ValueError("change-point evaluation needs ground-truth labels")
-    kind = _SUPERVISED_KIND[task]
-    pairs = [(plan.spans[a], plan.spans[b]) for a, b in plan.pairs]
-    supervised = "supervised" in selectors
     table = _QualityTable(seq, attrs, cp_truth, params)
-    cells = {}
-    for name in [name for name in selectors if name != "supervised"]:
-        for idx, (_, test) in enumerate(pairs):
-            cell_seed = derive_seed(seed, name, task, idx)
-            windowing = _baseline_windowing(name, seq.slice_steps(*test), params, cell_seed)
-            cells[name, idx] = (task, test, windowing)
-    training = [e for train, _ in pairs for e in _row(kind, train)] if supervised else []
-    table.fill(training + list(cells.values()))
-    if supervised:
-        for idx, (train, test) in enumerate(pairs):
-            windowing = table.select(kind, train, test[1] - test[0] + 1)
-            cells["supervised", idx] = (task, test, windowing)
-        table.fill(cells.values())
     reports = []
     for name in selectors:
         results = []
-        for idx in range(len(pairs)):
-            windowing = cells[name, idx][2]
-            score, detail = table[cells[name, idx]]
+        for idx, (a, b) in enumerate(plan.pairs):
+            train, test = plan.spans[a], plan.spans[b]
+            if name == "supervised":
+                windowing = table.select(_SUPERVISED_KIND[task], train, test[1] - test[0] + 1)
+            else:
+                cell_seed = derive_seed(seed, name, task, idx)
+                windowing = _baseline_windowing(name, seq.slice_steps(*test), params, cell_seed)
+            score, detail = table[task, test, windowing]
             cuts, sizes = list(windowing.cuts), list(windowing.sizes())
             results.append((score, {"windowing": cuts, "window_sizes": sizes, **detail}))
         reports.append(_offline_report(plan, name, task, attrs, seed, results))
@@ -795,11 +746,9 @@ def score_curves(
         raise ValueError("change-point curves need ground-truth labels")
     w_max = min(b - a + 1 for a, b in plan.spans)
     sizes = tuple(range(1, w_max + 1))
-    rows = {(task, span): _row(task, span)[:w_max] for task in tasks for span in plan.spans}
     table = _QualityTable(seq, attrs, cp_truth, params)
-    table.fill(entry for row in rows.values() for entry in row)
     values = {
-        task: tuple(tuple(table[e][0] for e in rows[task, span]) for span in plan.spans)
+        task: tuple(tuple(table[e][0] for e in _row(task, span)[:w_max]) for span in plan.spans)
         for task in tasks
     }
     return CurveSet(tuple(tasks), sizes, plan.spans, values, dataset_id)

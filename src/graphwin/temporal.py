@@ -354,15 +354,16 @@ def load_attributes(
     categorical or continuous in one `#types:` line after the header (kinds in
     column order, e.g. `#types: categorical, continuous`); other `#` lines
     are comments. Header column names are distinct. Empty cells are missing
-    values. Vertices absent from the file carry empty records; labels absent
-    from the edge stream are an error.
+    values; other continuous cells are finite numbers. Vertices absent from
+    the file carry empty records; labels absent from the edge stream are an
+    error.
     """
     ids = {lab: i for i, lab in enumerate(labels)}
     header: list[str] | None = None
     types: dict[str, str] | None = None  # feature column -> kind, in column order
     types_lineno: int | None = None
-    # each vertex's cells, kept as text until the column kinds are known
-    cells: list[list[str] | None] = [None] * len(labels)
+    # each vertex's line number and cells, kept as text until the column kinds are known
+    cells: list[tuple[int, list[str]] | None] = [None] * len(labels)
     for lineno, raw in enumerate(_lines(source), start=1):
         line = raw.strip()
         if not line:
@@ -395,7 +396,7 @@ def load_attributes(
             raise DataFormatError(f"line {lineno}: vertex label {lab!r} not in the edge stream")
         if cells[ids[lab]] is not None:
             raise DataFormatError(f"line {lineno}: duplicate record for vertex {lab!r}")
-        cells[ids[lab]] = parts[1:]
+        cells[ids[lab]] = lineno, parts[1:]
     if header is None:
         raise DataFormatError("attribute file has no header row")
     feature_cols = header[1:]
@@ -406,18 +407,24 @@ def load_attributes(
     if types[target] != CATEGORICAL:
         raise DataFormatError(f"target column {target!r} must be categorical")
     final_rows: list[dict[str, object]] = []
-    for v, row in enumerate(cells):
+    for v, record in enumerate(cells):
+        lineno, row = record or (0, [])
         rec: dict[str, object] = {}
-        for col, cell in zip(feature_cols, row or ()):
+        for col, cell in zip(feature_cols, row):
             if cell == "":
                 continue
             if types[col] == CONTINUOUS:
                 try:
-                    rec[col] = float(cell)
+                    value = float(cell)
                 except ValueError:
+                    value = None
+                if value is None or not math.isfinite(value):
+                    problem = "non-numeric" if value is None else "non-finite"
                     raise DataFormatError(
-                        f"vertex {labels[v]!r}: non-numeric value {cell!r} in continuous column {col!r}"
-                    ) from None
+                        f"line {lineno}: vertex {labels[v]!r}: {problem} value {cell!r}"
+                        f" in continuous column {col!r}"
+                    )
+                rec[col] = value
             else:
                 rec[col] = cell
         final_rows.append(rec)

@@ -43,6 +43,7 @@ from graphwin.selectors import (
     powerlaw_exponent,
 )
 from graphwin.temporal import ChangePointLabels, StaticGraph, VertexAttributes
+from graphwin.windows import uniform_windowing
 
 import oracles
 from helpers import (
@@ -71,6 +72,15 @@ def test_split_intervals_remainder_goes_first():
     assert sizes == [3, 2, 2, 2, 2, 2]
     assert plan.spans[0] == (1, 3)
     assert plan.spans[-1] == (12, 13)
+
+
+def test_eval_params_refuses_integers_out_of_range():
+    for key in ("batch_size", "adage_patience"):
+        for value in (0, -5, 1.5, "2"):
+            with pytest.raises(ValueError, match=f"^{key} must be an integer >= 1$"):
+                EvalParams(**{key: value})
+    assert EvalParams(batch_size=None, adage_patience=1).batch_size is None
+    assert EvalParams(batch_size=1).batch_size == 1
 
 
 def test_split_intervals_validation():
@@ -245,6 +255,27 @@ def test_offline_suite_scores_each_windowed_span_once(monkeypatch):
         assert len(cells) < len(report.cells)  # selectors collide
         assert calls[name]
         assert len(set(calls[name])) == len(calls[name])
+
+
+def test_quality_table_caches_a_task_error(monkeypatch):
+    seq, attrs = noisy_homophily()
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return selectors_module.attr_split_window_quality(*args)
+
+    monkeypatch.setattr(harness, "attr_split_window_quality", counted)
+    table = harness._QualityTable(seq, attrs, None, EvalParams(batch_size=2))
+    # the halves of a 6-step training span hold 3 steps each
+    entry = ("attribute-split", (1, 6), uniform_windowing(6, 4))
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ValueError, match="size 4 exceeds a training half") as info:
+            table[entry]
+        errors.append(info.value)
+    assert errors[0] is errors[1]
+    assert calls == [4]
 
 
 # --------------------------------------------------------------------------

@@ -315,6 +315,13 @@ def test_load_attributes_errors():
     repeated = "vertex,grp,f,f\n#types: categorical, categorical, continuous\na,x,1,2\nb,y,3,4\n"
     with pytest.raises(DataFormatError, match=r"line 1: repeated column names \['f'\]"):
         load_attributes(repeated, "grp", ("a", "b"))
+    # a continuous cell must be a finite number; the error names its line
+    for cell, problem in (("tall", "non-numeric"), ("nan", "non-finite"),
+                          ("inf", "non-finite"), ("-inf", "non-finite")):
+        text = f"vertex,grp,age\n#types: categorical, continuous\na,x,10\n\nb,y,{cell}\n"
+        message = rf"line 5: vertex 'b': {problem} value '{cell}' in continuous column 'age'"
+        with pytest.raises(DataFormatError, match=message):
+            load_attributes(text, "grp", ("a", "b"))
 
 
 def test_types_line_without_colon_names_the_line():
