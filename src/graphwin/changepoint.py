@@ -9,9 +9,11 @@ closes it and starts fresh; a fresh start is a detected change point.
 
 The local search scores a whole sweep in one vectorised pass: every
 remaining vertex's cost after a move to every target group, from the
-vertex's contact counts per group. Each candidate cost adds the same float
-terms in the same order as a full `cost()` after the move, so the moves, the
-tie-breaks and the reported costs are those of trying each move in turn.
+vertex's contact counts per group. `_code_length` is the one statement of
+the code and its term order, and `_moved_rows` the one statement of a move's
+block counts; `cost()` and every candidate cost are computed by them, so the
+moves, the tie-breaks and the reported costs are those of trying each move
+in turn.
 A pass stops at the first vertex with an improving move, which is applied
 before the sweep goes on from the next vertex; most sweeps move nothing.
 """
@@ -75,6 +77,34 @@ def _block_bits(cells: int, ones: int) -> float:
     return math.log2(cells + 1) + cells * binary_entropy(ones / cells)
 
 
+def _bits(cells: int, ones: int | np.ndarray) -> float | np.ndarray:
+    """`_block_bits` of a count, or of each count in an array (one call per distinct count)."""
+    if isinstance(ones, int):
+        return _block_bits(cells, ones)
+    low = int(ones.min())
+    offsets = ones - low
+    counts = np.bincount(offsets)
+    table = np.zeros(len(counts))
+    seen = np.flatnonzero(counts)
+    table[seen] = [_block_bits(cells, low + x) for x in seen.tolist()]
+    return table[offsets]
+
+
+def _code_length(sizes: Sequence[int], seg_len: int, ones) -> float | np.ndarray:
+    """Bits of seg_len graphs under groups of these sizes, added in this order: the
+    live-group count, each live size, then each block a <= b over live groups in
+    index order. `ones(a, b)` is a block's edge count: an int, or one per candidate."""
+    live = [g for g, size in enumerate(sizes) if size > 0]
+    total = log_star(len(live))
+    for a in live:
+        total += log_star(sizes[a])
+    for ia, a in enumerate(live):
+        for b in live[ia:]:
+            cells = sizes[a] * (sizes[a] - 1) // 2 if a == b else sizes[a] * sizes[b]
+            total += _bits(cells * seg_len, ones(a, b))
+    return total
+
+
 class _SegmentState:
     """Segment encoding for the local search.
 
@@ -124,34 +154,30 @@ class _SegmentState:
         self._add_contacts(g)
         self._set_assignment(self.assign)
 
+    def _moved_rows(self, src: int, dst: int, contact: np.ndarray) -> dict[int, np.ndarray]:
+        """Rows src and dst of the block counts after moving a vertex with
+        these contact counts per group from src to dst. contact is one
+        vector, or a stack of them (one per vertex) for a stack of rows."""
+        cross = self.blocks[src, dst] + contact[..., src] - contact[..., dst]
+        rows = {src: self.blocks[src] - contact, dst: self.blocks[dst] + contact}
+        rows[src][..., dst] = cross
+        rows[dst][..., src] = cross
+        return rows
+
     def _shift(self, v: int, src: int, dst: int, contact: np.ndarray) -> None:
         # Re-home v's block contributions from group src to group dst. The
         # contact vector depends only on other vertices, so the same vector
         # reverses the move.
-        b = self.blocks
-        cross = b[src, dst] + contact[src] - contact[dst]
-        b[src] -= contact
-        b[dst] += contact
-        b[src, dst] = cross
-        b[:, src] = b[src]
-        b[:, dst] = b[dst]
+        for g, row in self._moved_rows(src, dst, contact).items():
+            self.blocks[g] = row
+            self.blocks[:, g] = row
         self.sizes[src] -= 1
         self.sizes[dst] += 1
         self.assign[v] = dst
 
     def cost(self) -> float:
-        sizes = self.sizes
         blocks = self.blocks.tolist()
-        live = [g for g in range(len(sizes)) if sizes[g] > 0]
-        seg_len = self.graph_count
-        total = log_star(len(live))
-        for a in live:
-            total += log_star(sizes[a])
-        for ia, a in enumerate(live):
-            total += _block_bits(sizes[a] * (sizes[a] - 1) // 2 * seg_len, blocks[a][a])
-            for b in live[ia + 1 :]:
-                total += _block_bits(sizes[a] * sizes[b] * seg_len, blocks[a][b])
-        return total
+        return _code_length(self.sizes, self.graph_count, lambda a, b: blocks[a][b])
 
     def _ensure_spare(self) -> int:
         """Index of an empty group slot, appending one if needed."""
@@ -172,9 +198,10 @@ class _SegmentState:
         that improves the cost by more than `_IMPROVEMENT_EPS`, the first
         target on a tie. A sweep scores all vertices from the current one on
         in one vectorised pass, each gain bit-identical to `cost()` before
-        the move minus `cost()` after it; it applies the first vertex's move
-        and scores again from the next vertex. Stopping at the sweep cap
-        before a sweep without moves is logged.
+        the move minus `cost()` after it, as `_code_length` fixes the term
+        order of both; it applies the first vertex's move and scores again
+        from the next vertex. Stopping at the sweep cap before a sweep
+        without moves is logged.
         """
         for sweeps in range(1, _MAX_SWEEPS + 1):
             improved = False
@@ -224,55 +251,26 @@ class _SegmentState:
 
     def _move_costs(self, src: int, dst: int, contact: np.ndarray) -> np.ndarray:
         """cost() after moving each vertex of group src to group dst, given
-        each one's contact counts per group (one row each).
-
-        The terms are cost()'s, added in its order: the code of the group
-        count and sizes as one float, then each block term across all rows.
-        """
+        each one's contact counts per group (one row each): `_code_length`
+        of the sizes after the move, reading blocks src and dst from each
+        vertex's `_moved_rows`."""
         sizes = list(self.sizes)
         sizes[src] -= 1
         sizes[dst] += 1
-        live = [g for g, size in enumerate(sizes) if size > 0]
-        total = log_star(len(live))
-        for a in live:
-            total += log_star(sizes[a])
-        # rows src and dst of the block counts after each move, as in _shift
-        moved = {src: self.blocks[src] - contact, dst: self.blocks[dst] + contact}
-        cross = self.blocks[src, dst] + contact[:, src] - contact[:, dst]
-        moved[src][:, dst] = cross
-        moved[dst][:, src] = cross
-        out = np.full(len(contact), total)
-        for ia, a in enumerate(live):
-            for b in live[ia:]:
-                cells = sizes[a] * (sizes[a] - 1) // 2 if a == b else sizes[a] * sizes[b]
-                cells *= self.graph_count
-                if a in moved:
-                    out += _bits(cells, moved[a][:, b])
-                elif b in moved:
-                    out += _bits(cells, moved[b][:, a])
-                else:
-                    out += _block_bits(cells, int(self.blocks[a, b]))
-        return out
+        moved = self._moved_rows(src, dst, contact)
+        blocks = self.blocks.tolist()
 
+        def ones(a: int, b: int) -> int | np.ndarray:
+            return moved[a][:, b] if a in moved else moved[b][:, a] if b in moved else blocks[a][b]
 
-def _bits(cells: int, ones: np.ndarray) -> np.ndarray:
-    """`_block_bits` of each count in ones, one call per distinct count."""
-    low = int(ones.min())
-    offsets = ones - low
-    counts = np.bincount(offsets)
-    table = np.zeros(len(counts))
-    seen = np.flatnonzero(counts)
-    table[seen] = [_block_bits(cells, low + x) for x in seen.tolist()]
-    return table[offsets]
+        return _code_length(sizes, self.graph_count, ones)
 
 
 @dataclass(frozen=True)
 class DetectionResult:
-    """Detected change points (1-based initial-resolution step indices) plus
-    the window index at which each new segment began."""
+    """Detected change points (1-based initial-resolution step indices)."""
 
     times: tuple[int, ...]
-    segment_starts: tuple[int, ...]
 
 
 def detect_change_points(ws: WindowedSequence) -> DetectionResult:
@@ -289,7 +287,6 @@ def detect_change_points(ws: WindowedSequence) -> DetectionResult:
     state = _SegmentState([graphs[0]], np.zeros(ws.n, dtype=int))
     state.search()
     times: list[int] = []
-    starts: list[int] = [1]
     for p in range(2, len(graphs) + 1):
         g = graphs[p - 1]
         extended = state.clone()
@@ -301,9 +298,8 @@ def detect_change_points(ws: WindowedSequence) -> DetectionResult:
             state = extended
         else:
             times.append(spans[p - 1][0])
-            starts.append(p)
             state = fresh
-    return DetectionResult(tuple(times), tuple(starts))
+    return DetectionResult(tuple(times))
 
 
 def cp_pr_auc(

@@ -40,6 +40,7 @@ __all__ = [
 
 CATEGORICAL = "categorical"
 CONTINUOUS = "continuous"
+_MAX_CONTINUOUS = 1e100  # so any squared gap over the Gaussian variance floor stays finite
 
 ARCHIVE_FORMAT = 1
 _BLOCK = 1 << 12  # lines parsed at once: bounds the memory of their strings, and is cache-sized
@@ -354,9 +355,9 @@ def load_attributes(
     categorical or continuous in one `#types:` line after the header (kinds in
     column order, e.g. `#types: categorical, continuous`); other `#` lines
     are comments. Header column names are distinct. Empty cells are missing
-    values; other continuous cells are finite numbers. Vertices absent from
-    the file carry empty records; labels absent from the edge stream are an
-    error.
+    values; other continuous cells are numbers x with |x| <= 1e100, so the
+    Gaussian model's terms stay finite. Vertices absent from the file carry
+    empty records; labels absent from the edge stream are an error.
     """
     ids = {lab: i for i, lab in enumerate(labels)}
     header: list[str] | None = None
@@ -418,8 +419,9 @@ def load_attributes(
                     value = float(cell)
                 except ValueError:
                     value = None
-                if value is None or not math.isfinite(value):
-                    problem = "non-numeric" if value is None else "non-finite"
+                if value is None or not abs(value) <= _MAX_CONTINUOUS:
+                    big = value is not None and math.isfinite(value)
+                    problem = "out-of-range" if big else "non-numeric" if value is None else "non-finite"
                     raise DataFormatError(
                         f"line {lineno}: vertex {labels[v]!r}: {problem} value {cell!r}"
                         f" in continuous column {col!r}"

@@ -451,7 +451,6 @@ def detect_change_points(ws: WindowedSequence) -> DetectionResult:
     state = _SegmentState.build([graphs[0]], np.zeros(ws.n, dtype=int))
     state.search()
     times: list[int] = []
-    starts: list[int] = [1]
     for p in range(2, len(graphs) + 1):
         g = graphs[p - 1]
         extended = state.clone()
@@ -463,9 +462,8 @@ def detect_change_points(ws: WindowedSequence) -> DetectionResult:
             state = extended
         else:
             times.append(spans[p - 1][0])
-            starts.append(p)
             state = fresh
-    return DetectionResult(tuple(times), tuple(starts))
+    return DetectionResult(tuple(times))
 
 
 

@@ -15,6 +15,7 @@ from graphwin import (
     edge_weight,
     fit_model,
     leave_out_scores,
+    load_attributes,
     pairs_auc,
     predict_attribute,
     roc_auc,
@@ -123,6 +124,20 @@ def test_predict_degenerate_variance_dominates():
     label, posterior = predict_attribute(model, ws, attrs, 0)
     assert label == "a"
     assert posterior < 1e-6  # posterior is for the positive class "b"
+
+
+def test_largest_continuous_values_keep_every_posterior_finite():
+    # load_attributes accepts |x| <= 1e100, and a squared gap over the
+    # variance floor (4e200 / 2e-9) stays finite, so no log-likelihood is -inf
+    zs = ("1e100", "-1e100", "1e100", "-1e100", "-1e100", "1e100")  # both signs per class
+    rows = "".join(f"{v},{'ab'[v % 2]},{z}\n" for v, z in enumerate(zs))
+    text = "vertex,y,z\n#types: categorical, continuous\n" + rows
+    attrs = load_attributes(text, "y", [str(v) for v in range(6)])
+    assert [row["z"] for row in attrs.rows] == [float(z) for z in zs]
+    ws = windowed_at(seq_of(6, [(0, 1), (2, 3)], [(4, 5)]), 1)
+    scores = leave_out_scores(ws, attrs, 1)
+    assert len(scores) == 6
+    assert all(math.isfinite(posterior) for posterior, _ in scores)
 
 
 def test_fit_model_requires_labelled_vertices():

@@ -427,6 +427,29 @@ def test_evaluate_rejects_bad_param_values_before_compute(dataset, capsys):
     assert prefix.with_suffix(".json").exists()
 
 
+def test_evaluate_refuses_a_continuous_value_too_large_for_the_gaussian_model(dataset, capsys):
+    # it used to fail inside the Gaussian model: runtime error, exit 2
+    attrs = dataset["tmp"] / "big.csv"
+    rows = "\n".join(f"v{i},{'ab'[i % 2]},{'1e300' if i == 0 else i}" for i in range(8))
+    attrs.write_text("vertex,y,z\n#types: categorical, continuous\n" + rows + "\n")
+    cfg = {
+        "archive": str(dataset["archive"]),
+        "mode": "offline",
+        "task": "attribute",
+        "selectors": ["hand-picked"],
+        "attributes": str(attrs),
+        "target": "y",
+        "intervals": 2,
+        "output": str(dataset["tmp"] / "out" / "attr"),
+    }
+    cfg_path = dataset["tmp"] / "big.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["evaluate", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert "line 3: vertex 'v0': out-of-range value '1e300' in continuous column 'z'" in err
+    assert not (dataset["tmp"] / "out").exists()
+
+
 def test_tuning_flags_are_validated_before_compute(dataset, capsys, monkeypatch):
     def no_compute(path):
         pytest.fail("the archive was loaded despite a validation failure")

@@ -30,6 +30,7 @@ from graphwin import (
     apply_windowing,
     average_precision,
     bin_initial,
+    default_batch_size,
     detect_change_points,
     katz_scores,
     leave_out_scores,
@@ -261,7 +262,50 @@ def test_segment_search_matches_oracle(draw_seed, kind, n, length, singletons, r
     graphs = [katz_graph(rng, kind, n) for _ in range(1 if repeat else length)]
     graphs *= length if repeat else 1
     start = rng.permutation(n) if singletons else rng.integers(0, int(rng.integers(1, n + 1)), n)
+    search_against_oracle(_SegmentState(graphs, start), graphs, start)
+
+
+def test_segment_search_into_an_emptied_middle_slot_matches_oracle():
+    """A fixed search over three copies of one graph in which vertex 4
+    leaves slot 3 of 5, emptying it, and in the next sweep vertex 0 moves
+    into it as the spare while three groups are live: the candidate costs
+    then add per-candidate block terms (the moved rows) between scalar ones,
+    in the order `_code_length` fixes for both. Adding each row's blocks in
+    reverse order changes the cost in its last bits here."""
+    edges = [(0, 2), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5),
+             (2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (4, 5)]
+    graphs = [StaticGraph(7, frozenset(edges))] * 3
+    start = np.array([1, 2, 0, 1, 4, 0, 1])  # compacts to slots 0, 1, 2, 0, 3, 2, 0
     ours = _SegmentState(graphs, start)
+    reused = []
+    shift = ours._shift
+
+    def record_then_shift(v, src, dst, contact):
+        if ours.sizes[dst] == 0:
+            reused.append((v, dst, len(ours.sizes), sum(size > 0 for size in ours.sizes)))
+        shift(v, src, dst, contact)
+
+    ours._shift = record_then_shift
+    assert search_against_oracle(ours, graphs, start) == 3
+    assert (0, 3, 5, 3) in reused  # (vertex, slot, slots, live groups)
+    assert ours.assign.tolist() == [0, 1, 2, 1, 3, 3, 4]
+
+
+def test_segment_search_breaks_exact_ties_as_the_oracle_does():
+    """K5 from singletons: the targets of each move tie in exact arithmetic,
+    so the one taken rests on how each candidate cost rounds (vertex 0 goes
+    to slot 2, not 1). Adding a candidate's scalar block terms before its
+    per-candidate ones, against `cost()`'s order, takes other slots here."""
+    graphs = [StaticGraph(5, frozenset(itertools.combinations(range(5), 2)))]
+    ours = _SegmentState(graphs, np.arange(5))
+    assert search_against_oracle(ours, graphs, np.arange(5)) == 2
+    assert ours.assign.tolist() == [0] * 5
+
+
+def search_against_oracle(ours: _SegmentState, graphs, start) -> int:
+    """Search from `start` with ours and with the oracle, and check they agree:
+    the sweeps, the group slots left before compaction (so each spare went
+    to the same slot), the assignment and the cost. Returns the sweeps."""
     plain = oracles._SegmentState.build(graphs, start)
     slots = []
 
@@ -276,6 +320,7 @@ def test_segment_search_matches_oracle(draw_seed, kind, n, length, singletons, r
     assert sweeps[0] == sweeps[1]
     assert ours.assign.tolist() == plain.assign.tolist()
     assert ours.cost() == plain.cost()
+    return sweeps[0]
 
 
 @seed(1702)
@@ -301,6 +346,23 @@ def test_leave_out_scores_match_oracle(draw_seed, n, length, theta, split):
     assert leave_out_scores(ws, attrs, batch_size, kernel, eval_ws) == oracles.leave_out_scores(
         ws, attrs, batch_size, kernel, eval_ws
     )
+
+
+def test_leave_out_scores_match_oracle_at_benchmark_scale():
+    """n = 150 with labelled ids up to 149, at the default batch size: every
+    fitting set, which `fit_model` holds as a Python set, then iterates out
+    of id order, as at the offline benchmark's inputs, so a kernel that sums
+    in id order would differ in the last bits."""
+    rng = np.random.default_rng(1)
+    attrs = random_attributes(rng, 150)
+    ws = apply_windowing(community_sequence(rng, 150, 4), random_windowing(rng, 4))
+    labelled = list(attrs.labeled())
+    assert max(labelled) >= 128
+    b = default_batch_size(len(labelled))
+    for start in range(0, len(labelled), b):
+        known = [v for v in labelled if v not in labelled[start : start + b]]
+        assert list({v for v in known}) != known
+    assert leave_out_scores(ws, attrs) == oracles.leave_out_scores(ws, attrs)
 
 
 def test_quality_table_matches_cell_oracles():

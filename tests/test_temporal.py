@@ -315,9 +315,11 @@ def test_load_attributes_errors():
     repeated = "vertex,grp,f,f\n#types: categorical, categorical, continuous\na,x,1,2\nb,y,3,4\n"
     with pytest.raises(DataFormatError, match=r"line 1: repeated column names \['f'\]"):
         load_attributes(repeated, "grp", ("a", "b"))
-    # a continuous cell must be a finite number; the error names its line
+    # a continuous cell must be a number of magnitude <= 1e100 (the Gaussian
+    # model's (x - mean) ** 2 overflowed at 1e300); the error names its line
     for cell, problem in (("tall", "non-numeric"), ("nan", "non-finite"),
-                          ("inf", "non-finite"), ("-inf", "non-finite")):
+                          ("inf", "non-finite"), ("-inf", "non-finite"),
+                          ("1e300", "out-of-range"), ("-1e101", "out-of-range")):
         text = f"vertex,grp,age\n#types: categorical, continuous\na,x,10\n\nb,y,{cell}\n"
         message = rf"line 5: vertex 'b': {problem} value '{cell}' in continuous column 'age'"
         with pytest.raises(DataFormatError, match=message):
