@@ -59,7 +59,9 @@ class SelectorParams:
 
     min_tests: retest any size scored fewer than this many times (inf = always).
     top_count: how many of the best-scoring sizes to retest each step (inf = all).
-    alpha: per-step decay of old scores in the ledger mean; 1 = plain mean.
+    alpha: per-step decay of a size's older scores in its ledger mean, each
+        weighed by alpha ** (steps behind that size's newest score); 1 = plain
+        mean.
     """
 
     min_tests: float = 10.0
@@ -100,47 +102,49 @@ class SpanScores:
 
 
 class ScoreLedger:
-    """Per-size lists of (step, score) pairs with decayed-mean ranking."""
+    """Per-size lists of (step, score) pairs, ranked by a decayed mean.
 
-    def __init__(self) -> None:
+    A size's entry at step s weighs `alpha ** (newest - s)`, where `newest`
+    is the step of that size's newest entry; entries arrive in step order.
+    Only relative weights enter a mean, so in exact arithmetic it equals the
+    mean weighed from any later clock, and it changes only when its size
+    gets a new entry: it is computed then, once, and kept. The newest entry
+    weighs 1, so no stream is long enough to underflow every weight. At
+    alpha = 1 it is the plain mean.
+    """
+
+    def __init__(self, alpha: float) -> None:
+        self._alpha = alpha
         self._entries: dict[int, list[tuple[int, float]]] = {}
+        self._means: dict[int, float] = {}
 
     def append(self, size: int, step: int, score: float) -> None:
         """Record the score of `size` at `step`; every append is one more entry."""
-        self._entries.setdefault(size, []).append((step, score))
+        entries = self._entries.setdefault(size, [])
+        entries.append((step, score))
+        num = math.fsum(self._alpha ** (step - s) * x for s, x in entries)
+        den = math.fsum(self._alpha ** (step - s) for s, _ in entries)
+        self._means[size] = num / den
 
     def count(self, size: int) -> int:
         return len(self._entries.get(size, ()))
 
-    def sizes(self) -> list[int]:
-        return sorted(w for w, entries in self._entries.items() if entries)
-
-    def mean(self, size: int, now: int, alpha: float) -> float:
-        entries = self._entries[size]
-        if alpha == 1.0:
-            return math.fsum(s for _, s in entries) / len(entries)
-        num = math.fsum(alpha ** (now - step) * s for step, s in entries)
-        den = math.fsum(alpha ** (now - step) for step, _ in entries)
-        return num / den
-
-    def ranked(self, now: int, alpha: float) -> list[tuple[int, float]]:
+    def ranked(self) -> list[tuple[int, float]]:
         """(size, mean) best-first; ties prefer the smaller size."""
-        rows = [(w, self.mean(w, now, alpha)) for w in self.sizes()]
-        rows.sort(key=lambda r: (-r[1], r[0]))
-        return rows
+        return sorted(self._means.items(), key=lambda r: (-r[1], r[0]))
 
-    def top_sizes(self, now: int, alpha: float, count: float) -> list[int]:
-        rows = self.ranked(now, alpha)
+    def top_sizes(self, count: float) -> list[int]:
+        rows = self.ranked()
         if math.isinf(count):
             return [w for w, _ in rows]
         return [w for w, _ in rows[: int(count)]]
 
-    def argmax(self, now: int, alpha: float) -> int | None:
-        rows = self.ranked(now, alpha)
+    def argmax(self) -> int | None:
+        rows = self.ranked()
         return rows[0][0] if rows else None
 
     def snapshot(self) -> dict[int, tuple[tuple[int, float], ...]]:
-        return {w: tuple(entries) for w, entries in self._entries.items() if entries}
+        return {w: tuple(entries) for w, entries in self._entries.items()}
 
 
 @dataclass(frozen=True)
@@ -180,8 +184,9 @@ class OnlineWindowSelector:
     (and builds the window) only on a miss; selectors on one stream may be
     given one table to share. The emitted prediction uses the size with the
     best (decayed) ledger mean, smallest size on ties, size 1 before any
-    score exists. `freeze_after=k` stops all testing after step k and pins
-    the size chosen there (training-only selection).
+    score exists. `freeze_after=k` stops all testing after step k for
+    training-only selection: the ledger then stops changing, and so the
+    size chosen at step k stays pinned.
 
     A `policy` replaces the ledger and nothing is tested. It is called on
     the history, incoming graph included, and returns either a uniform size,
@@ -211,20 +216,18 @@ class OnlineWindowSelector:
         self.first_step = first_step
         self.spans = SpanScores(katz)
         self.history: list[StaticGraph] = []
-        self.ledger = ScoreLedger()
-        self._frozen: int | None = None
+        self.ledger = ScoreLedger(params.alpha)
 
     def process(self, incoming: StaticGraph) -> StepRecord:
         self.history.append(incoming)
         i = len(self.history)
         now = self.first_step + i - 1
-        alpha = self.params.alpha
         tested: list[tuple[int, float | None]] = []
         ledger_driven = self.policy is None
         testing = ledger_driven and (self.freeze_after is None or i <= self.freeze_after)
         if i >= 2 and testing:
             fresh = {w for w in range(1, i) if self.ledger.count(w) < self.params.min_tests}
-            best = set(self.ledger.top_sizes(now=now, alpha=alpha, count=self.params.top_count))
+            best = set(self.ledger.top_sizes(self.params.top_count))
             # the history before `incoming` ends at step `end`
             end = self.first_step + i - 2
             for w in sorted(fresh | best):
@@ -233,16 +236,10 @@ class OnlineWindowSelector:
                     self.ledger.append(w, now, score)
                 tested.append((w, score))
         full = GraphSequence(self.n, tuple(self.history))
-        if not ledger_driven:
-            choice = self.policy(full)
-        elif self.freeze_after is not None and i > self.freeze_after:
-            choice = self._frozen if self._frozen is not None else 1
+        if ledger_driven:
+            choice = self.ledger.argmax() or 1
         else:
-            choice = self.ledger.argmax(now=now, alpha=alpha)
-            if choice is None:
-                choice = 1
-            if self.freeze_after is not None and i == self.freeze_after:
-                self._frozen = choice
+            choice = self.policy(full)
         if isinstance(choice, Windowing):
             chosen, windowing = None, choice
         else:

@@ -12,7 +12,8 @@ cell and score-curve cell that each scored their own windowings (supervised
 selection calling a task-quality function per training size), the window
 quality that builds every history's last window, and the online runner that
 drives one selector at a time, refitting the adage baseline on every
-history; and edge-stream ingest with one event object per contact, parsed
+history, with the score ledger that reweighs every size's mean from the
+current step at each ranking; and edge-stream ingest with one event object per contact, parsed
 line by line and binned in a Python loop. Tests check that the package
 gives exactly equal results on random inputs.
 """
@@ -556,6 +557,48 @@ def linkpred_window_quality(
         if s is not None:
             scores.append(s)
     return math.fsum(scores) / len(scores) if scores else 0.0
+
+
+# --------------------------------------------------------------------------
+# the online ledger weighed from the current step
+
+
+class ScoreLedger:
+    """Per-size (step, score) lists; every ranking recomputes each size's
+    mean with weights alpha ** (now - step), and alpha = 1 takes the plain
+    mean."""
+
+    def __init__(self) -> None:
+        self._entries: dict[int, list[tuple[int, float]]] = {}
+
+    def append(self, size: int, step: int, score: float) -> None:
+        self._entries.setdefault(size, []).append((step, score))
+
+    def sizes(self) -> list[int]:
+        return sorted(w for w, entries in self._entries.items() if entries)
+
+    def mean(self, size: int, now: int, alpha: float) -> float:
+        entries = self._entries[size]
+        if alpha == 1.0:
+            return math.fsum(s for _, s in entries) / len(entries)
+        num = math.fsum(alpha ** (now - step) * s for step, s in entries)
+        den = math.fsum(alpha ** (now - step) for step, _ in entries)
+        return num / den
+
+    def ranked(self, now: int, alpha: float) -> list[tuple[int, float]]:
+        rows = [(w, self.mean(w, now, alpha)) for w in self.sizes()]
+        rows.sort(key=lambda r: (-r[1], r[0]))
+        return rows
+
+    def top_sizes(self, now: int, alpha: float, count: float) -> list[int]:
+        rows = self.ranked(now, alpha)
+        if math.isinf(count):
+            return [w for w, _ in rows]
+        return [w for w, _ in rows[: int(count)]]
+
+    def argmax(self, now: int, alpha: float) -> int | None:
+        rows = self.ranked(now, alpha)
+        return rows[0][0] if rows else None
 
 
 # --------------------------------------------------------------------------

@@ -295,6 +295,30 @@ def test_evaluate_reruns_are_byte_identical(dataset):
     _reruns_agree(tied, tmp / "tied.json")
 
 
+def test_online_weighted_runs_an_interval_pair_longer_than_the_decay_underflows(tmp_path):
+    """1,100 steps at alpha = 0.5: a size tested only early falls more than
+    1,075 steps behind, where a weight read from the current step is 0."""
+    rng = np.random.default_rng(0)
+    pairs = [(u, v) for u in range(6) for v in range(u + 1, 6)]
+    lines = [f"v{u},v{v},{t}" for t in range(1100) for u, v in pairs if rng.random() < 0.3]
+    (tmp_path / "long.csv").write_text("\n".join(lines) + "\n")
+    assert main(["ingest", str(tmp_path / "long.csv"), "--out", str(tmp_path / "long")]) == 0
+    cfg = {
+        "archive": str(tmp_path / "long"),
+        "mode": "online",
+        "task": "linkpred",
+        "selectors": ["online-weighted"],
+        "intervals": 2,
+        "seed": 0,
+        "output": str(tmp_path / "out" / "long"),
+        "params": {"min_tests": 1, "top_count": 1, "alpha": 0.5},
+    }
+    (tmp_path / "long.json").write_text(json.dumps(cfg))
+    assert main(["evaluate", str(tmp_path / "long.json")]) == 0
+    report = json.loads((tmp_path / "out" / "long.json").read_text())
+    assert report["cells"][0]["score"] is not None
+
+
 def test_jobs_flag_is_ignored(dataset):
     """`--jobs` is parsed for old scripts and changes no output byte, the
     config hash included."""

@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import subprocess
+import sys
 import tempfile
+import textwrap
 from pathlib import Path
 from unittest import mock
 
@@ -24,6 +27,7 @@ from graphwin import (
     GraphSequence,
     KatzParams,
     KernelParams,
+    ScoreLedger,
     StaticGraph,
     VertexAttributes,
     Windowing,
@@ -226,6 +230,74 @@ def test_online_suite_matches_sequential_oracle():
         }
         for name, rep in zip(ONLINE_SELECTORS, want):
             assert run_online(seq, plan, name, params=params, seed=5).to_dict() == rep.to_dict()
+
+
+# AP-like scores: exact ties, and no score so small that a weight of at
+# least 2^-1000 times it is subnormal
+LEDGER_SCORES = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(min_value=2**-20, max_value=1.0)
+)
+LEDGER_COUNTS = st.one_of(st.integers(min_value=1, max_value=7), st.just(math.inf))
+
+
+@st.composite
+def ledger_appends(draw, max_age: int) -> list[tuple[int, int, float]]:
+    """(size, step, score) in step order, no step `max_age` or more behind
+    the newest."""
+    first = draw(st.integers(min_value=1, max_value=10**6))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=6),
+                st.integers(min_value=first, max_value=first + max_age - 1),
+                LEDGER_SCORES,
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    return sorted(rows, key=lambda r: r[1])
+
+
+def ledgers_after_each_append(alpha: float, appends):
+    """The package's ledger and the oracle after each append, and the step."""
+    ours, oracle = ScoreLedger(alpha), oracles.ScoreLedger()
+    for size, step, score in appends:
+        ours.append(size, step, score)
+        oracle.append(size, step, score)
+        yield ours, oracle, step
+
+
+@seed(1702)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), alpha=st.sampled_from([0.5, 1.0]), count=LEDGER_COUNTS)
+def test_ledger_matches_clock_relative_oracle_exactly(data, alpha, count):
+    """At alpha 0.5 and 1 every weight is a power of two, so the means
+    weighed from each size's newest step and from the clock are equal."""
+    appends = data.draw(ledger_appends(max_age=1000))
+    for ours, oracle, now in ledgers_after_each_append(alpha, appends):
+        assert ours.ranked() == oracle.ranked(now, alpha)
+        assert ours.argmax() == oracle.argmax(now, alpha)
+        assert ours.top_sizes(count) == oracle.top_sizes(now, alpha, count)
+
+
+@seed(1702)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), alpha=st.floats(min_value=0.05, max_value=1.0, exclude_max=True))
+def test_ledger_matches_clock_relative_oracle_to_rounding(data, alpha):
+    """Ages up to where a weight reaches 2^-1000; the means move by the
+    rounding of `alpha ** age` only."""
+    max_age = min(int(1000 / -math.log2(alpha)) + 1, 10**6)
+    appends = data.draw(ledger_appends(max_age))
+    for ours, oracle, now in ledgers_after_each_append(alpha, appends):
+        want = oracle.ranked(now, alpha)
+        got = dict(ours.ranked())
+        assert got.keys() == dict(want).keys()
+        for w, mean in want:
+            assert math.isclose(got[w], mean, rel_tol=1e-12, abs_tol=0.0)
+        near_tie = len(want) > 1 and math.isclose(want[0][1], want[1][1], rel_tol=1e-12)
+        if not near_tie:
+            assert ours.argmax() == oracle.argmax(now, alpha)
 
 
 @seed(1702)
@@ -584,3 +656,30 @@ def test_ingest_matches_oracle(stream, ending, form, policy, resolution, shift, 
             resolution, shift,
         )
     assert got == want
+
+
+def test_a_failing_property_shows_its_falsifying_example(tmp_path):
+    """Under this repo's pytest settings a failing `@given` test reports its
+    example: a warning raised in Hypothesis's report hook must not replace
+    the report with an INTERNALERROR."""
+    (tmp_path / "test_fails.py").write_text(
+        textwrap.dedent(
+            """
+            from hypothesis import given, settings, strategies as st
+
+            @settings(database=None, derandomize=True)
+            @given(st.integers())
+            def test_fails(x):
+                assert x < 3
+            """
+        )
+    )
+    config = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "Falsifying example: test_fails(" in run.stdout
+    assert run.returncode == 1

@@ -48,35 +48,47 @@ def test_selector_params_validation():
 
 
 def test_ledger_counts_and_means():
-    led = ScoreLedger()
+    led = ScoreLedger(0.5)
     led.append(2, 1, 0.5)
     led.append(2, 3, 0.7)
     assert led.count(2) == 2
     assert led.count(9) == 0
-    assert led.sizes() == [2]
     # decayed: weights 0.5^(3-1) = 0.25 and 0.5^0 = 1
-    assert led.mean(2, now=3, alpha=0.5) == pytest.approx(
-        (0.25 * 0.5 + 1.0 * 0.7) / 1.25, abs=1e-12
-    )
+    assert led.ranked() == [(2, pytest.approx((0.25 * 0.5 + 1.0 * 0.7) / 1.25, abs=1e-12))]
 
 
 def test_ledger_alpha_one_is_the_plain_mean():
-    led = ScoreLedger()
+    led = ScoreLedger(1.0)
     values = [0.1, 0.7, 0.3, 0.9]
     for step, v in enumerate(values, start=1):
         led.append(4, step, v)
-    assert led.mean(4, now=10, alpha=1.0) == math.fsum(values) / len(values)
+    assert led.ranked() == [(4, math.fsum(values) / len(values))]
 
 
 def test_ledger_ranking_prefers_small_sizes_on_ties():
-    led = ScoreLedger()
+    led = ScoreLedger(1.0)
     led.append(3, 1, 0.5)
     led.append(1, 1, 0.5)
     led.append(2, 1, 0.9)
-    assert led.ranked(now=1, alpha=1.0) == [(2, 0.9), (1, 0.5), (3, 0.5)]
-    assert led.argmax(now=1, alpha=1.0) == 2
-    assert led.top_sizes(now=1, alpha=1.0, count=2) == [2, 1]
-    assert led.top_sizes(now=1, alpha=1.0, count=math.inf) == [2, 1, 3]
+    assert led.ranked() == [(2, 0.9), (1, 0.5), (3, 0.5)]
+    assert led.argmax() == 2
+    assert led.top_sizes(count=2) == [2, 1]
+    assert led.top_sizes(count=math.inf) == [2, 1, 3]
+
+
+def test_ledger_means_survive_sizes_far_behind_the_newest_step():
+    """At alpha = 0.5 a weight read from the current step underflows once a
+    size's entries are about 1,075 steps old; each size's own newest entry
+    weighs 1, so its mean stays exact however far behind it falls."""
+    led = ScoreLedger(0.5)
+    led.append(1, 1, 0.4)
+    led.append(1, 2, 0.6)
+    led.append(3, 5, 0.4)
+    for step in range(1100, 1103):
+        led.append(2, step, 0.1)
+    assert led.ranked() == [(1, (0.5 * 0.4 + 0.6) / 1.5), (3, 0.4), (2, 0.1)]
+    assert led.argmax() == 1
+    assert led.top_sizes(count=2) == [1, 3]
 
 
 # --------------------------------------------------------------------------
