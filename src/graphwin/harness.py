@@ -6,7 +6,10 @@ windowing of the test interval (supervised selectors see training data and
 training ground truth only; unsupervised ones see test edges only, so test
 ground truth is structurally out of reach), then the task runs on the
 windowed test interval. Online: a selector warm-starts on the train interval
-and its per-step predictions are scored across the test interval.
+and its per-step predictions are scored across the test interval. Every
+report is `run_suite`'s: its cells by selector, then by pair, and each
+selector's aggregate; `run_offline` and `run_online` are `run_suite` with
+one selector.
 
 Offline work reads one quality table per stage: an entry (task, span,
 windowing) is the task run on that windowing of the span, and each distinct
@@ -422,11 +425,10 @@ def _write_json(path: str | Path, obj: Mapping) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def _cells(selector: str, task: str, plan: IntervalPlan, results: list) -> list[CellResult]:
-    return [
-        CellResult(selector, task, idx, plan.spans[a], plan.spans[b], score, detail)
-        for idx, ((a, b), (score, detail)) in enumerate(zip(plan.pairs, results))
-    ]
+def _mean(scores: Sequence[float | None]) -> float | None:
+    """The mean of the scores that are not None; None when none is."""
+    scores = [s for s in scores if s is not None]
+    return math.fsum(scores) / len(scores) if scores else None
 
 
 def run_offline(
@@ -440,17 +442,13 @@ def run_offline(
     params: EvalParams = EvalParams(),
     seed: int = 0,
 ) -> ExperimentReport:
-    """Evaluate one offline selector on one task across all interval pairs.
-
-    Change-point pair scores average into the aggregate; attribute pairs pool
-    their (score, label) lists into a single AUC (the population repeats
-    across test sets, so pooling is the meaningful combination).
-    """
-    (report,) = _offline_reports(seq, plan, [selector], task, attrs, cp_truth, params, seed)
-    return report
+    """Evaluate one offline selector on one task across all interval pairs:
+    `run_suite` with that one selector."""
+    kwargs = {"attrs": attrs, "cp_truth": cp_truth, "params": params, "seed": seed}
+    return run_suite(seq, plan, "offline", [selector], task, **kwargs)
 
 
-def _offline_reports(
+def _offline_cells(
     seq: GraphSequence,
     plan: IntervalPlan,
     selectors: Sequence[str],
@@ -459,10 +457,12 @@ def _offline_reports(
     cp_truth: ChangePointLabels | None,
     params: EvalParams,
     seed: int,
-) -> list[ExperimentReport]:
-    """`run_offline` for each selector, from one quality table: its
-    training rows pick the supervised windowings, and every cell reads its
-    test entry."""
+) -> tuple[list[CellResult], dict]:
+    """The cells and aggregates of each offline selector, from one quality
+    table: its training rows pick the supervised windowings, and every cell
+    reads its test entry. Change-point pair scores average into the aggregate;
+    attribute pairs pool their (score, label) lists into a single AUC (the
+    population repeats across test sets, so pooling is what combines them)."""
     if task not in ("attribute", "changepoint"):
         raise ValueError(f"offline evaluation covers attribute/changepoint, not {task!r}")
     for selector in selectors:
@@ -473,9 +473,9 @@ def _offline_reports(
     if task == "changepoint" and cp_truth is None:
         raise ValueError("change-point evaluation needs ground-truth labels")
     table = _QualityTable(seq, attrs, cp_truth, params)
-    reports = []
+    cells, aggregates = [], {}
     for name in selectors:
-        results = []
+        own = []
         for idx, (a, b) in enumerate(plan.pairs):
             train, test = plan.spans[a], plan.spans[b]
             if name == "supervised":
@@ -485,35 +485,16 @@ def _offline_reports(
                 windowing = _baseline_windowing(name, seq.slice_steps(*test), params, cell_seed)
             score, detail = table[task, test, windowing]
             cuts, sizes = list(windowing.cuts), list(windowing.sizes())
-            results.append((score, {"windowing": cuts, "window_sizes": sizes, **detail}))
-        reports.append(_offline_report(plan, name, task, attrs, seed, results))
-    return reports
-
-
-def _offline_report(
-    plan: IntervalPlan,
-    selector: str,
-    task: str,
-    attrs: VertexAttributes | None,
-    seed: int,
-    results: list,
-) -> ExperimentReport:
-    cells = _cells(selector, task, plan, results)
-    if task == "changepoint":
-        scores = [c.score for c in cells if c.score is not None]
-        aggregate = math.fsum(scores) / len(scores) if scores else None
-        entry = {"score": aggregate, "method": "mean"}
-    else:
-        pooled = [pair for c in cells for pair in c.detail["pairs"]]
-        entry = {"score": pairs_auc(pooled, attrs), "method": "pooled"}
-    metadata = {
-        "mode": "offline",
-        "selector": selector,
-        "task": task,
-        "seed": seed,
-        "intervals": [list(s) for s in plan.spans],
-    }
-    return ExperimentReport(metadata, cells, {selector: {task: entry}})
+            detail = {"windowing": cuts, "window_sizes": sizes, **detail}
+            own.append(CellResult(name, task, idx, train, test, score, detail))
+        if task == "changepoint":
+            entry = {"score": _mean([c.score for c in own]), "method": "mean"}
+        else:
+            pooled = [pair for c in own for pair in c.detail["pairs"]]
+            entry = {"score": pairs_auc(pooled, attrs), "method": "pooled"}
+        cells += own
+        aggregates[name] = {task: entry}
+    return cells, aggregates
 
 
 # --------------------------------------------------------------------------
@@ -545,25 +526,25 @@ def _make_online_selector(
     )
 
 
-def _online_reports(
+def _online_cells(
     seq: GraphSequence,
     plan: IntervalPlan,
     selectors: Sequence[str],
     params: EvalParams,
     seed: int,
     spans: SpanScores | None = None,
-) -> list[ExperimentReport]:
-    """`run_online` for each selector. One span table of `seq` and
-    `params.katz` serves them all (`spans`, or a new one), and the selectors
-    of an interval pair step through its stream in lockstep, in the given
-    order, so the window graphs they share at a step are ranked while still
-    memoised. Between steps each keeps only the span and the size of its
-    latest prediction."""
+) -> tuple[list[CellResult], dict]:
+    """The cells and aggregates of each online selector. One span table of
+    `seq` and `params.katz` serves them all (`spans`, or a new one), and the
+    selectors of an interval pair step through its stream in lockstep, in
+    the given order, so the window graphs they share at a step are ranked
+    while still memoised. Between steps each keeps only the span and the
+    size of its latest prediction."""
     for selector in selectors:
         if selector not in ONLINE_SELECTORS:
             raise ValueError(f"unknown online selector {selector!r}")
     spans = SpanScores(params.katz) if spans is None else spans
-    results: dict[str, list] = {name: [] for name in selectors}
+    by_selector: dict[str, list[CellResult]] = {name: [] for name in selectors}
     for idx, (a, b) in enumerate(plan.pairs):
         train_span, test_span = plan.spans[a], plan.spans[b]
         first = train_span[0]
@@ -589,33 +570,16 @@ def _online_reports(
                 entry = {"step": local, "tested": tested, "chosen": record.chosen}
                 details[name]["log"].append(entry)
         for name in selectors:
-            detail = details[name]
-            scores = [e["score"] for e in detail["scored"] if e["score"] is not None]
-            if not scores:
+            score = _mean([e["score"] for e in details[name]["scored"]])
+            if score is None:
                 log.info("pair %s->%s has no scoreable steps; skipped", train_span, test_span)
-            results[name].append((math.fsum(scores) / len(scores) if scores else None, detail))
-    reports = []
-    for name in selectors:
-        cells = _cells(name, "linkpred", plan, results[name])
-        scores = [c.score for c in cells if c.score is not None]
-        aggregate = math.fsum(scores) / len(scores) if scores else None
-        metadata = {
-            "mode": "online",
-            "selector": name,
-            "task": "linkpred",
-            "seed": seed,
-            # every pair starts from an empty ledger; the key keeps report bytes stable
-            "carry_ledger": False,
-            "params": {
-                "min_tests": params.selector.min_tests,
-                "top_count": params.selector.top_count,
-                "alpha": params.selector.alpha,
-            },
-            "intervals": [list(s) for s in plan.spans],
-        }
-        aggregates = {name: {"linkpred": {"score": aggregate, "method": "mean"}}}
-        reports.append(ExperimentReport(metadata, cells, aggregates))
-    return reports
+            cell = CellResult(name, "linkpred", idx, train_span, test_span, score, details[name])
+            by_selector[name].append(cell)
+    aggregates = {
+        name: {"linkpred": {"score": _mean([c.score for c in own]), "method": "mean"}}
+        for name, own in by_selector.items()
+    }
+    return [c for own in by_selector.values() for c in own], aggregates
 
 
 def run_online(
@@ -626,17 +590,16 @@ def run_online(
     params: EvalParams = EvalParams(),
     seed: int = 0,
 ) -> ExperimentReport:
-    """One-step-ahead link prediction with per-step size selection.
+    """One-step-ahead link prediction with per-step size selection:
+    `run_suite` with that one selector.
 
     For each (train, test) pair the selector consumes the whole contiguous
     stream; predictions targeting test-interval steps are scored by average
     precision against that step's new links. Each pair starts from an
     empty ledger. Pairs without a single scoreable step are skipped; the
-    aggregate is the mean of pair means. This is the suite's loop with one
-    selector, and its report is the one `run_suite` gives that selector.
+    aggregate is the mean of pair means.
     """
-    (report,) = _online_reports(seq, plan, [selector], params, seed)
-    return report
+    return run_suite(seq, plan, "online", [selector], "linkpred", params=params, seed=seed)
 
 
 def run_suite(
@@ -651,20 +614,19 @@ def run_suite(
     params: EvalParams = EvalParams(),
     seed: int = 0,
 ) -> ExperimentReport:
-    """Run several selectors on one task and merge them into one report.
-    Offline selectors read one quality table; online ones read one span
-    table, in lockstep (see `_online_reports`), each with the cells its own
-    `run_online` report holds."""
+    """Run several selectors on one task into one report: the cells of each
+    selector in the given order, each selector's aggregate, and the run's
+    metadata. Offline selectors read one quality table (see
+    `_offline_cells`); online ones read one span table, in lockstep (see
+    `_online_cells`), and an online report's task is always "linkpred"."""
     if mode not in ("offline", "online"):
         raise ValueError(f"mode must be 'offline' or 'online', not {mode!r}")
     if len(set(selectors)) != len(selectors):
         raise ValueError("duplicate selector names")
     if mode == "offline":
-        reports = _offline_reports(seq, plan, selectors, task, attrs, cp_truth, params, seed)
+        result = _offline_cells(seq, plan, selectors, task, attrs, cp_truth, params, seed)
     else:
-        reports = _online_reports(seq, plan, selectors, params, seed)
-    cells = [c for rep in reports for c in rep.cells]
-    aggregates = {name: rep.aggregates[name] for name, rep in zip(selectors, reports)}
+        result = _online_cells(seq, plan, selectors, params, seed)
     metadata = {
         "mode": mode,
         "selectors": list(selectors),
@@ -672,7 +634,7 @@ def run_suite(
         "seed": seed,
         "intervals": [list(s) for s in plan.spans],
     }
-    return ExperimentReport(metadata, cells, aggregates)
+    return ExperimentReport(metadata, *result)
 
 
 # --------------------------------------------------------------------------
@@ -828,38 +790,32 @@ def spearman_table(curves: CurveSet) -> dict:
     return out
 
 
+def _interval_changes(curves: CurveSet) -> dict[str, list[list[float]]]:
+    """Per task: the absolute change of each size's score (column) between
+    consecutive intervals (row)."""
+    if len(curves.intervals) < 2:
+        raise ValueError("stability needs at least 2 intervals")
+    curve, rows, sizes = curves.curve, range(len(curves.intervals) - 1), range(len(curves.sizes))
+    return {
+        t: [[abs(curve(t, i + 1)[j] - curve(t, i)[j]) for j in sizes] for i in rows]
+        for t in curves.tasks
+    }
+
+
 def stability_diff(curves: CurveSet) -> dict[str, float]:
     """Mean absolute score change between consecutive intervals, per task."""
-    out = {}
-    n_int = len(curves.intervals)
-    if n_int < 2:
-        raise ValueError("stability needs at least 2 intervals")
-    for task in curves.tasks:
-        diffs = [
-            abs(curves.curve(task, i + 1)[j] - curves.curve(task, i)[j])
-            for i in range(n_int - 1)
-            for j in range(len(curves.sizes))
-        ]
-        out[task] = math.fsum(diffs) / len(diffs)
-    return out
+    return {
+        task: math.fsum(d for row in rows for d in row) / (len(rows) * len(curves.sizes))
+        for task, rows in _interval_changes(curves).items()
+    }
 
 
 def stability_curve(curves: CurveSet) -> dict[str, tuple[float, ...]]:
     """Per size: mean absolute score change between consecutive intervals."""
-    n_int = len(curves.intervals)
-    if n_int < 2:
-        raise ValueError("stability needs at least 2 intervals")
-    out = {}
-    for task in curves.tasks:
-        per_size = []
-        for j in range(len(curves.sizes)):
-            diffs = [
-                abs(curves.curve(task, i + 1)[j] - curves.curve(task, i)[j])
-                for i in range(n_int - 1)
-            ]
-            per_size.append(math.fsum(diffs) / len(diffs))
-        out[task] = tuple(per_size)
-    return out
+    return {
+        task: tuple(math.fsum(col) / len(rows) for col in zip(*rows))
+        for task, rows in _interval_changes(curves).items()
+    }
 
 
 def hyperparam_sweep(
@@ -882,7 +838,8 @@ def hyperparam_sweep(
     spans = SpanScores(params.katz)
     records = []
     for axis, value, knobs in grid:
-        reports = _online_reports(seq, plan, [selector], replace(params, selector=knobs), seed, spans)
-        score = reports[0].aggregates[selector]["linkpred"]["score"]
+        knobbed = replace(params, selector=knobs)
+        _, aggregates = _online_cells(seq, plan, [selector], knobbed, seed, spans)
+        score = aggregates[selector]["linkpred"]["score"]
         records.append({"axis": axis, "value": value, "fixed": fixed, "score": score})
     return records

@@ -221,10 +221,12 @@ def parse_edge_stream(
     offending line number, unless ``on_self_loop="drop"`` silently discards
     them (their endpoints still enter the label table). Blocks of lines are
     checked column by column, and one that fails is rescanned line by line; a
-    delimiter holds no digit, so no valid row ends in a part of it.
+    delimiter is not empty and holds no digit, so no valid row ends in a part of it.
     """
     if on_self_loop not in ("error", "drop"):
         raise ValueError("on_self_loop must be 'error' or 'drop'")
+    if not delimiter:
+        raise ValueError(f"delimiter {delimiter!r} must not be empty")
     if any(c.isdecimal() for c in delimiter):
         raise ValueError(f"delimiter {delimiter!r} must not contain a digit")
     lines, ids, blocks, loop_count, first_loop = _lines(source), defaultdict(), [], 0, None
@@ -480,7 +482,13 @@ class LoadedArchive:
 
 
 def _archive_payload(seq: GraphSequence, labels: Sequence[str]) -> tuple[str, str, str]:
-    """The manifest (without its id) and steps.csv texts, and the dataset id they hash to."""
+    """The manifest (without its id) and steps.csv texts, and the dataset id they hash to.
+    Raises ValueError naming the first label that is not a string or repeats an earlier one."""
+    first: dict[str, int] = {}
+    for i, label in enumerate(labels):
+        if not isinstance(label, str) or first.setdefault(label, i) != i:
+            problem = "is repeated" if isinstance(label, str) else "is not a string"
+            raise ValueError(f"vertex label {label!r} {problem}")
     manifest = {
         "format_version": ARCHIVE_FORMAT,
         "n": seq.n,
@@ -504,9 +512,9 @@ def save_archive(seq: GraphSequence, labels: Sequence[str], directory: str | Pat
     """
     if len(labels) != seq.n:
         raise ValueError("label table size must match vertex count")
+    manifest_json, steps_csv, dataset_id = _archive_payload(seq, labels)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    manifest_json, steps_csv, dataset_id = _archive_payload(seq, labels)
     manifest = {**json.loads(manifest_json), "dataset_id": dataset_id}
     (directory / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -559,7 +567,10 @@ def load_archive(directory: str | Path) -> LoadedArchive:
             raise DataFormatError(f"{steps_path} line {lineno}: edge ({u}, {v}) not canonical, n={n}")
         bins[step - 1].add((u, v))
     seq = GraphSequence(n, tuple(StaticGraph(n, frozenset(b)) for b in bins), resolution)
-    dataset_id = _archive_payload(seq, labels)[2]
+    try:
+        dataset_id = _archive_payload(seq, labels)[2]
+    except ValueError as exc:
+        raise DataFormatError(f"{manifest_path}: {exc}") from None
     recorded = manifest.get("dataset_id")
     if recorded is not None and recorded != dataset_id:
         raise DataFormatError("archive content does not match its recorded dataset id")

@@ -680,15 +680,9 @@ def run_online(
     means = [c.score for c in cells if c.score is not None]
     metadata = {
         "mode": "online",
-        "selector": selector,
+        "selectors": [selector],
         "task": "linkpred",
         "seed": seed,
-        "carry_ledger": False,
-        "params": {
-            "min_tests": params.selector.min_tests,
-            "top_count": params.selector.top_count,
-            "alpha": params.selector.alpha,
-        },
         "intervals": [list(s) for s in plan.spans],
     }
     aggregate = math.fsum(means) / len(means) if means else None

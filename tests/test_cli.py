@@ -111,6 +111,14 @@ def test_ingest_self_loop_policy(tmp_path, capsys):
     assert summary["length"] == 3
 
 
+def test_ingest_refuses_an_empty_delimiter(tmp_path, capsys):
+    stream = tmp_path / "stream.csv"
+    stream.write_text("a,b,0\n")
+    rc = main(["ingest", str(stream), "--out", str(tmp_path / "a"), "--delimiter", ""])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: delimiter '' must not be empty\n"
+
+
 # --------------------------------------------------------------------------
 # select
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from graphwin import (
     ONLINE_SELECTORS,
     CurveSet,
     EvalParams,
+    ExperimentReport,
     GraphSequence,
     SelectorParams,
     adage_select,
@@ -300,7 +302,6 @@ def test_run_online_scores_only_test_steps():
     entry = rep.aggregates["online"]["linkpred"]
     assert entry["method"] == "mean"
     assert entry["score"] == math.fsum(c.score for c in rep.cells) / len(rep.cells)
-    assert rep.metadata["params"] == {"min_tests": 2, "top_count": 2, "alpha": 1.0}
 
 
 def test_run_online_jobs_do_not_change_the_report():
@@ -511,6 +512,25 @@ def test_run_suite_merges_offline_reports():
     assert suite.aggregates["no-time"]["changepoint"]["score"] == 0.0
 
 
+def test_single_selector_runs_are_the_suite_with_that_selector():
+    seq, truth = regime_flip_sequence()
+    labels = ["a", "b"] * 5
+    attrs = VertexAttributes(10, "y", {"y": "categorical"}, tuple({"y": y} for y in labels))
+    plan = split_intervals(18, 3)
+    kwargs = dict(attrs=attrs, cp_truth=truth, params=EvalParams(batch_size=2), seed=5)
+    for task in ("attribute", "changepoint"):
+        for name in OFFLINE_SELECTORS:
+            suite = run_suite(seq, plan, "offline", [name], task, **kwargs)
+            assert run_offline(seq, plan, name, task, **kwargs).to_dict() == suite.to_dict()
+            assert suite.metadata["selectors"] == [name]
+    seq = split_star_stream(6)
+    for name in ONLINE_SELECTORS:
+        suite = run_suite(seq, plan, "online", [name], "linkpred", params=ONLINE_PARAMS, seed=3)
+        solo = run_online(seq, plan, name, params=ONLINE_PARAMS, seed=3)
+        assert solo.to_dict() == suite.to_dict()
+        assert suite.metadata["selectors"] == [name]
+
+
 def test_run_suite_validation():
     seq, truth = regime_flip_sequence()
     plan = split_intervals(18, 3)
@@ -549,10 +569,14 @@ def test_report_json_is_strict_with_unbounded_budgets(tmp_path):
     seq = split_star_stream(6)
     params = EvalParams(selector=SelectorParams(min_tests=math.inf))
     rep = run_online(seq, split_intervals(18, 3), "online", params=params, seed=3)
+    first, second = rep.cells
+    cells = [replace(first, score=math.inf), replace(second, score=math.nan)]
+    aggregates = {"online": {"linkpred": {"score": -math.inf, "method": "mean"}}}
     path = tmp_path / "online.json"
-    rep.write_json(path)
+    ExperimentReport(rep.metadata, cells, aggregates).write_json(path)
     loaded = json.loads(path.read_text(), parse_constant=refuse)
-    assert loaded["metadata"]["params"]["min_tests"] == "inf"
+    assert [c["score"] for c in loaded["cells"]] == ["inf", "nan"]
+    assert loaded["aggregates"]["online"]["linkpred"]["score"] == "-inf"
 
 
 # --------------------------------------------------------------------------

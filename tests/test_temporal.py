@@ -93,6 +93,13 @@ def test_parse_rejects_delimiters_with_digits_and_huge_timestamps():
     assert parse_edge_stream(f"a,b,{2**63 - 1}\n").events.tolist() == [[0, 1, 2**63 - 1]]
 
 
+def test_parse_rejects_an_empty_delimiter():
+    # refused up front, before any line is split, whether or not there are lines
+    for source in ([], ["a,b,0"]):
+        with pytest.raises(ValueError, match="delimiter '' must not be empty"):
+            parse_edge_stream(source, delimiter="")
+
+
 def test_byte_order_mark_is_not_part_of_the_first_label(tmp_path):
     text = "a,b,0\nb,a,1\n"
     plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
@@ -454,6 +461,37 @@ def test_archive_manifest_without_a_key_names_it(tmp_path: Path, key):
     path.write_text(json.dumps(manifest))
     with pytest.raises(DataFormatError, match=rf"manifest\.json: '{key}' must"):
         load_archive(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        (["a", "b", "a", 7], "vertex label 'a' is repeated"),
+        (["a", 7, "a", "b"], "vertex label 7 is not a string"),
+        (["a", "b", "c", None], "vertex label None is not a string"),
+    ],
+)
+def test_archive_manifest_labels_are_distinct_strings(tmp_path: Path, labels, message):
+    # without a recorded id nothing else catches these, and a repeated label
+    # would give its attribute record to the wrong vertex
+    save_archive(seq_of(4, [(0, 1), (2, 3)]), ("a", "b", "c", "d"), tmp_path)
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["dataset_id"]
+    path.write_text(json.dumps({**manifest, "labels": labels}))
+    with pytest.raises(DataFormatError, match=rf"manifest\.json: {message}"):
+        load_archive(tmp_path)
+
+
+def test_save_archive_refuses_repeated_or_non_string_labels(tmp_path: Path):
+    seq = seq_of(3, [(0, 1)])
+    for labels, message in [
+        (("a", "b", "a"), "vertex label 'a' is repeated"),
+        (("a", 2, "c"), "vertex label 2 is not a string"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            save_archive(seq, labels, tmp_path / "arch")
+    assert not (tmp_path / "arch").exists()
 
 
 def test_archive_manifest_wrong_types_name_the_key(tmp_path: Path):
