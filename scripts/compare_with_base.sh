@@ -1,0 +1,95 @@
+#!/bin/sh
+# Check that two checkouts write byte-identical outputs.
+#
+# usage: sh scripts/compare_with_base.sh BASE HEAD OUT
+#
+# Each comparison below writes its inputs to OUT/NAME with HEAD's perfbench,
+# runs with BASE's src and then with HEAD's in that same directory (outputs
+# record their arguments), moves each side's outputs to OUT/NAME-base and
+# OUT/NAME-head, and ends with diff -r. Every comparison runs; the script
+# prints the name of each one that differs or fails, and exits 1 if any
+# does. OUT must be empty or absent.
+#
+#   demo       the README demo tree, built by each side's scripts/demo_pipeline.sh
+#   online     online-linkpred seed 7: ingest, evaluate and sweep
+#   enron      a 504-step stream over 150 vertices: ingest and six online selectors
+#   offline-3  offline-attr-cp seed 3: ingest, evaluate, sweep and analyze
+#   offline-7  the same at seed 7
+#   select     offline-attr-cp seed 7: select with supervised and every baseline
+set -u
+[ $# -eq 3 ] || { echo "usage: sh scripts/compare_with_base.sh BASE HEAD OUT" >&2; exit 2; }
+base=$(cd "$1" && pwd) && head=$(cd "$2" && pwd) && mkdir -p "$3" && out=$(cd "$3" && pwd) || exit 2
+[ -z "$(ls -A "$out")" ] || { echo "$out is not empty" >&2; exit 2; }
+for root in "$base" "$head"; do
+  PYTHONPATH="$root/src" python -c "import graphwin, sys; sys.exit(not graphwin.__file__.startswith('$root/src/'))" ||
+    { echo "graphwin is not imported from $root/src" >&2; exit 2; }
+done
+
+# one side's CLI
+gw() { PYTHONPATH="$root/src" python -m graphwin.cli "$@"; }
+
+# py CODE ARG...: run CODE with HEAD's perfbench importable
+py() { code=$1; shift; python -c "import sys; sys.path.insert(0, sys.argv.pop(1)); from pathlib import Path; $code" "$head/perfbench" "$@"; }
+
+# inputs, written once into $work
+prepare() { py 'import run; run.prepare(run.WORKLOADS[sys.argv[1]], Path(sys.argv[3]), int(sys.argv[2]))' "$1" "$2" "$work"; }
+enron_inputs() {
+  py 'import json, planted; work = sys.argv[1]; planted.write_planted(Path(work), 7, copies=5, steps=504); print(json.dumps({"archive": f"{work}/archive", "mode": "online", "task": "linkpred", "selectors": ["online", "online-weighted", "training-only", "hand-picked", "random", "adage"], "intervals": 3, "seed": 7, "output": f"{work}/report", "params": {"min_tests": 2, "top_count": 4, "alpha": 0.5}}))' "$work" > "$work/config.json"
+}
+
+# one side's run in $work, its outputs moved to $dest
+demo() { sh "$root/scripts/demo_pipeline.sh" "$root" "$work" && mv "$work/demo" "$dest"; }
+online() {
+  gw ingest "$work/stream.csv" --out "$work/archive" --resolution 600 &&
+  gw evaluate "$work/config-linkpred.json" &&
+  gw sweep "$work/archive" --tasks linkpred --intervals 2 --out "$work/curves.json" &&
+  mkdir "$dest" && mv "$work/archive" "$work"/report-linkpred.* "$work/curves.json" "$dest"
+}
+enron() {
+  gw ingest "$work/stream.csv" --out "$work/archive" && gw evaluate "$work/config.json" &&
+  mkdir "$dest" && mv "$work/archive" "$work/report.json" "$work/report.csv" "$dest"
+}
+offline() {
+  gw ingest "$work/stream.csv" --out "$work/archive" --resolution 1 &&
+  gw evaluate "$work/config-attribute.json" && gw evaluate "$work/config-changepoint.json" &&
+  gw sweep "$work/archive" --tasks attribute,changepoint --intervals 3 \
+    --attributes "$work/attributes.csv" --target community \
+    --changepoints "$work/changepoints.txt" --out "$work/curves.json" &&
+  gw analyze "$work/curves.json" --out-prefix "$work/analysis" &&
+  mkdir "$dest" && mv "$work/archive" "$work"/report-* "$work/curves.json" "$work"/analysis* "$dest"
+}
+select_all() {
+  set -- --train-span 1 12 --test-span 13 24 --seed 7
+  gw ingest "$work/stream.csv" --out "$work/archive" --resolution 1 && mkdir "$work/out" || return
+  for task in attribute changepoint; do
+    gw select "$work/archive" --selector supervised --task "$task" --attributes "$work/attributes.csv" \
+      --target community --changepoints "$work/changepoints.txt" "$@" --out "$work/out/supervised-$task.json" || return
+  done
+  for selector in hand-picked random no-time fourier jaccard entropy adage; do
+    gw select "$work/archive" --selector "$selector" "$@" --out "$work/out/$selector.json" || return
+  done
+  mkdir "$dest" && mv "$work/archive" "$work/out" "$dest"
+}
+
+failed=""
+# compare NAME RUN [INPUTS...]: write the inputs, run RUN for each side, diff the outputs
+compare() {
+  name=$1 run=$2 work="$out/$1"
+  shift 2
+  mkdir "$work" && { [ $# -eq 0 ] || "$@"; } || { echo "$name: writing the inputs failed" >&2; failed="$failed $name"; return; }
+  for side in base head; do
+    eval "root=\$$side"
+    dest="$out/$name-$side"
+    "$run" || { echo "$name: the $side side failed" >&2; failed="$failed $name"; return; }
+  done
+  diff -r "$out/$name-base" "$out/$name-head" || { echo "$name: differs" >&2; failed="$failed $name"; }
+}
+
+compare demo demo
+compare online online prepare online-linkpred 7
+compare enron enron enron_inputs
+compare offline-3 offline prepare offline-attr-cp 3
+compare offline-7 offline prepare offline-attr-cp 7
+compare select select_all prepare offline-attr-cp 7
+
+[ -z "$failed" ] || { echo "differs or failed:$failed" >&2; exit 1; }

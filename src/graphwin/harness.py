@@ -381,11 +381,11 @@ class ExperimentReport:
                     "train_span": list(c.train_span),
                     "test_span": list(c.test_span),
                     "score": c.score,
-                    "detail": _jsonable(c.detail),
+                    "detail": c.detail,
                 }
                 for c in self.cells
             ],
-            "aggregates": _jsonable(self.aggregates),
+            "aggregates": self.aggregates,
             "curves": self.curves.to_dict() if self.curves is not None else None,
         }
 

@@ -22,7 +22,7 @@ from .attrpred import KernelParams, leave_out_scores, pairs_auc
 from .changepoint import cp_pr_auc, detect_change_points
 from .linkpred import KatzParams, ScoredPairs, katz_scores, online_step_score
 from .temporal import ChangePointLabels, GraphSequence, StaticGraph, VertexAttributes, union_graphs
-from .windows import Windowing, last_window, uniform_windowing, windowed_at
+from .windows import Windowing, uniform_windowing, windowed_at
 
 __all__ = [
     "SelectorParams",
@@ -219,6 +219,8 @@ class OnlineWindowSelector:
         self.ledger = ScoreLedger(params.alpha)
 
     def process(self, incoming: StaticGraph) -> StepRecord:
+        if incoming.n != self.n:
+            raise ValueError("step graph vertex count mismatch")
         self.history.append(incoming)
         i = len(self.history)
         now = self.first_step + i - 1
@@ -235,18 +237,19 @@ class OnlineWindowSelector:
                 if score is not None:
                     self.ledger.append(w, now, score)
                 tested.append((w, score))
-        full = GraphSequence(self.n, tuple(self.history))
         if ledger_driven:
             choice = self.ledger.argmax() or 1
         else:
-            choice = self.policy(full)
+            choice = self.policy(GraphSequence(self.n, tuple(self.history)))
         if isinstance(choice, Windowing):
             chosen, windowing = None, choice
         else:
             # a policy may return a size beyond the history
             chosen = min(choice, i)
             windowing = uniform_windowing(i, chosen)
-        last = last_window(full, windowing)
+        # the last window starts after the windowing's last cut
+        start = windowing.cuts[-1] if windowing.cuts else 0
+        last = union_graphs(self.history[start:])
         return StepRecord(
             step=i,
             tested=tuple(tested),

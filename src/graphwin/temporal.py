@@ -363,6 +363,7 @@ def load_attributes(
     """
     ids = {lab: i for i, lab in enumerate(labels)}
     header: list[str] | None = None
+    header_lineno = 0
     types: dict[str, str] | None = None  # feature column -> kind, in column order
     types_lineno: int | None = None
     # each vertex's line number and cells, kept as text until the column kinds are known
@@ -383,9 +384,9 @@ def load_attributes(
             continue
         parts = [p.strip() for p in line.split(",")]
         if header is None:
-            header = parts
+            header, header_lineno = parts, lineno
             if len(header) < 2:
-                raise DataFormatError("attribute header needs a label column and features")
+                raise DataFormatError(f"line {lineno}: attribute header needs a label column and features")
             repeated = sorted({col for col in header if header.count(col) > 1})
             if repeated:
                 raise DataFormatError(f"line {lineno}: repeated column names {repeated}")
@@ -404,11 +405,11 @@ def load_attributes(
         raise DataFormatError("attribute file has no header row")
     feature_cols = header[1:]
     if target not in feature_cols:
-        raise DataFormatError(f"target column {target!r} not among {feature_cols}")
+        raise DataFormatError(f"line {header_lineno}: target column {target!r} not among {feature_cols}")
     if types is None:
         raise DataFormatError(f"column kinds undeclared for {feature_cols}; add a #types line")
     if types[target] != CATEGORICAL:
-        raise DataFormatError(f"target column {target!r} must be categorical")
+        raise DataFormatError(f"line {types_lineno}: target column {target!r} must be categorical")
     final_rows: list[dict[str, object]] = []
     for v, record in enumerate(cells):
         lineno, row = record or (0, [])
@@ -457,7 +458,7 @@ def load_change_points(
     length: int,
 ) -> ChangePointLabels:
     """Load change-point step indices (one per line), validated against `length`."""
-    times: list[int] = []
+    first: dict[int, int] = {}  # time -> the line it first appears on
     for lineno, raw in enumerate(_lines(source), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -468,10 +469,11 @@ def load_change_points(
             raise DataFormatError(f"line {lineno}: change point {line!r} is not an integer") from None
         if not 1 <= t <= length:
             raise DataFormatError(f"line {lineno}: change point {t} outside [1, {length}]")
-        times.append(t)
-    if len(set(times)) != len(times):
-        raise DataFormatError("duplicate change-point times")
-    return ChangePointLabels(tuple(sorted(times)))
+        if first.setdefault(t, lineno) != lineno:
+            raise DataFormatError(
+                f"line {lineno}: duplicate change-point time {t}, first at line {first[t]}"
+            )
+    return ChangePointLabels(tuple(sorted(first)))
 
 
 @dataclass(frozen=True)

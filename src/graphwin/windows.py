@@ -18,7 +18,6 @@ __all__ = [
     "uniform_windowing",
     "apply_windowing",
     "windowed_at",
-    "last_window",
 ]
 
 
@@ -123,12 +122,3 @@ def windowed_at(seq: GraphSequence, size: int) -> WindowedSequence:
     """Uniform windowing of `seq` at the given window size."""
     return apply_windowing(seq, uniform_windowing(seq.length, size))
 
-
-def last_window(seq: GraphSequence, windowing: Windowing) -> StaticGraph:
-    """The final windowed graph of `seq` under `windowing`, built alone."""
-    if windowing.length != seq.length:
-        raise ValueError(
-            f"windowing over {windowing.length} steps applied to a {seq.length}-step sequence"
-        )
-    start = windowing.cuts[-1] if windowing.cuts else 0
-    return union_graphs(seq.graphs[start:])

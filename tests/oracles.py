@@ -61,12 +61,12 @@ from graphwin.temporal import (
     GraphSequence,
     StaticGraph,
     VertexAttributes,
+    union_graphs,
 )
 from graphwin.windows import (
     WindowedSequence,
     Windowing,
     apply_windowing,
-    last_window,
     uniform_windowing,
 )
 
@@ -543,6 +543,16 @@ def ranked(graph: StaticGraph, params: KatzParams) -> tuple[np.ndarray, np.ndarr
     score = s[u, v]
     order = np.lexsort((v, u, -score))
     return u[order], v[order], score[order]
+
+
+def last_window(seq: GraphSequence, windowing: Windowing) -> StaticGraph:
+    """The final windowed graph of `seq` under `windowing`, built alone."""
+    if windowing.length != seq.length:
+        raise ValueError(
+            f"windowing over {windowing.length} steps applied to a {seq.length}-step sequence"
+        )
+    start = windowing.cuts[-1] if windowing.cuts else 0
+    return union_graphs(seq.graphs[start:])
 
 
 def linkpred_window_quality(

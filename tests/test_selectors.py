@@ -8,12 +8,14 @@ import pytest
 from scipy.special import zeta
 
 from graphwin import (
+    AdagePolicy,
     GraphSequence,
     OnlineWindowSelector,
     ScoreLedger,
     SelectorParams,
     Windowing,
     adage_select,
+    apply_windowing,
     attr_split_window_quality,
     cp_window_quality,
     entropy_select,
@@ -28,7 +30,7 @@ from graphwin import (
 )
 from graphwin.temporal import ChangePointLabels, VertexAttributes, union_graphs
 
-from helpers import clique_edges, graph, seq_of
+from helpers import clique_edges, graph, seq_of, trace_streams
 
 
 def test_selector_params_validation():
@@ -220,6 +222,38 @@ def test_adage_online_selector_uses_history():
     assert rec.chosen == 1  # too short to fit anything
     rec = sel.process(graph(6, [(1, 2)]))
     assert rec.chosen is not None
+
+
+def online_selector_of_kind(kind: str, n: int) -> OnlineWindowSelector:
+    params = SelectorParams(min_tests=2, top_count=2, alpha=0.5)
+    if kind == "ledger":
+        return OnlineWindowSelector(n, params)
+    if kind == "freeze_after":
+        return OnlineWindowSelector(n, params, freeze_after=3)
+    if kind == "fixed":
+        return OnlineWindowSelector(n, params, policy=lambda history: 3)
+    if kind == "random":
+        rng = np.random.default_rng(4)
+        return OnlineWindowSelector(n, params, policy=lambda h: random_windowing(h.length, rng))
+    return OnlineWindowSelector(n, params, policy=AdagePolicy(n))
+
+
+@pytest.mark.parametrize("kind", ["ledger", "freeze_after", "fixed", "random", "adage"])
+def test_online_last_graph_is_the_windowings_last_window(kind):
+    for seq in trace_streams():
+        sel = online_selector_of_kind(kind, seq.n)
+        for i, g in enumerate(seq.graphs, start=1):
+            record = sel.process(g)
+            history = GraphSequence(seq.n, seq.graphs[:i])
+            assert record.last_graph == apply_windowing(history, record.windowing).last_graph()
+
+
+def test_online_selector_refuses_a_graph_over_other_vertices():
+    sel = OnlineWindowSelector(4)
+    sel.process(graph(4, [(0, 1)]))
+    with pytest.raises(ValueError, match="vertex count mismatch"):
+        sel.process(graph(5, [(0, 1)]))
+    assert len(sel.history) == 1
 
 
 # --------------------------------------------------------------------------

@@ -352,6 +352,21 @@ def test_second_types_line_names_both_lines():
         load_attributes(text, "grp", ("a", "b"))
 
 
+@pytest.mark.parametrize(
+    "text, target, message",
+    [
+        ("# c\nid\n", "y", "line 2: attribute header needs a label column"),
+        ("# c\nvertex,x\n\n#types: categorical\na,p\n", "y",
+         r"line 2: target column 'y' not among \['x'\]"),
+        ("# c\nvertex,x\n\n#types: continuous\na,1\n", "x",
+         "line 4: target column 'x' must be categorical"),
+    ],
+)
+def test_attribute_header_errors_name_their_line(text, target, message):
+    with pytest.raises(DataFormatError, match=message):
+        load_attributes(text, target, ("a",))
+
+
 def test_attributes_validation_direct():
     with pytest.raises(ValueError, match="one row per vertex"):
         VertexAttributes(3, "y", {"y": "categorical"}, ({"y": "a"}, {"y": "b"}))
@@ -372,6 +387,11 @@ def test_load_change_points():
         load_change_points("x\n", length=10)
     with pytest.raises(DataFormatError, match="duplicate"):
         load_change_points("3\n3\n", length=10)
+
+
+def test_duplicate_change_point_names_both_lines():
+    with pytest.raises(DataFormatError, match="line 4: duplicate change-point time 3, first at line 1"):
+        load_change_points("3\n# note\n7\n3\n", length=10)
 
 
 def test_change_point_restrict_reindexes():
