@@ -15,7 +15,8 @@
 #   enron      a 504-step stream over 150 vertices: ingest and six online selectors
 #   offline-3  offline-attr-cp seed 3: ingest, evaluate, sweep and analyze
 #   offline-7  the same at seed 7
-#   select     offline-attr-cp seed 7: select with supervised and every baseline
+#   select     offline-attr-cp seed 7: select with supervised and every baseline,
+#              each baseline both with and without --train-span
 set -u
 [ $# -eq 3 ] || { echo "usage: sh scripts/compare_with_base.sh BASE HEAD OUT" >&2; exit 2; }
 base=$(cd "$1" && pwd) && head=$(cd "$2" && pwd) && mkdir -p "$3" && out=$(cd "$3" && pwd) || exit 2
@@ -59,14 +60,16 @@ offline() {
   mkdir "$dest" && mv "$work/archive" "$work"/report-* "$work/curves.json" "$work"/analysis* "$dest"
 }
 select_all() {
-  set -- --train-span 1 12 --test-span 13 24 --seed 7
+  set -- --test-span 13 24 --seed 7
+  train="--train-span 1 12"
   gw ingest "$work/stream.csv" --out "$work/archive" --resolution 1 && mkdir "$work/out" || return
   for task in attribute changepoint; do
     gw select "$work/archive" --selector supervised --task "$task" --attributes "$work/attributes.csv" \
-      --target community --changepoints "$work/changepoints.txt" "$@" --out "$work/out/supervised-$task.json" || return
+      --target community --changepoints "$work/changepoints.txt" $train "$@" --out "$work/out/supervised-$task.json" || return
   done
   for selector in hand-picked random no-time fourier jaccard entropy adage; do
-    gw select "$work/archive" --selector "$selector" "$@" --out "$work/out/$selector.json" || return
+    gw select "$work/archive" --selector "$selector" $train "$@" --out "$work/out/$selector.json" &&
+    gw select "$work/archive" --selector "$selector" "$@" --out "$work/out/$selector-no-train-span.json" || return
   done
   mkdir "$dest" && mv "$work/archive" "$work/out" "$dest"
 }

@@ -30,8 +30,8 @@ from .harness import (
     ExperimentReport,
     IntervalPlan,
     _jsonable,
+    _QualityTable,
     _write_json,
-    choose_test_windowing,
     cross_task_matrix,
     hyperparam_sweep,
     run_suite,
@@ -53,6 +53,7 @@ from .temporal import (
     parse_edge_stream,
     save_archive,
 )
+from .windows import uniform_windowing
 
 __all__ = ["main", "build_parser"]
 
@@ -193,23 +194,14 @@ def cmd_select(args: argparse.Namespace) -> int:
     )
     seq = arch.sequence
     test_span = tuple(args.test_span) if args.test_span else (1, seq.length)
-    test = seq.slice_steps(*test_span)
     train_span = tuple(args.train_span) if args.train_span else None
-    # unsupervised selectors ignore the training interval
-    train = seq.slice_steps(*train_span) if train_span else test
-    train_cp = cp_truth.restrict(*train_span) if train_span and cp_truth is not None else None
-    windowing = choose_test_windowing(
-        args.selector,
-        train,
-        test,
-        task=args.task,
-        train_cp=train_cp,
-        attrs=attrs,
-        params=params,
-        seed=args.seed,
-    )
+    # every selector refuses a bad span, the test span's first
+    for span in filter(None, (test_span, train_span)):
+        seq.slice_steps(*span)
+    table = _QualityTable(seq, attrs, cp_truth, params)
+    windowing = table.test_windowing(args.selector, args.task, train_span, test_span, args.seed)
     sizes = windowing.sizes()
-    uniform = len(set(sizes[:-1])) <= 1
+    uniform = windowing == uniform_windowing(windowing.length, sizes[0])
     out = {
         "selector": args.selector,
         "task": args.task,

@@ -13,9 +13,12 @@ one selector.
 
 Offline work reads one quality table per stage: an entry (task, span,
 windowing) is the task run on that windowing of the span, and each distinct
-entry is scored once, when it is first read. Supervised selection is the
-argmax of a training span's row of uniform sizes, the offline cells read
-their test entries, and `score_curves` is the table of every uniform size.
+entry is scored once, when it is first read. `_QualityTable.test_windowing`
+picks every offline test windowing, the offline cells' and `graphwin
+select`'s: supervised selection is the argmax of a training span's row of
+uniform sizes, and a baseline sees the test edges only. The offline cells
+read their test entries, and `score_curves` is the table of every uniform
+size.
 Link-prediction work reads one span table per stage (`SpanScores`), so each
 one-step-ahead score of a window span is computed once, whether a sweep
 entry, a ledger test or an emitted prediction needs it.
@@ -60,7 +63,6 @@ __all__ = [
     "OFFLINE_SELECTORS",
     "ONLINE_SELECTORS",
     "TASKS",
-    "choose_test_windowing",
     "CellResult",
     "ExperimentReport",
     "run_offline",
@@ -259,7 +261,7 @@ class _QualityTable:
         segment = self.seq.slice_steps(*span)
         size = windowing.sizes()[0]
         if kind == "linkpred":
-            return linkpred_window_quality(segment, size, self.params.katz, self.spans, span[0]), {}
+            return linkpred_window_quality(segment, size, self.spans, span[0]), {}
         if kind == "attribute-split":
             return attr_split_window_quality(segment, size, attrs, kernel, batch), {}
         ws = apply_windowing(segment, windowing)
@@ -282,48 +284,33 @@ class _QualityTable:
             raise value
         return value
 
-    def select(self, kind: str, span: tuple[int, int], test_length: int) -> Windowing:
-        """Supervised selection: the best uniform size of the row at training
-        `span`, clamped to the test length."""
-        row = _row(kind, span)
-        if kind == "changepoint" and not self.cp_truth.restrict(*span).times:
+    def test_windowing(
+        self,
+        selector: str,
+        task: str | None,
+        train: tuple[int, int] | None,
+        test: tuple[int, int],
+        seed: int,
+    ) -> Windowing:
+        """The windowing `selector` picks for the `test` span. Supervised
+        selection sees the `train` span and its ground truth only: the best
+        uniform size of `task`'s row there, clamped to the test length.
+        Every other selector sees the test edges only."""
+        if selector != "supervised":
+            return _baseline_windowing(selector, self.seq.slice_steps(*test), self.params, seed)
+        kind = _SUPERVISED_KIND[task]
+        if kind == "changepoint" and not self.cp_truth.restrict(*train).times:
             log.info("training interval has no change points; selection sees empty truth")
-        train = self.seq.slice_steps(*span)
-        selection = supervised_offline_select(train, lambda _, w: self[row[w - 1]][0])
-        return uniform_windowing(test_length, min(selection.chosen, test_length))
+        row = _row(kind, train)
+        selection = supervised_offline_select(
+            self.seq.slice_steps(*train), lambda _, w: self[row[w - 1]][0]
+        )
+        length = test[1] - test[0] + 1
+        return uniform_windowing(length, min(selection.chosen, length))
 
 
 # --------------------------------------------------------------------------
 # Offline evaluation
-
-
-def choose_test_windowing(
-    selector: str,
-    train: GraphSequence,
-    test: GraphSequence,
-    *,
-    task: str | None = None,
-    train_cp: ChangePointLabels | None = None,
-    attrs: VertexAttributes | None = None,
-    params: EvalParams = EvalParams(),
-    seed: int = 0,
-) -> Windowing:
-    """Pick a windowing of the test interval.
-
-    Supervised selection sees the training interval and its ground truth,
-    through the quality table's row for it; every other selector sees test
-    edges only. Chosen uniform sizes are clamped to the test length.
-    """
-    if selector != "supervised":
-        return _baseline_windowing(selector, test, params, seed)
-    if task == "changepoint" and train_cp is None:
-        raise ValueError("supervised change-point selection needs training truth")
-    if task == "attribute" and attrs is None:
-        raise ValueError("supervised attribute selection needs attributes")
-    if task not in _SUPERVISED_KIND:
-        raise ValueError(f"no offline supervised selection for task {task!r}")
-    table = _QualityTable(train, attrs, train_cp, params)
-    return table.select(_SUPERVISED_KIND[task], (1, train.length), test.length)
 
 
 def _baseline_windowing(
@@ -478,11 +465,8 @@ def _offline_cells(
         own = []
         for idx, (a, b) in enumerate(plan.pairs):
             train, test = plan.spans[a], plan.spans[b]
-            if name == "supervised":
-                windowing = table.select(_SUPERVISED_KIND[task], train, test[1] - test[0] + 1)
-            else:
-                cell_seed = derive_seed(seed, name, task, idx)
-                windowing = _baseline_windowing(name, seq.slice_steps(*test), params, cell_seed)
+            cell_seed = derive_seed(seed, name, task, idx)
+            windowing = table.test_windowing(name, task, train, test, cell_seed)
             score, detail = table[task, test, windowing]
             cuts, sizes = list(windowing.cuts), list(windowing.sizes())
             detail = {"windowing": cuts, "window_sizes": sizes, **detail}
@@ -507,6 +491,7 @@ def _make_online_selector(
     params: EvalParams,
     train_span: tuple[int, int],
     seed: int,
+    spans: SpanScores,
 ) -> OnlineWindowSelector:
     rng = np.random.default_rng(seed)
     flat = replace(params.selector, alpha=1.0)
@@ -517,12 +502,12 @@ def _make_online_selector(
         "online-weighted": (None, params.selector, None),
         "training-only": (None, flat, train_length),
         "hand-picked": (lambda history: 1, params.selector, None),
-        "random": (lambda history: random_windowing(history.length, rng), params.selector, None),
+        "random": (lambda history: random_windowing(len(history), rng), params.selector, None),
         "adage": (AdagePolicy(n, params.adage_tol, params.adage_patience), params.selector, None),
     }
     policy, knobs, freeze_after = table[name]
     return OnlineWindowSelector(
-        n, knobs, freeze_after, katz=params.katz, policy=policy, first_step=train_span[0]
+        n, knobs, freeze_after, spans=spans, policy=policy, first_step=train_span[0]
     )
 
 
@@ -552,8 +537,7 @@ def _online_cells(
         sels, details, emitted = {}, {}, {}
         for name in selectors:
             pair_seed = derive_seed(seed, name, "linkpred", idx)
-            sels[name] = sel = _make_online_selector(name, seq.n, params, train_span, pair_seed)
-            sel.spans = spans
+            sels[name] = _make_online_selector(name, seq.n, params, train_span, pair_seed, spans)
             details[name] = {"scored": [], "log": []}
         for local, g in enumerate(stream, start=1):
             for name, sel in sels.items():

@@ -13,10 +13,12 @@ A graph's ranking is computed once as three read-only arrays (pair ends and
 score, in rank order) and memoised per (graph, params) in a least-recently
 used cache of 16 entries. The callers keep each window span's score in a
 span table (`selectors.SpanScores`); the memo serves the rankings a table
-does not hold. A step's prediction ranks the window its selector has just
-scored, and an online suite advances its selectors in lockstep, so the
-graphs they share at one step stay memoised. `online_step_score` reads the
-arrays directly; `katz_scores` returns a read-only view of them.
+does not hold. A step's ledger tests rank windows that end one step before
+the incoming graph; its prediction ranks the window that ends at the
+incoming graph, which the next step's score reads. An online suite advances
+its selectors in lockstep, so the graphs they share at one step stay
+memoised. `online_step_score` reads the arrays directly; `katz_scores`
+returns a read-only view of them.
 """
 from __future__ import annotations
 

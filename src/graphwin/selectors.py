@@ -169,7 +169,7 @@ class StepRecord:
 
 
 # history (incoming graph included) -> a uniform size or a windowing
-Policy = Callable[[GraphSequence], "int | Windowing"]
+Policy = Callable[[Sequence[StaticGraph]], "int | Windowing"]
 
 
 class OnlineWindowSelector:
@@ -178,19 +178,20 @@ class OnlineWindowSelector:
     Without a `policy` the selection is ledger-driven. On each incoming
     graph, every size seen fewer than `min_tests` times and the current
     `top_count` best sizes are retested by ranking pairs of the history's
-    last window at that size with `katz`; scores append to the ledger
-    (steps without new links at a size append nothing). A test reads its
-    score from `spans`, a table of `katz` on the ledger clock that scores
-    (and builds the window) only on a miss; selectors on one stream may be
-    given one table to share. The emitted prediction uses the size with the
-    best (decayed) ledger mean, smallest size on ties, size 1 before any
-    score exists. `freeze_after=k` stops all testing after step k for
-    training-only selection: the ledger then stops changing, and so the
-    size chosen at step k stays pinned.
+    last window at that size; scores append to the ledger (steps without
+    new links at a size append nothing). A test reads its score from
+    `spans`, a span table on the ledger clock that scores (and builds the
+    window) only on a miss; selectors on one stream may be given one table
+    to share (a table of default `KatzParams` when none is given). The
+    table's `katz` ranks every test and the emitted prediction. The
+    prediction uses the size with the best (decayed) ledger mean, smallest
+    size on ties, size 1 before any score exists. `freeze_after=k` stops all
+    testing after step k for training-only selection: the ledger then stops
+    changing, and so the size chosen at step k stays pinned.
 
     A `policy` replaces the ledger and nothing is tested. It is called on
-    the history, incoming graph included, and returns either a uniform size,
-    which is clamped to the history and reported as `chosen`, or a
+    the history list, incoming graph included, and returns either a uniform
+    size, which is clamped to the history and reported as `chosen`, or a
     `Windowing`, which is used as it is and reported as `chosen=None`.
 
     `first_step` numbers the first graph on the ledger clock, so the keys
@@ -204,17 +205,16 @@ class OnlineWindowSelector:
         params: SelectorParams = SelectorParams(),
         freeze_after: int | None = None,
         *,
-        katz: KatzParams = KatzParams(),
+        spans: SpanScores | None = None,
         policy: Policy | None = None,
         first_step: int = 1,
     ) -> None:
         self.n = n
         self.params = params
         self.freeze_after = freeze_after
-        self.katz = katz
         self.policy = policy
         self.first_step = first_step
-        self.spans = SpanScores(katz)
+        self.spans = SpanScores() if spans is None else spans
         self.history: list[StaticGraph] = []
         self.ledger = ScoreLedger(params.alpha)
 
@@ -240,7 +240,7 @@ class OnlineWindowSelector:
         if ledger_driven:
             choice = self.ledger.argmax() or 1
         else:
-            choice = self.policy(GraphSequence(self.n, tuple(self.history)))
+            choice = self.policy(self.history)
         if isinstance(choice, Windowing):
             chosen, windowing = None, choice
         else:
@@ -256,7 +256,7 @@ class OnlineWindowSelector:
             chosen=chosen,
             windowing=windowing,
             last_graph=last,
-            prediction=katz_scores(last, self.katz),
+            prediction=katz_scores(last, self.spans.katz),
         )
 
 
@@ -295,7 +295,6 @@ def supervised_offline_select(seq: GraphSequence, quality: QualityFn) -> Offline
 def linkpred_window_quality(
     seq: GraphSequence,
     size: int,
-    params: KatzParams = KatzParams(),
     spans: SpanScores | None = None,
     first_step: int = 1,
 ) -> float:
@@ -303,12 +302,12 @@ def linkpred_window_quality(
 
     Histories shorter than `size` collapse to a single window. Steps with no
     new links are skipped; if no step is scoreable the quality is 0. Scores
-    are read from `spans`, a table of `params` on whose clock `seq` starts
-    at `first_step` (a table of its own by default).
+    are read from `spans`, a span table on whose clock `seq` starts at
+    `first_step` (a table of its own, of default `KatzParams`, by default).
     """
     if size < 1:
         raise ValueError(f"window size {size} must be >= 1")
-    spans = SpanScores(params) if spans is None else spans
+    spans = SpanScores() if spans is None else spans
     scores: list[float] = []
     for end in range(first_step, first_step + seq.length - 1):
         s = spans.score(seq.graphs, first_step, end - (end - first_step) % size, end)
@@ -522,7 +521,7 @@ def adage_select(seq: GraphSequence, rel_tol: float = 0.01, patience: int = 3) -
     degree sequence is all zero are skipped and break the run. Returns the
     full length if convergence never happens.
     """
-    return AdagePolicy(seq.n, rel_tol, patience)(seq)
+    return AdagePolicy(seq.n, rel_tol, patience)(seq.graphs)
 
 
 class AdagePolicy:
@@ -538,9 +537,9 @@ class AdagePolicy:
         self.run = self.size = 0  # size: steps in the opening window
         self.converged: int | None = None
 
-    def __call__(self, history: GraphSequence) -> int:
-        while self.converged is None and self.size < history.length:
-            g = history.graphs[self.size]
+    def __call__(self, history: Sequence[StaticGraph]) -> int:
+        while self.converged is None and self.size < len(history):
+            g = history[self.size]
             self.size += 1
             for u, v in g.edges - self.seen:
                 self.degree[u] += 1
@@ -558,7 +557,7 @@ class AdagePolicy:
                 if self.run >= self.patience:
                     self.converged = self.size
             self.previous = gamma
-        return history.length if self.converged is None else self.converged
+        return len(history) if self.converged is None else self.converged
 
 
 def random_windowing(length: int, rng: int | np.random.Generator) -> Windowing:

@@ -48,6 +48,7 @@ from graphwin.linkpred import KatzParams, _truncated_matrix
 from graphwin.selectors import (
     OnlineWindowSelector,
     SelectorParams,
+    SpanScores,
     attr_split_window_quality,
     attr_window_quality,
     cp_window_quality,
@@ -646,19 +647,25 @@ def online_selector(
     rng = np.random.default_rng(seed)
     flat = SelectorParams(params.selector.min_tests, params.selector.top_count, 1.0)
 
-    def adage(history: GraphSequence) -> int:
-        return adage_select(history, params.adage_tol, params.adage_patience)
+    def adage(history: list[StaticGraph]) -> int:
+        seq = GraphSequence(n, tuple(history))
+        return adage_select(seq, params.adage_tol, params.adage_patience)
 
     policy, knobs, freeze_after = {
         "online": (None, flat, None),
         "online-weighted": (None, params.selector, None),
         "training-only": (None, flat, train_span[1] - train_span[0] + 1),
         "hand-picked": (lambda history: 1, params.selector, None),
-        "random": (lambda history: random_windowing(history.length, rng), params.selector, None),
+        "random": (lambda history: random_windowing(len(history), rng), params.selector, None),
         "adage": (adage, params.selector, None),
     }[name]
     return OnlineWindowSelector(
-        n, knobs, freeze_after, katz=params.katz, policy=policy, first_step=train_span[0]
+        n,
+        knobs,
+        freeze_after,
+        spans=SpanScores(params.katz),
+        policy=policy,
+        first_step=train_span[0],
     )
 
 
@@ -719,7 +726,7 @@ def choose_test_windowing(
     """Supervised selection calls its task's quality function on every
     training size; the baselines are the package's."""
     if selector != "supervised":
-        return harness.choose_test_windowing(selector, train, test, params=params, seed=seed)
+        return harness._baseline_windowing(selector, test, params, seed)
     if task == "changepoint":
         selection = supervised_offline_select(
             train, lambda s, w: cp_window_quality(s, w, train_cp)

@@ -11,6 +11,7 @@ import pytest
 
 from graphwin import EvalParams, KatzParams, SelectorParams, run_suite, split_intervals
 from graphwin.cli import main
+from graphwin.harness import OFFLINE_SELECTORS, derive_seed
 from graphwin.temporal import load_archive
 
 
@@ -180,6 +181,64 @@ def test_select_validation_enumerates_problems(dataset, capsys):
     assert rc == 1
     assert "unknown selector 'mystery'" in err
     assert "valid:" in err and "fourier" in err
+
+
+@pytest.mark.parametrize(
+    "seed, sizes, chosen",
+    [(79, [2, 10], None), (327, [5, 5, 2], 5), (7, [12], 12)],
+)
+def test_select_reports_a_chosen_size_only_for_a_uniform_windowing(
+    dataset, capsys, seed, sizes, chosen
+):
+    """A longer last segment is not a uniform windowing: at size 2 one cuts
+    at 2, 4, 6, 8 and 10."""
+    rc = main(["select", str(dataset["archive"]), "--selector", "random",
+               "--seed", str(seed)])
+    sel = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert sel["sizes"] == sizes
+    assert sel["chosen_size"] == chosen
+
+
+@pytest.mark.parametrize("selector", OFFLINE_SELECTORS)
+def test_select_refuses_a_bad_span_for_every_selector(dataset, capsys, selector):
+    base = ["select", str(dataset["archive"]), "--selector", selector,
+            "--task", "changepoint", "--changepoints", str(dataset["cps"])]
+    rc = main([*base, "--train-span", "0", "6", "--test-span", "7", "12"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: bad span [0, 6] for length 12\n"
+    # the test span is checked first
+    rc = main([*base, "--train-span", "0", "6", "--test-span", "7", "13"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: bad span [7, 13] for length 12\n"
+
+
+def test_select_writes_the_windowing_evaluate_scores(dataset, capsys):
+    """Every offline selector, on both tasks and both interval pairs:
+    `select` with a cell's spans and seed writes that cell's windowing."""
+    tmp = dataset["tmp"]
+    inputs = {"attributes": str(dataset["attrs"]), "target": "y",
+              "changepoints": str(dataset["cps"])}
+    for task in ("attribute", "changepoint"):
+        cfg = {"archive": str(dataset["archive"]), "mode": "offline", "task": task,
+               "selectors": list(OFFLINE_SELECTORS), "intervals": 3, "seed": 5,
+               "output": str(tmp / task), **inputs}
+        (tmp / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["evaluate", str(tmp / "cfg.json")]) == 0
+        cells = json.loads((tmp / f"{task}.json").read_text())["cells"]
+        assert len(cells) == 2 * len(OFFLINE_SELECTORS)
+        for cell in cells:
+            name, idx = cell["selector"], cell["pair_index"]
+            rc = main([
+                "select", str(dataset["archive"]), "--selector", name, "--task", task,
+                "--attributes", inputs["attributes"], "--target", "y",
+                "--changepoints", inputs["changepoints"],
+                "--train-span", *map(str, cell["train_span"]),
+                "--test-span", *map(str, cell["test_span"]),
+                "--seed", str(derive_seed(5, name, task, idx)),
+            ])
+            assert rc == 0
+            assert json.loads(capsys.readouterr().out)["cuts"] == cell["detail"]["windowing"]
 
 
 # --------------------------------------------------------------------------

@@ -353,7 +353,7 @@ def test_adage_policy_matches_adage_select_without_refitting(monkeypatch):
         want = [oracles.adage_select(prefix, tol, patience) for prefix in prefixes]
         fits.clear()
         policy = AdagePolicy(seq.n, tol, patience)
-        assert [policy(prefix) for prefix in prefixes] == want
+        assert [policy(prefix.graphs) for prefix in prefixes] == want
         policy_fits = list(fits)
         fits.clear()
         assert adage_select(seq, tol, patience) == want[-1]

@@ -10,9 +10,11 @@ from scipy.special import zeta
 from graphwin import (
     AdagePolicy,
     GraphSequence,
+    KatzParams,
     OnlineWindowSelector,
     ScoreLedger,
     SelectorParams,
+    SpanScores,
     Windowing,
     adage_select,
     apply_windowing,
@@ -22,10 +24,13 @@ from graphwin import (
     fourier_select,
     graph_entropy,
     jaccard_select,
+    katz_scores,
     linkpred_window_quality,
+    online_step_score,
     powerlaw_exponent,
     random_windowing,
     supervised_offline_select,
+    uniform_windowing,
     windowed_at,
 )
 from graphwin.temporal import ChangePointLabels, VertexAttributes, union_graphs
@@ -199,7 +204,7 @@ def test_fixed_online_selector():
 def random_online_selector(seed: int) -> OnlineWindowSelector:
     rng = np.random.default_rng(seed)
     return OnlineWindowSelector(
-        4, policy=lambda history: random_windowing(history.length, rng)
+        4, policy=lambda history: random_windowing(len(history), rng)
     )
 
 
@@ -217,7 +222,7 @@ def test_random_online_selector_is_seeded():
 
 
 def test_adage_online_selector_uses_history():
-    sel = OnlineWindowSelector(6, policy=adage_select)
+    sel = OnlineWindowSelector(6, policy=AdagePolicy(6))
     rec = sel.process(graph(6, [(0, 1)]))
     assert rec.chosen == 1  # too short to fit anything
     rec = sel.process(graph(6, [(1, 2)]))
@@ -234,7 +239,7 @@ def online_selector_of_kind(kind: str, n: int) -> OnlineWindowSelector:
         return OnlineWindowSelector(n, params, policy=lambda history: 3)
     if kind == "random":
         rng = np.random.default_rng(4)
-        return OnlineWindowSelector(n, params, policy=lambda h: random_windowing(h.length, rng))
+        return OnlineWindowSelector(n, params, policy=lambda h: random_windowing(len(h), rng))
     return OnlineWindowSelector(n, params, policy=AdagePolicy(n))
 
 
@@ -246,6 +251,23 @@ def test_online_last_graph_is_the_windowings_last_window(kind):
             record = sel.process(g)
             history = GraphSequence(seq.n, seq.graphs[:i])
             assert record.last_graph == apply_windowing(history, record.windowing).last_graph()
+
+
+def test_online_selector_reads_its_katz_parameters_from_its_span_table():
+    katz = KatzParams(beta=0.01)
+    moved = 0  # tested scores that differ at the default beta
+    for seq in trace_streams():
+        sel = OnlineWindowSelector(seq.n, SelectorParams(min_tests=3, top_count=3),
+                                   spans=SpanScores(katz))
+        for i, g in enumerate(seq.graphs, start=1):
+            record = sel.process(g)
+            assert record.prediction == katz_scores(record.last_graph, katz)
+            for w, score in record.tested:
+                history = seq.slice_steps(1, i - 1)
+                window = apply_windowing(history, uniform_windowing(i - 1, w)).last_graph()
+                assert score == online_step_score(window, g, katz)
+                moved += score != online_step_score(window, g, KatzParams())
+    assert moved > 0
 
 
 def test_online_selector_refuses_a_graph_over_other_vertices():
