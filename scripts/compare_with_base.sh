@@ -12,7 +12,7 @@
 #
 #   demo       the README demo tree, built by each side's scripts/demo_pipeline.sh
 #   online     online-linkpred seed 7: ingest, evaluate and sweep
-#   enron      a 504-step stream over 150 vertices: ingest and six online selectors
+#   enron      an Enron-size 1008-step stream over 150 vertices: ingest and six online selectors
 #   offline-3  offline-attr-cp seed 3: ingest, evaluate, sweep and analyze
 #   offline-7  the same at seed 7
 #   select     offline-attr-cp seed 7: select with supervised and every baseline,
@@ -35,7 +35,7 @@ py() { code=$1; shift; python -c "import sys; sys.path.insert(0, sys.argv.pop(1)
 # inputs, written once into $work
 prepare() { py 'import run; run.prepare(run.WORKLOADS[sys.argv[1]], Path(sys.argv[3]), int(sys.argv[2]))' "$1" "$2" "$work"; }
 enron_inputs() {
-  py 'import json, planted; work = sys.argv[1]; planted.write_planted(Path(work), 7, copies=5, steps=504); print(json.dumps({"archive": f"{work}/archive", "mode": "online", "task": "linkpred", "selectors": ["online", "online-weighted", "training-only", "hand-picked", "random", "adage"], "intervals": 3, "seed": 7, "output": f"{work}/report", "params": {"min_tests": 2, "top_count": 4, "alpha": 0.5}}))' "$work" > "$work/config.json"
+  py 'import json, planted; work = sys.argv[1]; planted.write_planted(Path(work), 7, copies=5, steps=1008); print(json.dumps({"archive": f"{work}/archive", "mode": "online", "task": "linkpred", "selectors": ["online", "online-weighted", "training-only", "hand-picked", "random", "adage"], "intervals": 3, "seed": 7, "output": f"{work}/report", "params": {"min_tests": 2, "top_count": 4, "alpha": 0.5}}))' "$work" > "$work/config.json"
 }
 
 # one side's run in $work, its outputs moved to $dest

@@ -125,10 +125,9 @@ class _SegmentState:
         if g.n != self.n:
             raise ValueError("graph vertex count mismatch")
         self.graph_count += 1
-        if g.edges:
-            u, v = np.array(list(g.edges)).T
-            self.contacts[u, v] += 1
-            self.contacts[v, u] += 1
+        u, v = g.ends()
+        self.contacts[u, v] += 1
+        self.contacts[v, u] += 1
 
     def _set_assignment(self, assign: np.ndarray) -> None:
         # Compact group indices, preserving first-appearance order.
@@ -151,8 +150,13 @@ class _SegmentState:
         return st
 
     def add_graph(self, g: StaticGraph) -> None:
+        """Add g's edges to the contacts and the blocks they touch (a within-group edge
+        once): `__init__` and `search` leave the assignment compact, as `_set_assignment` does."""
         self._add_contacts(g)
-        self._set_assignment(self.assign)
+        u, v = g.ends()
+        a, b = self.assign[u], self.assign[v]
+        np.add.at(self.blocks, (a, b), 1)
+        np.add.at(self.blocks, (b[a != b], a[a != b]), 1)
 
     def _moved_rows(self, src: int, dst: int, contact: np.ndarray) -> dict[int, np.ndarray]:
         """Rows src and dst of the block counts after moving a vertex with

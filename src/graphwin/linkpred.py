@@ -105,10 +105,6 @@ def katz_matrix(graph: StaticGraph, params: KatzParams = KatzParams()) -> np.nda
     return _truncated_matrix(a, params.beta, _MAX_PATH_LEN)
 
 
-# every pair u < v of n vertices in (u, v) order, shared by all rankings
-_pairs = functools.lru_cache(maxsize=8)(functools.partial(np.triu_indices, k=1))
-
-
 @functools.lru_cache(maxsize=16)
 def _ranked(
     graph: StaticGraph, params: KatzParams
@@ -116,17 +112,12 @@ def _ranked(
     """Candidate pairs (u < v, both endpoints with an edge, not joined) as
     read-only arrays u, v, score, by descending score, then by pair."""
     s = katz_matrix(graph, params)
-    n = graph.n
-    ends = np.array(list(graph.edges), dtype=np.intp).reshape(-1, 2)
-    iu, iv = _pairs(n)
-    active = np.bincount(ends.ravel(), minlength=n) > 0
-    keep = active[iu] & active[iv]
-    # an edge (u, v) is pair u*n - u*(u+1)/2 + v - u - 1 of the triangle
-    u0 = ends[:, 0]
-    keep[u0 * n - u0 * (u0 + 1) // 2 + ends[:, 1] - u0 - 1] = False
-    u, v = iu[keep], iv[keep]
+    active = graph.degrees() > 0
+    candidate = np.triu(active[:, None] & active, 1)
+    candidate[graph.ends()] = False
+    u, v = np.nonzero(candidate)
     score = s[u, v]
-    # the pairs are in (u, v) order, so a stable sort breaks ties by pair
+    # nonzero yields the pairs in (u, v) order, so a stable sort breaks ties by pair
     order = np.argsort(-score, kind="stable")
     out = (u[order], v[order], score[order])
     for arr in out:
@@ -210,11 +201,11 @@ def online_step_score(
     Positives are the incoming step's edges absent from `last`. Returns None
     when there are none (the step is skipped).
     """
-    positives = incoming.edges - last.edges
+    hit = np.zeros((last.n, last.n), dtype=bool)
+    hit[incoming.ends()] = True
+    hit[last.ends()] = False
+    positives = int(np.count_nonzero(hit))
     if not positives:
         return None
     u, v, _ = _ranked(last, params)
-    ends = np.array(list(positives), dtype=np.intp)
-    hit = np.zeros((last.n, last.n), dtype=bool)
-    hit[ends[:, 0], ends[:, 1]] = True
-    return _ap(np.flatnonzero(hit[u, v]) + 1, len(positives))
+    return _ap(np.flatnonzero(hit[u, v]) + 1, positives)

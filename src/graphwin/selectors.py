@@ -399,10 +399,11 @@ def fourier_select(seq: GraphSequence) -> int:
     return min(scores, key=lambda w: (-scores[w], w))
 
 
-def _jaccard(a: frozenset, b: frozenset) -> float:
-    if not a and not b:
+def _jaccard(a: StaticGraph, b: StaticGraph) -> float:
+    if not a.edge_count and not b.edge_count:
         return 1.0
-    return len(a & b) / len(a | b)
+    common = len(np.intersect1d(a.ids, b.ids, assume_unique=True))
+    return common / (a.edge_count + b.edge_count - common)
 
 
 def jaccard_select(seq: GraphSequence, tau: float = 0.05) -> int:
@@ -420,7 +421,7 @@ def jaccard_select(seq: GraphSequence, tau: float = 0.05) -> int:
     for w in candidates:
         ws = windowed_at(seq, w)
         sims = [
-            _jaccard(ws.graphs[i].edges, ws.graphs[i + 1].edges)
+            _jaccard(ws.graphs[i], ws.graphs[i + 1])
             for i in range(ws.window_count - 1)
         ]
         means.append(math.fsum(sims) / len(sims))
@@ -453,17 +454,16 @@ def entropy_select(seq: GraphSequence) -> Windowing:
     are also taken, and the search stops when every merge would raise it.
     Returns a (generally non-uniform) windowing.
     """
-    edge_sets: list[frozenset] = [g.edges for g in seq.graphs]
+    windows: list[StaticGraph] = list(seq.graphs)
     entropies: list[float] = [graph_entropy(g) for g in seq.graphs]
     bounds: list[int] = list(range(1, seq.length + 1))  # segment end indices
-    n = seq.n
 
     def merged_entropy(i: int) -> float:
-        return graph_entropy(StaticGraph(n, edge_sets[i] | edge_sets[i + 1]))
+        return graph_entropy(union_graphs(windows[i : i + 2]))
 
-    candidate: list[float] = [merged_entropy(i) for i in range(len(edge_sets) - 1)]
-    while len(edge_sets) > 1:
-        m = len(edge_sets)
+    candidate: list[float] = [merged_entropy(i) for i in range(len(windows) - 1)]
+    while len(windows) > 1:
+        m = len(windows)
         mean_now = math.fsum(entropies) / m
         deltas = [
             (math.fsum(entropies) - entropies[i] - entropies[i + 1] + candidate[i]) / (m - 1)
@@ -473,9 +473,9 @@ def entropy_select(seq: GraphSequence) -> Windowing:
         best = min(range(m - 1), key=lambda i: (deltas[i], i))
         if deltas[best] > 1e-12:
             break
-        edge_sets[best] = edge_sets[best] | edge_sets[best + 1]
+        windows[best] = union_graphs(windows[best : best + 2])
         entropies[best] = candidate[best]
-        del edge_sets[best + 1], entropies[best + 1], bounds[best]
+        del windows[best + 1], entropies[best + 1], bounds[best]
         del candidate[best]
         if best < len(candidate):
             candidate[best] = merged_entropy(best)
@@ -526,27 +526,22 @@ def adage_select(seq: GraphSequence, rel_tol: float = 0.01, patience: int = 3) -
 
 class AdagePolicy:
     """`adage_select` as an online policy: each call's history must extend
-    the previous call's. The opening window's degrees, the last exponent and
+    the previous call's. The opening window's union, the last exponent and
     the run length carry over, so each step is fitted once."""
 
     def __init__(self, n: int, rel_tol: float = 0.01, patience: int = 3) -> None:
         self.rel_tol, self.patience = rel_tol, patience
-        self.seen: set[tuple[int, int]] = set()  # the opening window's edges
-        self.degree = [0] * n
+        self.window = StaticGraph(n, [])  # the union of the opening window's steps
         self.previous: float | None = None
         self.run = self.size = 0  # size: steps in the opening window
         self.converged: int | None = None
 
     def __call__(self, history: Sequence[StaticGraph]) -> int:
         while self.converged is None and self.size < len(history):
-            g = history[self.size]
+            self.window = union_graphs((self.window, history[self.size]))
             self.size += 1
-            for u, v in g.edges - self.seen:
-                self.degree[u] += 1
-                self.degree[v] += 1
-            self.seen |= g.edges
-            degs = [d for d in self.degree if d >= 1]
-            if not degs:
+            degs = self.window.degrees()
+            if not degs.any():
                 self.previous, self.run = None, 0
                 log.info("size %d skipped: degree sequence all zero", self.size)
                 continue

@@ -50,53 +50,70 @@ class DataFormatError(ValueError):
     """An input file violates its declared format."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StaticGraph:
-    """An undirected simple graph on vertices 0..n-1 with canonical edges.
-
-    Edges are stored as a frozenset of (u, v) pairs with u < v. Instances are
-    immutable and hashable; helper views (adjacency matrix, degree vector,
-    neighbour lists) are rebuilt on demand.
-    """
+    """An undirected simple graph on vertices 0..n-1: `ids` holds each edge (u, v),
+    u < v, as the id u*n + v in a sorted, distinct, read-only int64 array (a copy of
+    the one passed in), so in (u, v) order. Only this module encodes or decodes ids;
+    other code reads `ends()`. Equality and hash go by (n, ids); helper views
+    (adjacency matrix, degree vector, neighbour lists) are rebuilt on demand."""
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    ids: np.ndarray
 
     def __post_init__(self) -> None:
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"edge ({u}, {v}) not canonical for n={self.n}")
+        ids = np.array(self.ids, dtype=np.int64)
+        u, v = np.divmod(ids, self.n)
+        bad = (u < 0) | (u >= v)
+        if bad.any():
+            raise ValueError(f"edge ({u[bad][0]}, {v[bad][0]}) not canonical for n={self.n}")
+        if (ids[1:] <= ids[:-1]).any():
+            raise ValueError("edge ids must be sorted and distinct")
+        ids.flags.writeable = False
+        object.__setattr__(self, "ids", ids)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, StaticGraph) and self.n == other.n and np.array_equal(self.ids, other.ids)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.ids.tobytes()))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.ids)
+
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Endpoint arrays u, v (u < v) of the edges, in (u, v) order."""
+        return np.divmod(self.ids, self.n)
 
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n), dtype=float)
-        ends = np.array(list(self.edges), dtype=np.intp).reshape(-1, 2)
-        a[ends[:, 0], ends[:, 1]] = a[ends[:, 1], ends[:, 0]] = 1.0
+        u, v = self.ends()
+        a[u, v] = a[v, u] = 1.0
         return a
 
     def degrees(self) -> np.ndarray:
-        ends = np.array(list(self.edges), dtype=np.intp).reshape(-1)
-        return np.bincount(ends, minlength=self.n)
+        return np.bincount(np.concatenate(self.ends()), minlength=self.n)
 
     def neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(x)) for x in nbrs)
+        u, v = self.ends()
+        src, dst = np.concatenate((u, v)), np.concatenate((v, u))
+        order = np.lexsort((dst, src))
+        bounds = np.searchsorted(src[order], np.arange(self.n + 1)).tolist()
+        nbrs = dst[order].tolist()
+        return tuple(tuple(nbrs[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 def union_graphs(graphs: Sequence[StaticGraph]) -> StaticGraph:
-    """Edge-set union of graphs over a common vertex set."""
+    """Edge-set union of graphs over a common vertex set: their ids,
+    concatenated and sorted, each repeat dropped."""
     if not graphs:
         raise ValueError("cannot union zero graphs")
     n = graphs[0].n
     if any(g.n != n for g in graphs):
         raise ValueError("graphs have mismatched vertex counts")
-    return StaticGraph(n, frozenset().union(*(g.edges for g in graphs)))
+    ids = np.sort(np.concatenate([[-1], *(g.ids for g in graphs)]))  # -1 precedes every id
+    return StaticGraph(n, ids[1:][ids[1:] != ids[:-1]])
 
 
 @dataclass(frozen=True)
@@ -283,8 +300,7 @@ def bin_initial(
     # sorted distinct (step, u, v) keys; each step's edges are one run of them
     step, pair = np.divmod(np.unique(((t - origin) // resolution * n + u) * n + v), n * n)
     bounds = np.searchsorted(step, np.arange(int(step[-1]) + 2)).tolist()
-    edges = list(zip(*(x.tolist() for x in np.divmod(pair, n))))
-    graphs = tuple(StaticGraph(n, frozenset(edges[a:b])) for a, b in zip(bounds, bounds[1:]))
+    graphs = tuple(StaticGraph(n, pair[a:b]) for a, b in zip(bounds, bounds[1:]))
     return GraphSequence(n, graphs, resolution)
 
 
@@ -498,7 +514,8 @@ def _archive_payload(seq: GraphSequence, labels: Sequence[str]) -> tuple[str, st
         "resolution": seq.resolution,
         "labels": list(labels),
     }
-    rows = (f"{i},{u},{v}\n" for i, g in enumerate(seq.graphs, 1) for u, v in sorted(g.edges))
+    ends = ((i, *(x.tolist() for x in g.ends())) for i, g in enumerate(seq.graphs, 1))
+    rows = (f"{i},{u},{v}\n" for i, us, vs in ends for u, v in zip(us, vs))
     steps_csv = "step,u,v\n" + "".join(rows)
     manifest_json = json.dumps(manifest, sort_keys=True, indent=2)
     digest = hashlib.sha256((manifest_json + steps_csv).encode()).hexdigest()
@@ -551,7 +568,7 @@ def load_archive(directory: str | Path) -> LoadedArchive:
     labels = manifest.get("labels")
     if not isinstance(labels, list) or len(labels) != n:
         raise DataFormatError(f"{manifest_path}: 'labels' must list {n} vertex labels")
-    bins: list[set[tuple[int, int]]] = [set() for _ in range(length)]
+    bins: list[dict[int, int]] = [{} for _ in range(length)]  # each step's edge id -> its first line
     # read_text turned \r\n and \r into \n, so this splits as a file is split
     rows = steps_text.split("\n")
     if rows[:1] != ["step,u,v"]:
@@ -567,8 +584,10 @@ def load_archive(directory: str | Path) -> LoadedArchive:
             raise DataFormatError(f"{steps_path} line {lineno}: step {step} outside [1, {length}]")
         if not 0 <= u < v < n:
             raise DataFormatError(f"{steps_path} line {lineno}: edge ({u}, {v}) not canonical, n={n}")
-        bins[step - 1].add((u, v))
-    seq = GraphSequence(n, tuple(StaticGraph(n, frozenset(b)) for b in bins), resolution)
+        if (at := bins[step - 1].setdefault(u * n + v, lineno)) != lineno:
+            problem = f"repeated row {step},{u},{v}, first at line {at}"
+            raise DataFormatError(f"{steps_path} line {lineno}: {problem}")
+    seq = GraphSequence(n, tuple(StaticGraph(n, sorted(b)) for b in bins), resolution)
     try:
         dataset_id = _archive_payload(seq, labels)[2]
     except ValueError as exc:

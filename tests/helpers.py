@@ -10,7 +10,14 @@ from graphwin import GraphSequence, StaticGraph
 
 
 def graph(n: int, edges) -> StaticGraph:
-    return StaticGraph(n, frozenset((min(u, v), max(u, v)) for u, v in edges))
+    """The graph on vertices 0..n-1 with these edges, each given in either order."""
+    return StaticGraph(n, sorted({min(u, v) * n + max(u, v) for u, v in edges}))
+
+
+def edge_set(g: StaticGraph) -> frozenset[tuple[int, int]]:
+    """The (u, v) pairs, u < v, of g's edges."""
+    u, v = g.ends()
+    return frozenset(zip(u.tolist(), v.tolist()))
 
 
 def seq_of(n: int, *edge_lists, resolution: int = 1) -> GraphSequence:
@@ -24,7 +31,7 @@ def random_graph(rng: np.random.Generator, n: int, p: float) -> StaticGraph:
         for v in range(u + 1, n)
         if rng.random() < p
     }
-    return StaticGraph(n, frozenset(edges))
+    return graph(n, edges)
 
 
 def random_sequence(rng: np.random.Generator, n: int, length: int, p: float) -> GraphSequence:

@@ -13,9 +13,10 @@ selection calling a task-quality function per training size), the window
 quality that builds every history's last window, and the online runner that
 drives one selector at a time, refitting the adage baseline on every
 history, with the score ledger that reweighs every size's mean from the
-current step at each ranking; and edge-stream ingest with one event object per contact, parsed
-line by line and binned in a Python loop. Tests check that the package
-gives exactly equal results on random inputs.
+current step at each ranking; edge-stream ingest with one event object per contact, parsed
+line by line and binned in a Python loop; and the graph core as a frozenset
+of (u, v) pairs, unioned as sets. Tests check that the package gives exactly
+equal results on random inputs.
 """
 from __future__ import annotations
 
@@ -70,11 +71,71 @@ from graphwin.windows import (
     apply_windowing,
     uniform_windowing,
 )
+from helpers import edge_set, graph
 
 log = logging.getLogger(__name__)
 
 _IMPROVEMENT_EPS = 1e-9
 _MAX_SWEEPS = 60
+
+
+# --------------------------------------------------------------------------
+# the graph core as a set of pairs
+
+
+@dataclass(frozen=True)
+class SetGraph:
+    """An undirected simple graph as a frozenset of (u, v) pairs, u < v."""
+
+    n: int
+    edges: frozenset[tuple[int, int]]
+
+    def __post_init__(self) -> None:
+        for u, v in self.edges:
+            if not (0 <= u < v < self.n):
+                raise ValueError(f"edge ({u}, {v}) not canonical for n={self.n}")
+
+    @classmethod
+    def of(cls, g: StaticGraph) -> "SetGraph":
+        return cls(g.n, edge_set(g))
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.edges)
+
+    def adjacency(self) -> np.ndarray:
+        a = np.zeros((self.n, self.n), dtype=float)
+        ends = np.array(list(self.edges), dtype=np.intp).reshape(-1, 2)
+        a[ends[:, 0], ends[:, 1]] = a[ends[:, 1], ends[:, 0]] = 1.0
+        return a
+
+    def degrees(self) -> np.ndarray:
+        ends = np.array(list(self.edges), dtype=np.intp).reshape(-1)
+        return np.bincount(ends, minlength=self.n)
+
+    def neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
+        nbrs: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        return tuple(tuple(sorted(x)) for x in nbrs)
+
+
+def union_set_graphs(graphs: Sequence[SetGraph]) -> SetGraph:
+    """Edge-set union of graphs over a common vertex set."""
+    if not graphs:
+        raise ValueError("cannot union zero graphs")
+    n = graphs[0].n
+    if any(g.n != n for g in graphs):
+        raise ValueError("graphs have mismatched vertex counts")
+    return SetGraph(n, frozenset().union(*(g.edges for g in graphs)))
+
+
+def jaccard(a: SetGraph, b: SetGraph) -> float:
+    """Jaccard similarity of two edge sets; two empty sets score 1."""
+    if not a.edges and not b.edges:
+        return 1.0
+    return len(a.edges & b.edges) / len(a.edges | b.edges)
 
 
 # --------------------------------------------------------------------------
@@ -350,7 +411,7 @@ class _SegmentState:
         if g.n != self.n:
             raise ValueError("graph vertex count mismatch")
         self.graph_count += 1
-        for u, v in g.edges:
+        for u, v in edge_set(g):
             self.nbr_weight[u][v] = self.nbr_weight[u].get(v, 0) + 1
             self.nbr_weight[v][u] = self.nbr_weight[v].get(u, 0) + 1
             a, b = self.assign[u], self.assign[v]
@@ -491,9 +552,10 @@ def katz_scores(
     deg = graph.degrees()
     active = [v for v in range(graph.n) if deg[v] > 0]
     out: list[tuple[tuple[int, int], float]] = []
+    edges = edge_set(graph)
     for ia, u in enumerate(active):
         for v in active[ia + 1 :]:
-            if (u, v) in graph.edges:
+            if (u, v) in edges:
                 continue
             out.append(((u, v), float(s[u, v])))
     out.sort(key=lambda item: (-item[1], item[0]))
@@ -522,7 +584,7 @@ def online_step_score(
     params: KatzParams = KatzParams(),
     truncate: bool = False,
 ) -> float | None:
-    positives = incoming.edges - last.edges
+    positives = edge_set(incoming) - edge_set(last)
     if not positives:
         return None
     ranking = katz_scores(last, params, truncate)
@@ -533,10 +595,9 @@ def ranked(graph: StaticGraph, params: KatzParams) -> tuple[np.ndarray, np.ndarr
     """The package's candidate pairs and scores in rank order: pairs of the
     active vertices, an n-by-n matrix of linked pairs, a 3-key lexsort."""
     s = linkpred.katz_matrix(graph, params)
-    ends = np.array(list(graph.edges), dtype=np.intp).reshape(-1, 2)
     linked = np.zeros((graph.n, graph.n), dtype=bool)
-    linked[ends[:, 0], ends[:, 1]] = True
-    active = np.flatnonzero(np.bincount(ends.ravel(), minlength=graph.n))
+    linked[graph.ends()] = True
+    active = np.flatnonzero(graph.degrees())
     iu, iv = np.triu_indices(len(active), k=1)
     u, v = active[iu], active[iv]
     open_ = ~linked[u, v]
@@ -623,10 +684,10 @@ def adage_select(seq: GraphSequence, rel_tol: float, patience: int) -> int:
     seen: set[tuple[int, int]] = set()
     degree = [0] * seq.n
     for w, g in enumerate(seq.graphs, start=1):
-        for u, v in g.edges - seen:
+        for u, v in edge_set(g) - seen:
             degree[u] += 1
             degree[v] += 1
-        seen |= g.edges
+        seen |= edge_set(g)
         degs = [d for d in degree if d >= 1]
         if not degs:
             previous, run = None, 0
@@ -920,5 +981,5 @@ def bin_initial(
     bins: list[set[tuple[int, int]]] = [set() for _ in range(length)]
     for e in events:
         bins[(e.t - origin) // resolution].add((e.u, e.v))
-    graphs = tuple(StaticGraph(n, frozenset(b)) for b in bins)
+    graphs = tuple(graph(n, b) for b in bins)
     return GraphSequence(n, graphs, resolution)

@@ -29,7 +29,7 @@ from graphwin.temporal import (
     VertexAttributes,
 )
 from graphwin.windows import Windowing, apply_windowing, windowed_at
-from helpers import random_graph, random_sequence, trace_streams
+from helpers import edge_set, graph, random_graph, random_sequence, trace_streams
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -148,8 +148,7 @@ class ReferenceSelector:
     def _last_window(self, prefix, size):
         cuts = list(range(size, len(prefix), size))
         start = cuts[-1] if cuts else 0
-        edges = frozenset(set().union(*(g.edges for g in prefix[start:])))
-        return StaticGraph(self.n, edges)
+        return graph(self.n, set().union(*(edge_set(g) for g in prefix[start:])))
 
     def step(self, incoming):
         i = len(self.graphs) + 1
@@ -165,7 +164,7 @@ class ReferenceSelector:
                 best = {w for w, _ in ranked[: int(self.top_count)]}
             for w in sorted(x for x in fresh | best if x < i):
                 last = self._last_window(self.graphs, w)
-                positives = incoming.edges - last.edges
+                positives = edge_set(incoming) - edge_set(last)
                 if positives:
                     score = average_precision(katz_scores(last, self.params), positives)
                     self.entries.setdefault(w, []).append((i, score))
@@ -221,7 +220,7 @@ def test_online_selection_matches_exhaustive_reference():
     novel = GraphSequence(
         2 * T,
         tuple(
-            StaticGraph(2 * T, frozenset({(2 * (t - 1), 2 * (t - 1) + 1)}))
+            graph(2 * T, {(2 * (t - 1), 2 * (t - 1) + 1)})
             for t in range(1, T + 1)
         ),
         1,
@@ -285,7 +284,7 @@ def test_windowing_invariants_hold_for_every_cut_pattern():
     rng = np.random.default_rng(33)
     for length in range(1, 9):
         seq = random_sequence(rng, 5, length, 0.4)
-        step_edges = [seq.step(i).edges for i in range(1, length + 1)]
+        step_edges = [edge_set(seq.step(i)) for i in range(1, length + 1)]
         for bits in range(2 ** (length - 1)):
             cuts = tuple(k for k in range(1, length) if bits >> (k - 1) & 1)
             win = Windowing(length, cuts)
@@ -296,7 +295,7 @@ def test_windowing_invariants_hold_for_every_cut_pattern():
             assert win.segment_count == len(cuts) + 1
             ws = apply_windowing(seq, win)
             for (a, b), g in zip(spans, ws.graphs):
-                assert g.edges == frozenset(set().union(*step_edges[a - 1 : b]))
+                assert edge_set(g) == set().union(*step_edges[a - 1 : b])
             assert Windowing.from_json(win.to_json(), length) == win
             # re-windowing the window graphs == one composed windowing
             inner = ws.to_graph_sequence()
@@ -317,13 +316,13 @@ def test_planted_community_switch_detected_exactly_once():
     first = frozenset((u, v) for u in range(6) for v in range(u + 1, 6))
     second = frozenset((u, v) for u in range(6, 12) for v in range(u + 1, 12))
     switched = GraphSequence(
-        12, tuple(StaticGraph(12, first if t < 5 else second) for t in range(10)), 1
+        12, tuple(graph(12, first if t < 5 else second) for t in range(10)), 1
     )
     result = detect_change_points(windowed_at(switched, 1))
     assert result.times == (6,)
     rerun = detect_change_points(windowed_at(switched, 1))
     assert rerun == result
-    constant = GraphSequence(12, tuple(StaticGraph(12, first) for _ in range(10)), 1)
+    constant = GraphSequence(12, tuple(graph(12, first) for _ in range(10)), 1)
     quiet = detect_change_points(windowed_at(constant, 1))
     assert quiet.times == ()
 
@@ -369,7 +368,7 @@ def three_signal_sequence(n=30, T=36, seed=0):
         rotation = t // 4
         block = [22 + (2 * rotation + i) % 8 for i in range(4)]
         es |= {canonical(a, b) for i, a in enumerate(block) for b in block[i + 1 :]}
-        steps.append(StaticGraph(n, frozenset(es)))
+        steps.append(graph(n, es))
     return GraphSequence(n, tuple(steps), 1)
 
 

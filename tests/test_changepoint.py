@@ -18,7 +18,7 @@ from graphwin import (
     windowed_at,
 )
 
-from helpers import clique_edges, graph, seq_of
+from helpers import clique_edges, edge_set, graph, random_sequence, seq_of
 
 
 def log_star_oracle(x: int) -> float:
@@ -66,7 +66,7 @@ def segment_cost_oracle(graphs, groups) -> float:
                 cells = sizes[a] * sizes[b] * m
             ones = 0
             for g in graphs:
-                for u, v in g.edges:
+                for u, v in edge_set(g):
                     pa, pb = index[u], index[v]
                     if (min(pa, pb), max(pa, pb)) == (a, b):
                         ones += 1
@@ -249,3 +249,22 @@ def test_cp_pr_auc_riemann_oracle_spot_checks():
         a = sorted(set(rng.integers(1, n + 1, size=rng.integers(1, 5)).tolist()))
         b = sorted(set(rng.integers(1, n + 1, size=rng.integers(1, 5)).tolist()))
         assert cp_pr_auc(a, b, n) == pytest.approx(riemann_oracle(a, b, n), abs=1e-12)
+
+
+def test_add_graph_gives_the_counts_of_a_state_built_from_scratch():
+    """`add_graph` adds a graph's edges to the blocks they touch; the blocks,
+    sizes and assignment then equal those of a state built from all graphs."""
+    rng = np.random.default_rng(11)
+    for n, p in ((1, 0.5), (6, 0.0), (9, 0.4), (12, 0.7)):
+        seq = random_sequence(rng, n, 6, p)
+        for start in (np.zeros(n, dtype=int), rng.integers(0, 5, n), np.arange(n)[::-1]):
+            state = changepoint._SegmentState(seq.graphs[:1], start)
+            for k in range(1, seq.length):
+                state.add_graph(seq.graphs[k])
+                scratch = changepoint._SegmentState(seq.graphs[: k + 1], state.assign)
+                assert state.blocks.tolist() == scratch.blocks.tolist()
+                assert state.sizes == scratch.sizes
+                assert state.assign.tolist() == scratch.assign.tolist()
+                assert state.contacts.tolist() == scratch.contacts.tolist()
+                assert state.cost() == scratch.cost()
+                state.search()  # moves vertices, then compacts, as detection does

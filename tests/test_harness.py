@@ -44,7 +44,7 @@ from graphwin.selectors import (
     linkpred_window_quality,
     powerlaw_exponent,
 )
-from graphwin.temporal import ChangePointLabels, StaticGraph, VertexAttributes
+from graphwin.temporal import ChangePointLabels, VertexAttributes
 from graphwin.windows import uniform_windowing
 
 import oracles
@@ -148,7 +148,7 @@ def noisy_homophily() -> tuple[GraphSequence, VertexAttributes]:
                 p = 0.35 if (u % 2) == (v % 2) else 0.18
                 if rng.random() < p:
                     es.add((u, v))
-        graphs.append(StaticGraph(n, frozenset(es)))
+        graphs.append(graph(n, es))
     return GraphSequence(n, tuple(graphs), 1), attrs
 
 

@@ -18,7 +18,7 @@ from graphwin import (
 )
 
 import oracles
-from helpers import clique_edges, graph, random_graph, seq_of
+from helpers import clique_edges, edge_set, graph, random_graph, seq_of
 
 
 def walk_sum_oracle(adj: np.ndarray, beta: float, max_len: int) -> np.ndarray:
@@ -294,5 +294,5 @@ def test_online_step_score_partial_rank():
     ranking = katz_scores(ws.last_graph())
     # pick the pair ranked second as the sole new link
     second = ranking[1][0]
-    incoming = graph(5, list(ws.last_graph().edges | {second}))
+    incoming = graph(5, edge_set(ws.last_graph()) | {second})
     assert online_step_score(ws.last_graph(), incoming) == 0.5

@@ -44,6 +44,7 @@ from graphwin import (
     run_suite,
     score_curves,
     split_intervals,
+    union_graphs,
     windowed_at,
 )
 from graphwin import linkpred, selectors, temporal
@@ -54,7 +55,7 @@ from graphwin.harness import spearman
 from graphwin.selectors import SelectorParams, adage_select, powerlaw_exponent
 
 import oracles
-from helpers import planted_sequence, random_sequence, trace_streams
+from helpers import edge_set, graph, planted_sequence, random_sequence, trace_streams
 
 
 def community_sequence(rng: np.random.Generator, n: int, length: int) -> GraphSequence:
@@ -72,7 +73,7 @@ def community_sequence(rng: np.random.Generator, n: int, length: int) -> GraphSe
             for v in range(u + 1, n)
             if rng.random() < (p_in if groups[u] == groups[v] else p_out)
         }
-        graphs.append(StaticGraph(n, frozenset(edges)))
+        graphs.append(graph(n, edges))
     return GraphSequence(n, tuple(graphs))
 
 
@@ -127,7 +128,7 @@ def katz_graph(rng: np.random.Generator, kind: str, n: int) -> StaticGraph:
         edges = {(u, v) for u in range(n) for v in range(u + 1, n)}
     else:
         edges = set()
-    return StaticGraph(n, frozenset(edges))
+    return graph(n, edges)
 
 
 def diverges(g: StaticGraph, params: KatzParams) -> bool:
@@ -175,9 +176,9 @@ def test_link_scoring_matches_oracle(draw_seed, kind, n, params):
     rng = np.random.default_rng(draw_seed)
     last = katz_graph(rng, kind, n)
     # the incoming step keeps some old links and adds some new ones
-    kept = {e for e in last.edges if rng.random() < 0.5}
-    fresh = {e for e in katz_graph(rng, "random", n).edges if rng.random() < 0.3}
-    incoming = StaticGraph(n, frozenset(kept | fresh))
+    kept = {e for e in edge_set(last) if rng.random() < 0.5}
+    fresh = {e for e in edge_set(katz_graph(rng, "random", n)) if rng.random() < 0.3}
+    incoming = graph(n, kept | fresh)
     assert online_step_score(last, incoming, params) == oracles.online_step_score(
         last, incoming, params, diverges(last, params)
     )
@@ -197,6 +198,45 @@ def test_link_scoring_matches_oracle(draw_seed, kind, n, params):
         assert average_precision(ranking, positives) == oracles.average_precision(
             ranking, positives
         )
+
+
+@seed(1702)
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(min_value=1, max_value=12), data=st.data())
+def test_graph_core_matches_set_oracle(n, data):
+    """Id-array graphs against the frozenset reference: views, unions,
+    equality and hash, overlap and link scoring, empty graphs included."""
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    raw = data.draw(st.lists(st.lists(st.tuples(vertex, vertex), max_size=30), min_size=2, max_size=4))
+    steps = [[(min(a, b), max(a, b)) for a, b in pairs if a != b] for pairs in raw]
+    ours = [graph(n, pairs) for pairs in steps]
+    refs = [oracles.SetGraph(n, frozenset(pairs)) for pairs in steps]
+    for g, ref in zip(ours, refs):
+        assert oracles.SetGraph.of(g) == ref
+        assert g.edge_count == ref.edge_count
+        assert g.adjacency().tolist() == ref.adjacency().tolist()
+        assert g.degrees().tolist() == ref.degrees().tolist()
+        assert g.neighbor_lists() == ref.neighbor_lists()
+    union = union_graphs(ours)
+    assert oracles.SetGraph.of(union) == oracles.union_set_graphs(refs)
+    # the same edge set built in other orders: pairs reversed, unions nested or reversed
+    rebuilt = [
+        graph(n, [(b, a) for pairs in reversed(steps) for a, b in reversed(pairs)]),
+        union_graphs(ours[::-1]),
+        union_graphs([union_graphs(ours[:1]), union_graphs(ours[1:])]),
+        union_graphs([union, *ours]),
+    ]
+    graphs = ours + rebuilt + [union]
+    for a, ra in zip(graphs, map(oracles.SetGraph.of, graphs)):
+        for b, rb in zip(graphs, map(oracles.SetGraph.of, graphs)):
+            assert (a == b) == (ra == rb)
+            if a == b:
+                assert hash(a) == hash(b)
+            assert selectors._jaccard(a, b) == oracles.jaccard(ra, rb)
+    assert all(g == union and hash(g) == hash(union) for g in rebuilt)
+    assert graph(n, []) != graph(n + 1, [])
+    for last, incoming in zip(ours + [union], ours[1:] + ours[:1]):
+        assert online_step_score(last, incoming) == oracles.online_step_score(last, incoming)
 
 
 def test_ranking_arrays_match_lexsort_oracle():
@@ -346,7 +386,7 @@ def test_segment_search_into_an_emptied_middle_slot_matches_oracle():
     reverse order changes the cost in its last bits here."""
     edges = [(0, 2), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5),
              (2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (4, 5)]
-    graphs = [StaticGraph(7, frozenset(edges))] * 3
+    graphs = [graph(7, edges)] * 3
     start = np.array([1, 2, 0, 1, 4, 0, 1])  # compacts to slots 0, 1, 2, 0, 3, 2, 0
     ours = _SegmentState(graphs, start)
     reused = []
@@ -368,7 +408,7 @@ def test_segment_search_breaks_exact_ties_as_the_oracle_does():
     so the one taken rests on how each candidate cost rounds (vertex 0 goes
     to slot 2, not 1). Adding a candidate's scalar block terms before its
     per-candidate ones, against `cost()`'s order, takes other slots here."""
-    graphs = [StaticGraph(5, frozenset(itertools.combinations(range(5), 2)))]
+    graphs = [graph(5, itertools.combinations(range(5), 2))]
     ours = _SegmentState(graphs, np.arange(5))
     assert search_against_oracle(ours, graphs, np.arange(5)) == 2
     assert ours.assign.tolist() == [0] * 5

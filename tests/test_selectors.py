@@ -35,7 +35,7 @@ from graphwin import (
 )
 from graphwin.temporal import ChangePointLabels, VertexAttributes, union_graphs
 
-from helpers import clique_edges, graph, seq_of, trace_streams
+from helpers import clique_edges, edge_set, graph, seq_of, trace_streams
 
 
 def test_selector_params_validation():
@@ -138,7 +138,7 @@ def test_online_selector_first_step_defaults_to_one():
     assert rec.tested == ()
     assert rec.chosen == 1
     assert rec.windowing == Windowing(1, ())
-    assert rec.last_graph.edges == frozenset({(0, 1)})
+    assert edge_set(rec.last_graph) == {(0, 1)}
 
 
 def test_online_selector_empty_ledger_sticks_to_one():
@@ -435,7 +435,7 @@ def test_jaccard_scan_oracle():
         for w in range(1, t):
             ws = windowed_at(seq, w)
             sims = [
-                jac(ws.graphs[i].edges, ws.graphs[i + 1].edges)
+                jac(edge_set(ws.graphs[i]), edge_set(ws.graphs[i + 1]))
                 for i in range(ws.window_count - 1)
             ]
             means.append(math.fsum(sims) / len(sims))

@@ -25,7 +25,7 @@ from graphwin import (
     windowed_at,
 )
 
-from helpers import graph, seq_of
+from helpers import edge_set, graph, seq_of
 
 
 # --------------------------------------------------------------------------
@@ -159,8 +159,8 @@ def test_bin_initial_basic_layout():
     # origin 10; bins [10,13), [13,16)
     assert seq.length == 2
     assert seq.resolution == 3
-    assert seq.step(1).edges == frozenset({(0, 1), (1, 2)})
-    assert seq.step(2).edges == frozenset({(0, 2)})
+    assert edge_set(seq.step(1)) == frozenset({(0, 1), (1, 2)})
+    assert edge_set(seq.step(2)) == frozenset({(0, 2)})
 
 
 def test_bin_initial_duplicates_collapse():
@@ -175,7 +175,7 @@ def test_bin_initial_explicit_origin_alignment():
     seq = bin_initial(events, resolution=4, origin=0)
     assert seq.length == 2
     assert seq.step(1).edge_count == 0
-    assert seq.step(2).edges == frozenset({(0, 1)})
+    assert edge_set(seq.step(2)) == frozenset({(0, 1)})
     with pytest.raises(ValueError, match="later than the earliest"):
         bin_initial(events, resolution=4, origin=6)
 
@@ -231,7 +231,7 @@ def test_binning_then_windowing_equals_coarser_binning(events, resolution, facto
     rewindowed = windowed_at(fine, factor).to_graph_sequence()
     assert rewindowed.length == coarse.length
     for i in range(1, coarse.length + 1):
-        assert rewindowed.step(i).edges == coarse.step(i).edges
+        assert rewindowed.step(i) == coarse.step(i)
 
 
 # --------------------------------------------------------------------------
@@ -240,22 +240,33 @@ def test_binning_then_windowing_equals_coarser_binning(events, resolution, facto
 
 def test_static_graph_invariants():
     g = graph(4, [(2, 1), (0, 3)])
-    assert g.edges == frozenset({(1, 2), (0, 3)})
+    assert edge_set(g) == frozenset({(1, 2), (0, 3)})
     assert g.edge_count == 2
     assert list(g.degrees()) == [1, 1, 1, 1]
     a = g.adjacency()
     assert a[1, 2] == a[2, 1] == 1
     assert a[0, 1] == 0
     assert g.neighbor_lists()[1] == (2,)
-    with pytest.raises(ValueError):
-        StaticGraph(2, frozenset({(0, 5)}))
-    with pytest.raises(ValueError):
-        StaticGraph(3, frozenset({(2, 1)}))  # not canonical u < v
+    assert g.ids.tolist() == [3, 6] and not g.ids.flags.writeable
+    # ids are u*n + v with u < v; an id names its decoded pair when it is not
+    with pytest.raises(ValueError, match=r"edge \(2, 1\) not canonical for n=2"):
+        StaticGraph(2, [5])  # no pair of 2 vertices has id 5
+    with pytest.raises(ValueError, match=r"edge \(2, 1\) not canonical for n=3"):
+        StaticGraph(3, [1, 7])
+    with pytest.raises(ValueError, match=r"edge \(-1, 2\) not canonical for n=3"):
+        StaticGraph(3, [-1])
+    for ids in ([5, 1], [1, 1]):
+        with pytest.raises(ValueError, match="edge ids must be sorted and distinct"):
+            StaticGraph(3, ids)
+    ids = np.array([1, 5])
+    h = StaticGraph(3, ids)
+    ids[0] = 2  # the graph holds a copy
+    assert h == graph(3, [(0, 1), (1, 2)]) and h.ids.tolist() == [1, 5]
 
 
 def test_union_graphs():
     u = union_graphs([graph(3, [(0, 1)]), graph(3, [(1, 2)]), graph(3, [(0, 1)])])
-    assert u.edges == frozenset({(0, 1), (1, 2)})
+    assert edge_set(u) == frozenset({(0, 1), (1, 2)})
     with pytest.raises(ValueError):
         union_graphs([])
 
@@ -263,11 +274,11 @@ def test_union_graphs():
 def test_sequence_step_indexing_and_slices():
     seq = seq_of(3, [(0, 1)], [(1, 2)], [(0, 2)])
     assert seq.length == 3
-    assert seq.step(1).edges == frozenset({(0, 1)})
-    assert seq.step(3).edges == frozenset({(0, 2)})
+    assert edge_set(seq.step(1)) == frozenset({(0, 1)})
+    assert edge_set(seq.step(3)) == frozenset({(0, 2)})
     sl = seq.slice_steps(2, 3)
     assert sl.length == 2
-    assert sl.step(1).edges == frozenset({(1, 2)})
+    assert edge_set(sl.step(1)) == frozenset({(1, 2)})
     with pytest.raises(IndexError):
         seq.step(0)
     with pytest.raises(IndexError):
@@ -417,7 +428,7 @@ def test_archive_round_trip(tmp_path: Path):
     assert loaded.sequence.resolution == 2
     assert loaded.sequence.length == 3
     for i in range(1, 4):
-        assert loaded.sequence.step(i).edges == seq.step(i).edges
+        assert loaded.sequence.step(i) == seq.step(i)
 
 
 def test_archive_is_deterministic(tmp_path: Path):
@@ -462,6 +473,19 @@ def test_archive_bad_steps_row_names_the_line(tmp_path: Path, row, message):
     lines = steps.read_text().splitlines()
     steps.write_text("\n".join([*lines[:2], row, *lines[2:]]) + "\n")
     with pytest.raises(DataFormatError, match=message):
+        load_archive(tmp_path)
+
+
+def test_archive_refuses_a_repeated_row_and_names_both_lines(tmp_path: Path):
+    seq = seq_of(3, [(0, 1)], [(0, 2), (1, 2)])
+    save_archive(seq, ("a", "b", "c"), tmp_path)
+    steps = tmp_path / "steps.csv"
+    # rows may come in any order
+    steps.write_text("step,u,v\n2,1,2\n1,0,1\n2,0,2\n")
+    assert load_archive(tmp_path).sequence == seq
+    # a repeat used to load, and the dataset id, hashed from content, still matched
+    steps.write_text("step,u,v\n2,1,2\n1,0,1\n2,0,2\n1,0,1\n")
+    with pytest.raises(DataFormatError, match=r"steps\.csv line 5: repeated row 1,0,1, first at line 3$"):
         load_archive(tmp_path)
 
 
