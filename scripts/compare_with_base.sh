@@ -11,7 +11,8 @@
 # does. OUT must be empty or absent.
 #
 #   demo       the README demo tree, built by each side's scripts/demo_pipeline.sh
-#   online     online-linkpred seed 7: ingest, evaluate and sweep
+#   online     online-linkpred seed 7: ingest, evaluate and sweep, and evaluate again with a
+#              hyperparams grid (min_tests 1, 2, 4; top_count 1, 2; fixed 10)
 #   enron      an Enron-size 1008-step stream over 150 vertices: ingest and six online selectors
 #   offline-3  offline-attr-cp seed 3: ingest, evaluate, sweep and analyze
 #   offline-7  the same at seed 7
@@ -34,6 +35,10 @@ py() { code=$1; shift; python -c "import sys; sys.path.insert(0, sys.argv.pop(1)
 
 # inputs, written once into $work
 prepare() { py 'import run; run.prepare(run.WORKLOADS[sys.argv[1]], Path(sys.argv[3]), int(sys.argv[2]))' "$1" "$2" "$work"; }
+online_inputs() {
+  prepare online-linkpred 7 &&
+  py 'import json; work = Path(sys.argv[1]); config = json.loads((work / "config-linkpred.json").read_text()); config["output"] = str(work / "grid"); config["hyperparams"] = {"min_tests_values": [1, 2, 4], "top_count_values": [1, 2], "fixed": 10}; (work / "config-grid.json").write_text(json.dumps(config))' "$work"
+}
 enron_inputs() {
   py 'import json, planted; work = sys.argv[1]; planted.write_planted(Path(work), 7, copies=5, steps=1008); print(json.dumps({"archive": f"{work}/archive", "mode": "online", "task": "linkpred", "selectors": ["online", "online-weighted", "training-only", "hand-picked", "random", "adage"], "intervals": 3, "seed": 7, "output": f"{work}/report", "params": {"min_tests": 2, "top_count": 4, "alpha": 0.5}}))' "$work" > "$work/config.json"
 }
@@ -42,9 +47,9 @@ enron_inputs() {
 demo() { sh "$root/scripts/demo_pipeline.sh" "$root" "$work" && mv "$work/demo" "$dest"; }
 online() {
   gw ingest "$work/stream.csv" --out "$work/archive" --resolution 600 &&
-  gw evaluate "$work/config-linkpred.json" &&
+  gw evaluate "$work/config-linkpred.json" && gw evaluate "$work/config-grid.json" &&
   gw sweep "$work/archive" --tasks linkpred --intervals 2 --out "$work/curves.json" &&
-  mkdir "$dest" && mv "$work/archive" "$work"/report-linkpred.* "$work/curves.json" "$dest"
+  mkdir "$dest" && mv "$work/archive" "$work"/report-linkpred.* "$work"/grid* "$work/curves.json" "$dest"
 }
 enron() {
   gw ingest "$work/stream.csv" --out "$work/archive" && gw evaluate "$work/config.json" &&
@@ -89,7 +94,7 @@ compare() {
 }
 
 compare demo demo
-compare online online prepare online-linkpred 7
+compare online online online_inputs
 compare enron enron enron_inputs
 compare offline-3 offline prepare offline-attr-cp 3
 compare offline-7 offline prepare offline-attr-cp 7

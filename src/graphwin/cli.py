@@ -294,13 +294,19 @@ def _read_config(path: str) -> tuple[dict, dict | None, list[str]]:
         isinstance(selectors, list) and all(isinstance(s, str) for s in selectors)
     ):
         errors.append(f"'selectors' must be a list of strings, got {selectors!r}")
-    elif selectors and mode in ("offline", "online"):
-        valid = ONLINE_SELECTORS if mode == "online" else OFFLINE_SELECTORS
-        errors += [
-            f"unknown selector {name!r} for mode {mode}; valid: {', '.join(valid)}"
-            for name in selectors
-            if name not in valid
-        ]
+    elif selectors is not None:
+        if not selectors:
+            errors.append("'selectors' must name at least one selector")
+        repeated = sorted({name for name in selectors if selectors.count(name) > 1})
+        if repeated:
+            errors.append(f"'selectors' repeats {repeated}")
+        if mode in ("offline", "online"):
+            valid = ONLINE_SELECTORS if mode == "online" else OFFLINE_SELECTORS
+            errors += [
+                f"unknown selector {name!r} for mode {mode}; valid: {', '.join(valid)}"
+                for name in selectors
+                if name not in valid
+            ]
     if mode == "online" and task not in ("linkpred", None):
         errors.append(f"online mode evaluates task 'linkpred', got {task!r}")
     if mode == "offline" and task not in ("attribute", "changepoint"):

@@ -5,8 +5,9 @@ A sequence is split into near-equal consecutive intervals; each adjacent
 windowing of the test interval (supervised selectors see training data and
 training ground truth only; unsupervised ones see test edges only, so test
 ground truth is structurally out of reach), then the task runs on the
-windowed test interval. Online: a selector warm-starts on the train interval
-and its per-step predictions are scored across the test interval. Every
+windowed test interval. Online: a selector warm-starts on the train interval,
+and each test-interval step is scored against the last window of the
+windowing the selector emitted one step before. Every
 report is `run_suite`'s: its cells by selector, then by pair, and each
 selector's aggregate; `run_offline` and `run_online` are `run_suite` with
 one selector.
@@ -21,7 +22,9 @@ read their test entries, and `score_curves` is the table of every uniform
 size.
 Link-prediction work reads one span table per stage (`SpanScores`), so each
 one-step-ahead score of a window span is computed once, whether a sweep
-entry, a ledger test or an emitted prediction needs it.
+entry, a ledger test or a test step needs it. It is the only link-prediction
+cache: the online selectors run one after another, and each span's ranking
+is built once per table.
 """
 from __future__ import annotations
 
@@ -519,51 +522,42 @@ def _online_cells(
     seed: int,
     spans: SpanScores | None = None,
 ) -> tuple[list[CellResult], dict]:
-    """The cells and aggregates of each online selector. One span table of
-    `seq` and `params.katz` serves them all (`spans`, or a new one), and the
-    selectors of an interval pair step through its stream in lockstep, in
-    the given order, so the window graphs they share at a step are ranked
-    while still memoised. Between steps each keeps only the span and the
-    size of its latest prediction."""
+    """The cells and aggregates of each online selector, run selector by
+    selector and pair by pair. One span table of `seq` and `params.katz`
+    serves them all (`spans`, or a new one): it scores the ledger tests, and
+    each test step against the last window the previous step emitted."""
     for selector in selectors:
         if selector not in ONLINE_SELECTORS:
             raise ValueError(f"unknown online selector {selector!r}")
     spans = SpanScores(params.katz) if spans is None else spans
-    by_selector: dict[str, list[CellResult]] = {name: [] for name in selectors}
-    for idx, (a, b) in enumerate(plan.pairs):
-        train_span, test_span = plan.spans[a], plan.spans[b]
-        first = train_span[0]
-        stream = seq.graphs[first - 1 : test_span[1]]
-        sels, details, emitted = {}, {}, {}
-        for name in selectors:
+    cells, aggregates = [], {}
+    for name in selectors:
+        own = []
+        for idx, (a, b) in enumerate(plan.pairs):
+            train_span, test_span = plan.spans[a], plan.spans[b]
+            first = train_span[0]
+            stream = seq.graphs[first - 1 : test_span[1]]
             pair_seed = derive_seed(seed, name, "linkpred", idx)
-            sels[name] = _make_online_selector(name, seq.n, params, train_span, pair_seed, spans)
-            details[name] = {"scored": [], "log": []}
-        for local, g in enumerate(stream, start=1):
-            for name, sel in sels.items():
+            sel = _make_online_selector(name, seq.n, params, train_span, pair_seed, spans)
+            scored, run_log = [], []
+            for local, g in enumerate(stream, start=1):
                 if local > train_span[1] - first + 1:
-                    (start, end), chosen = emitted[name]
-                    ap = spans.score(stream, first, start, end)
-                    scored = {"target_step": local, "chosen": chosen, "score": ap}
-                    details[name]["scored"].append(scored)
+                    # the previous step's last window: its steps after the last cut
+                    cuts = record.windowing.cuts
+                    start = first + (cuts[-1] if cuts else 0)
+                    ap = spans.score(stream, first, start, first + local - 2)
+                    scored.append({"target_step": local, "chosen": record.chosen, "score": ap})
                 record = sel.process(g)
-                cuts = record.windowing.cuts
-                span = (first + (cuts[-1] if cuts else 0), first + local - 1)
-                emitted[name] = span, record.chosen
                 tested = [[w, s] for w, s in record.tested]
-                entry = {"step": local, "tested": tested, "chosen": record.chosen}
-                details[name]["log"].append(entry)
-        for name in selectors:
-            score = _mean([e["score"] for e in details[name]["scored"]])
+                run_log.append({"step": local, "tested": tested, "chosen": record.chosen})
+            score = _mean([e["score"] for e in scored])
             if score is None:
                 log.info("pair %s->%s has no scoreable steps; skipped", train_span, test_span)
-            cell = CellResult(name, "linkpred", idx, train_span, test_span, score, details[name])
-            by_selector[name].append(cell)
-    aggregates = {
-        name: {"linkpred": {"score": _mean([c.score for c in own]), "method": "mean"}}
-        for name, own in by_selector.items()
-    }
-    return [c for own in by_selector.values() for c in own], aggregates
+            detail = {"scored": scored, "log": run_log}
+            own.append(CellResult(name, "linkpred", idx, train_span, test_span, score, detail))
+        cells += own
+        aggregates[name] = {"linkpred": {"score": _mean([c.score for c in own]), "method": "mean"}}
+    return cells, aggregates
 
 
 def run_online(
@@ -601,7 +595,7 @@ def run_suite(
     """Run several selectors on one task into one report: the cells of each
     selector in the given order, each selector's aggregate, and the run's
     metadata. Offline selectors read one quality table (see
-    `_offline_cells`); online ones read one span table, in lockstep (see
+    `_offline_cells`); online ones read one span table (see
     `_online_cells`), and an online report's task is always "linkpred"."""
     if mode not in ("offline", "online"):
         raise ValueError(f"mode must be 'offline' or 'online', not {mode!r}")

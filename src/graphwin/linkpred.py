@@ -9,20 +9,14 @@ largest degree is below one the closed form is used without an eigen-solve.
 Prediction quality is ranking average precision against the new links of
 the next step.
 
-A graph's ranking is computed once as three read-only arrays (pair ends and
-score, in rank order) and memoised per (graph, params) in a least-recently
-used cache of 16 entries. The callers keep each window span's score in a
-span table (`selectors.SpanScores`); the memo serves the rankings a table
-does not hold. A step's ledger tests rank windows that end one step before
-the incoming graph; its prediction ranks the window that ends at the
-incoming graph, which the next step's score reads. An online suite advances
-its selectors in lockstep, so the graphs they share at one step stay
-memoised. `online_step_score` reads the arrays directly; `katz_scores`
-returns a read-only view of them.
+A graph's ranking is three arrays (pair ends and score, in rank order),
+computed on each call: nothing here memoises it. The callers keep each
+window span's score in a span table (`selectors.SpanScores`), so a span is
+ranked once per table. `katz_scores` returns the arrays as a read-only
+sequence, and `online_step_score` reads them directly.
 """
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from collections.abc import Iterable, Sequence
@@ -93,8 +87,12 @@ def katz_matrix(graph: StaticGraph, params: KatzParams = KatzParams()) -> np.nda
         radius = float(np.max(np.abs(np.linalg.eigvalsh(a))))
         bound = params.beta * radius * (1.0 + graph.n * _EPS)
     if bound < 1.0:
-        m = np.eye(graph.n) - params.beta * a
-        return np.linalg.solve(m, np.eye(graph.n)) - np.eye(graph.n)
+        # one identity and an in-place subtraction: every n-by-n temporary is
+        # memory the allocator may hand back to the system and fault in again
+        eye = np.eye(graph.n)
+        s = np.linalg.solve(eye - params.beta * a, eye)
+        s -= eye
+        return s
     log.log(
         logging.DEBUG if _fallback_warned else logging.WARNING,
         "series diverges (beta*radius = %.4f >= 1); falling back to truncation at %d",
@@ -105,29 +103,9 @@ def katz_matrix(graph: StaticGraph, params: KatzParams = KatzParams()) -> np.nda
     return _truncated_matrix(a, params.beta, _MAX_PATH_LEN)
 
 
-@functools.lru_cache(maxsize=16)
-def _ranked(
-    graph: StaticGraph, params: KatzParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Candidate pairs (u < v, both endpoints with an edge, not joined) as
-    read-only arrays u, v, score, by descending score, then by pair."""
-    s = katz_matrix(graph, params)
-    active = graph.degrees() > 0
-    candidate = np.triu(active[:, None] & active, 1)
-    candidate[graph.ends()] = False
-    u, v = np.nonzero(candidate)
-    score = s[u, v]
-    # nonzero yields the pairs in (u, v) order, so a stable sort breaks ties by pair
-    order = np.argsort(-score, kind="stable")
-    out = (u[order], v[order], score[order])
-    for arr in out:
-        arr.flags.writeable = False
-    return out
-
-
 class ScoredPairs(Sequence):
-    """Read-only ((u, v), score) sequence over one ranking's read-only arrays
-    u, v, score: an item is built only when read, and a slice is a view."""
+    """Read-only ((u, v), score) sequence over one ranking's arrays u, v,
+    score: an item is built only when read, and a slice is a view."""
 
     def __init__(self, u: np.ndarray, v: np.ndarray, score: np.ndarray) -> None:
         self.u, self.v, self.score = u, v, score
@@ -159,10 +137,17 @@ def katz_scores(graph: StaticGraph, params: KatzParams = KatzParams()) -> Scored
 
     Only pairs whose endpoints both have non-zero degree are scored, and pairs
     already joined by an edge are excluded. Ties break lexicographically by
-    pair, so the ranking is total and deterministic. The result is a
-    read-only view of the memoised ranking, so no caller can change it.
+    pair, so the ranking is total and deterministic.
     """
-    return ScoredPairs(*_ranked(graph, params))
+    s = katz_matrix(graph, params)
+    active = graph.degrees() > 0
+    candidate = np.triu(active[:, None] & active, 1)
+    candidate[graph.ends()] = False
+    u, v = np.nonzero(candidate)
+    score = s[u, v]
+    # nonzero yields the pairs in (u, v) order, so a stable sort breaks ties by pair
+    order = np.argsort(-score, kind="stable")
+    return ScoredPairs(u[order], v[order], score[order])
 
 
 def _ap(ranks: Sequence[int] | np.ndarray, positive_count: int) -> float:
@@ -207,5 +192,5 @@ def online_step_score(
     positives = int(np.count_nonzero(hit))
     if not positives:
         return None
-    u, v, _ = _ranked(last, params)
-    return _ap(np.flatnonzero(hit[u, v]) + 1, positives)
+    ranking = katz_scores(last, params)
+    return _ap(np.flatnonzero(hit[ranking.u, ranking.v]) + 1, positives)

@@ -2,7 +2,7 @@
 
 The online selector keeps a ledger of one-step-ahead prediction scores per
 candidate window size, retests sizes that are under-sampled or currently
-top-ranked, and emits each step's prediction from the best size so far.
+top-ranked, and emits each step's windowing at the best size so far.
 Offline selection scores every uniform size on training data with a
 task-quality callable. Baselines pick sizes from structural signals alone:
 edge-count periodicity, neighbourhood overlap saturation, spectral-entropy
@@ -20,7 +20,7 @@ import numpy as np
 from ._numeric import bisect, zeta
 from .attrpred import KernelParams, leave_out_scores, pairs_auc
 from .changepoint import cp_pr_auc, detect_change_points
-from .linkpred import KatzParams, ScoredPairs, katz_scores, online_step_score
+from .linkpred import KatzParams, online_step_score
 from .temporal import ChangePointLabels, GraphSequence, StaticGraph, VertexAttributes, union_graphs
 from .windows import Windowing, uniform_windowing, windowed_at
 
@@ -155,17 +155,14 @@ class StepRecord:
         graph (None = no new links at that size, nothing appended).
     chosen: the uniform size behind `windowing`, or None when a policy
         returned a windowing (the random baseline), even a uniform one.
-    last_graph: final window of the emitted windowing; the next step's new
-        links are measured against it.
-    prediction: read-only view of the memoised Katz ranking of `last_graph`.
+    windowing: the emitted windowing of the history; the next step's
+        prediction ranks its last window, the steps after its last cut.
     """
 
     step: int
     tested: tuple[tuple[int, float | None], ...]
     chosen: int | None
     windowing: Windowing
-    last_graph: StaticGraph
-    prediction: ScoredPairs
 
 
 # history (incoming graph included) -> a uniform size or a windowing
@@ -182,10 +179,11 @@ class OnlineWindowSelector:
     new links at a size append nothing). A test reads its score from
     `spans`, a span table on the ledger clock that scores (and builds the
     window) only on a miss; selectors on one stream may be given one table
-    to share (a table of default `KatzParams` when none is given). The
-    table's `katz` ranks every test and the emitted prediction. The
-    prediction uses the size with the best (decayed) ledger mean, smallest
-    size on ties, size 1 before any score exists. `freeze_after=k` stops all
+    to share (a table of default `KatzParams` when none is given), whose
+    `katz` ranks every test. The emitted windowing uses the size with the
+    best (decayed) ledger mean, smallest size on ties, size 1 before any
+    score exists; scoring its last window against the next step is the
+    caller's, through the same table. `freeze_after=k` stops all
     testing after step k for training-only selection: the ledger then stops
     changing, and so the size chosen at step k stays pinned.
 
@@ -247,17 +245,7 @@ class OnlineWindowSelector:
             # a policy may return a size beyond the history
             chosen = min(choice, i)
             windowing = uniform_windowing(i, chosen)
-        # the last window starts after the windowing's last cut
-        start = windowing.cuts[-1] if windowing.cuts else 0
-        last = union_graphs(self.history[start:])
-        return StepRecord(
-            step=i,
-            tested=tuple(tested),
-            chosen=chosen,
-            windowing=windowing,
-            last_graph=last,
-            prediction=katz_scores(last, self.spans.katz),
-        )
+        return StepRecord(i, tuple(tested), chosen, windowing)
 
 
 # --------------------------------------------------------------------------

@@ -733,8 +733,8 @@ def online_selector(
 def run_online(
     seq: GraphSequence, plan: IntervalPlan, selector: str, params: EvalParams, seed: int
 ) -> ExperimentReport:
-    """One selector through each interval pair in turn; each emitted
-    prediction is scored from its own last window."""
+    """One selector through each interval pair in turn; each test step is
+    scored against the last window of the previous step's windowing."""
     cells = []
     for idx, (a, b) in enumerate(plan.pairs):
         train_span, test_span = plan.spans[a], plan.spans[b]
@@ -745,7 +745,9 @@ def run_online(
         scores, scored, run_log, previous = [], [], [], None
         for local, g in enumerate(stream.graphs, start=1):
             if previous is not None and local > train_length:
-                ap = graphwin.online_step_score(previous.last_graph, g, params.katz)
+                history = stream.slice_steps(1, local - 1)
+                last = last_window(history, previous.windowing)
+                ap = graphwin.online_step_score(last, g, params.katz)
                 if ap is not None:
                     scores.append(ap)
                 scored.append({"target_step": local, "chosen": previous.chosen, "score": ap})

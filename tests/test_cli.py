@@ -482,6 +482,12 @@ def test_evaluate_rejects_bad_param_values_before_compute(dataset, capsys):
         ({"seed": None}, ["'seed' must be an integer, got None"]),
         ({"selectors": None}, ["missing required key 'selectors'"]),
         ({"selectors": "hand-picked"}, ["'selectors' must be a list of strings, got 'hand-picked'"]),
+        ({"selectors": []}, ["'selectors' must name at least one selector"]),
+        ({"selectors": ["random", "jaccard", "random", "mystery"], "seed": 1.5}, [
+            "'selectors' repeats ['random']",
+            "unknown selector 'mystery' for mode offline",
+            "'seed' must be an integer, got 1.5",
+        ]),
         ({"output": 3}, ["'output' must be a string, got 3"]),
         ({"target": None, "changepoints": "nosuch.txt"}, [
             "'attributes' requires 'target'",

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -44,7 +45,7 @@ from graphwin.selectors import (
     linkpred_window_quality,
     powerlaw_exponent,
 )
-from graphwin.temporal import ChangePointLabels, VertexAttributes
+from graphwin.temporal import ChangePointLabels, VertexAttributes, union_graphs
 from graphwin.windows import uniform_windowing
 
 import oracles
@@ -427,58 +428,46 @@ def test_score_curves_score_each_span_once(monkeypatch):
     assert len(scored) == len(set(requested)) < len(requested) / 2
 
 
-def test_online_suite_solves_each_window_graph_once(monkeypatch):
-    """Lockstep keeps the graphs the selectors share at a step in the
-    ranking memo, so a one-pair suite solves each window graph once."""
-    solved = []
+def test_each_katz_solve_is_one_span_table_entry(monkeypatch):
+    """The span table is the only link-prediction cache. In an online suite
+    given its own table, and in a sweep, `katz_matrix` solves the window of
+    each table entry that holds a score once, and nothing else. The demo
+    stream's online suite makes 184 solves; it made 211 when every step
+    also ranked its emitted last window."""
+    tables, solved = [], []
     solve = linkpred.katz_matrix
+
+    class RecordedSpans(SpanScores):
+        def __init__(self, katz):
+            super().__init__(katz)
+            tables.append(self)
 
     def counted(graph, params):
         solved.append(graph)
         return solve(graph, params)
 
+    def scored_windows(seq, spans):
+        entries = [span for span, value in spans.values.items() if value is not None]
+        return Counter(union_graphs(seq.graphs[a - 1 : b]) for a, b in entries)
+
+    monkeypatch.setattr(harness, "SpanScores", RecordedSpans)
     monkeypatch.setattr(linkpred, "katz_matrix", counted)
-    linkpred._ranked.cache_clear()
     seq = planted_sequence()
-    run_suite(seq, split_intervals(seq.length, 2), "online", ONLINE_SELECTORS, "linkpred",
+    plan = split_intervals(seq.length, 3)
+    spans = SpanScores(PLANTED_PARAMS.katz)
+    harness._online_cells(seq, plan, ONLINE_SELECTORS, PLANTED_PARAMS, 3, spans)
+    assert solved and Counter(solved) == scored_windows(seq, spans)
+    assert tables == []
+    solved.clear()
+    hyperparam_sweep(seq, plan, min_tests_values=[1, 2, 4], top_count_values=[1, 2],
+                     params=PLANTED_PARAMS, seed=3)
+    assert len(tables) == 1
+    assert solved and Counter(solved) == scored_windows(seq, tables[0])
+    solved.clear()
+    demo = planted_sequence(copies=1)
+    run_suite(demo, split_intervals(demo.length, 3), "online", ONLINE_SELECTORS, "linkpred",
               params=PLANTED_PARAMS, seed=3)
-    assert solved and len(solved) == len(set(solved))
-
-
-def test_online_suite_builds_no_prediction_item(monkeypatch):
-    """Every step's prediction is a view of the memoised ranking that no
-    report reads, so the demo stream's online suite builds none of its
-    items, and it solves as many window graphs as when each prediction was
-    a list (211)."""
-    counts = {"items": 0, "predictions": 0, "solves": 0}
-    get = linkpred.ScoredPairs.__getitem__
-    rank, solve = selectors_module.katz_scores, linkpred.katz_matrix
-
-    def counted_iter(self):
-        counts["items"] += 1
-        return iter(())
-
-    def counted_get(self, i):
-        counts["items"] += 1
-        return get(self, i)
-
-    def counted_rank(graph, params):
-        counts["predictions"] += 1
-        return rank(graph, params)
-
-    def counted_solve(graph, params):
-        counts["solves"] += 1
-        return solve(graph, params)
-
-    monkeypatch.setattr(linkpred.ScoredPairs, "__iter__", counted_iter)
-    monkeypatch.setattr(linkpred.ScoredPairs, "__getitem__", counted_get)
-    monkeypatch.setattr(selectors_module, "katz_scores", counted_rank)
-    monkeypatch.setattr(linkpred, "katz_matrix", counted_solve)
-    linkpred._ranked.cache_clear()
-    seq = planted_sequence(copies=1)
-    run_suite(seq, split_intervals(seq.length, 3), "online", ONLINE_SELECTORS, "linkpred",
-              params=PLANTED_PARAMS, seed=3)
-    assert counts == {"items": 0, "predictions": len(ONLINE_SELECTORS) * 2 * 24, "solves": 211}
+    assert len(solved) == 184
 
 
 # --------------------------------------------------------------------------

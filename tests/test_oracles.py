@@ -47,7 +47,7 @@ from graphwin import (
     union_graphs,
     windowed_at,
 )
-from graphwin import linkpred, selectors, temporal
+from graphwin import selectors, temporal
 from graphwin._numeric import zeta
 from graphwin.attrpred import roc_auc
 from graphwin.changepoint import _SegmentState
@@ -249,14 +249,15 @@ def test_ranking_arrays_match_lexsort_oracle():
     graphs += [katz_graph(rng, kind, n) for kind in KATZ_KINDS_LIST for n in (1, 2, 7, 12)]
     for g in graphs:
         for params in (KatzParams(), KatzParams(beta=0.25)):
-            got, want = linkpred._ranked(g, params), oracles.ranked(g, params)
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            got, want = katz_scores(g, params), oracles.ranked(g, params)
+            assert all(np.array_equal(a, b) for a, b in zip((got.u, got.v, got.score), want))
 
 
 def test_online_suite_matches_sequential_oracle():
-    """An online suite steps its selectors in lockstep over one span table;
-    each selector's report equals the one of that selector run alone, pair
-    by pair, scoring each emitted prediction from its own last window."""
+    """An online suite runs its selectors over one span table; each
+    selector's report equals the one of that selector run alone with a table
+    of its own, pair by pair, scoring each test step against the last window
+    of the previous step's windowing, built from the steps."""
     streams = [(seq, 2) for seq in trace_streams()] + [(planted_sequence(), 3)]
     knobs = [SelectorParams(), SelectorParams(min_tests=2, top_count=4, alpha=0.5)]
     for (seq, count), selector in itertools.product(streams, knobs):
