@@ -47,19 +47,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("reports", nargs="+", help="report JSON files to check")
     args = parser.parse_args(argv)
 
-    failures = 0
-    checked = 0
+    failing = checked = unusable = 0
     for path in args.reports:
         try:
             report = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             print(f"FAIL {path}: unreadable report ({exc})")
-            failures += 1
+            unusable += 1
             continue
         rows = comparisons(report)
         if not rows:
             print(f"FAIL {path}: no supervised-vs-random comparison available")
-            failures += 1
+            unusable += 1
             continue
         for selector, task, score, rand in rows:
             checked += 1
@@ -70,9 +69,12 @@ def main(argv: list[str] | None = None) -> int:
                 f"{score:.6g} vs random {rand:.6g}"
             )
             if not ok:
-                failures += 1
-    if failures:
-        print(f"{failures} failing comparison(s) out of {checked + failures} checked")
+                failing += 1
+    if failing or unusable:
+        summary = f"{failing} failing comparison(s) out of {checked} checked"
+        if unusable:
+            summary += f"; {unusable} report(s) unreadable or without a comparison"
+        print(summary)
         return 1
     print(f"all {checked} comparison(s) hold: supervised >= random")
     return 0

@@ -8,7 +8,8 @@
 # record their arguments), moves each side's outputs to OUT/NAME-base and
 # OUT/NAME-head, and ends with diff -r. Every comparison runs; the script
 # prints the name of each one that differs or fails, and exits 1 if any
-# does. OUT must be empty or absent.
+# does. Its last line is the line count of each side's src/graphwin/*.py,
+# as `src/graphwin lines: base N, head M`. OUT must be empty or absent.
 #
 #   demo       the README demo tree, built by each side's scripts/demo_pipeline.sh
 #   online     online-linkpred seed 7: ingest, evaluate and sweep, and evaluate again with a
@@ -100,4 +101,8 @@ compare offline-3 offline prepare offline-attr-cp 3
 compare offline-7 offline prepare offline-attr-cp 7
 compare select select_all prepare offline-attr-cp 7
 
-[ -z "$failed" ] || { echo "differs or failed:$failed" >&2; exit 1; }
+status=0
+[ -z "$failed" ] || { echo "differs or failed:$failed" >&2; status=1; }
+lines() { cat "$1"/src/graphwin/*.py | wc -l | tr -d ' '; }
+echo "src/graphwin lines: base $(lines "$base"), head $(lines "$head")"
+exit $status

@@ -22,7 +22,6 @@ from __future__ import annotations
 import copy
 import logging
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +32,6 @@ from .windows import WindowedSequence
 __all__ = [
     "log_star",
     "binary_entropy",
-    "DetectionResult",
     "detect_change_points",
     "cp_pr_auc",
 ]
@@ -270,15 +268,9 @@ class _SegmentState:
         return _code_length(sizes, self.graph_count, ones)
 
 
-@dataclass(frozen=True)
-class DetectionResult:
-    """Detected change points (1-based initial-resolution step indices)."""
-
-    times: tuple[int, ...]
-
-
-def detect_change_points(ws: WindowedSequence) -> DetectionResult:
-    """Online MDL segmentation of a windowed sequence.
+def detect_change_points(ws: WindowedSequence) -> tuple[int, ...]:
+    """Online MDL segmentation of a windowed sequence; returns the detected
+    change points as 1-based initial-resolution step indices.
 
     For each incoming window the encoder compares extending the current
     segment (re-searching the partition from the current one) against closing
@@ -303,7 +295,7 @@ def detect_change_points(ws: WindowedSequence) -> DetectionResult:
         else:
             times.append(spans[p - 1][0])
             state = fresh
-    return DetectionResult(tuple(times))
+    return tuple(times)
 
 
 def cp_pr_auc(

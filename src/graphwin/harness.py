@@ -270,9 +270,9 @@ class _QualityTable:
         ws = apply_windowing(segment, windowing)
         if kind == "changepoint":
             truth = self.cp_truth.restrict(*span)
-            result = detect_change_points(ws)
-            score = cp_pr_auc(result.times, truth.times, segment.length)
-            return score, {"detected": list(result.times), "truth": list(truth.times)}
+            detected = detect_change_points(ws)
+            score = cp_pr_auc(detected, truth.times, segment.length)
+            return score, {"detected": list(detected), "truth": list(truth.times)}
         pairs = leave_out_scores(ws, attrs, batch, kernel)
         return pairs_auc(pairs, attrs), {"pairs": [[s, lab] for s, lab in pairs]}
 

@@ -9,11 +9,11 @@ largest degree is below one the closed form is used without an eigen-solve.
 Prediction quality is ranking average precision against the new links of
 the next step.
 
-A graph's ranking is three arrays (pair ends and score, in rank order),
-computed on each call: nothing here memoises it. The callers keep each
-window span's score in a span table (`selectors.SpanScores`), so a span is
-ranked once per table. `katz_scores` returns the arrays as a read-only
-sequence, and `online_step_score` reads them directly.
+A graph's ranking is one numpy record array with fields u, v and score,
+in rank order, computed on each call: nothing here memoises it. Its length
+is the number of candidate pairs. The callers keep each window span's score
+in a span table (`selectors.SpanScores`), so a span is ranked once per
+table; `online_step_score` reads the ranking's u and v columns.
 """
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ from .temporal import StaticGraph
 
 __all__ = [
     "KatzParams",
-    "ScoredPairs",
     "katz_matrix",
     "katz_scores",
     "average_precision",
@@ -44,6 +43,9 @@ _MAX_PATH_LEN = 8
 
 # the divergence fallback warns once per process, later hits log at debug
 _fallback_warned = False
+
+# a ranking's records: the pair's ends u < v, then its score
+_RANKING = np.dtype([("u", np.int64), ("v", np.int64), ("score", np.float64)])
 
 
 @dataclass(frozen=True)
@@ -103,37 +105,9 @@ def katz_matrix(graph: StaticGraph, params: KatzParams = KatzParams()) -> np.nda
     return _truncated_matrix(a, params.beta, _MAX_PATH_LEN)
 
 
-class ScoredPairs(Sequence):
-    """Read-only ((u, v), score) sequence over one ranking's arrays u, v,
-    score: an item is built only when read, and a slice is a view."""
-
-    def __init__(self, u: np.ndarray, v: np.ndarray, score: np.ndarray) -> None:
-        self.u, self.v, self.score = u, v, score
-
-    def __len__(self) -> int:
-        return len(self.score)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return ScoredPairs(self.u[i], self.v[i], self.score[i])
-        return (int(self.u[i]), int(self.v[i])), float(self.score[i])
-
-    def __iter__(self):
-        return zip(zip(self.u.tolist(), self.v.tolist()), self.score.tolist())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ScoredPairs):
-            mine, theirs = (self.u, self.v, self.score), (other.u, other.v, other.score)
-            return all(map(np.array_equal, mine, theirs))
-        if isinstance(other, list):
-            return list(self) == other
-        return NotImplemented
-
-    __hash__ = None
-
-
-def katz_scores(graph: StaticGraph, params: KatzParams = KatzParams()) -> ScoredPairs:
-    """Ranked candidate pairs of `graph` by damped path-count score.
+def katz_scores(graph: StaticGraph, params: KatzParams = KatzParams()) -> np.recarray:
+    """Ranked candidate pairs of `graph` by damped path-count score, as a
+    record array of (u, v, score) records.
 
     Only pairs whose endpoints both have non-zero degree are scored, and pairs
     already joined by an edge are excluded. Ties break lexicographically by
@@ -147,7 +121,7 @@ def katz_scores(graph: StaticGraph, params: KatzParams = KatzParams()) -> Scored
     score = s[u, v]
     # nonzero yields the pairs in (u, v) order, so a stable sort breaks ties by pair
     order = np.argsort(-score, kind="stable")
-    return ScoredPairs(u[order], v[order], score[order])
+    return np.rec.fromarrays((u[order], v[order], score[order]), dtype=_RANKING)
 
 
 def _ap(ranks: Sequence[int] | np.ndarray, positive_count: int) -> float:

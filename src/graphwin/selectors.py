@@ -143,9 +143,6 @@ class ScoreLedger:
         rows = self.ranked()
         return rows[0][0] if rows else None
 
-    def snapshot(self) -> dict[int, tuple[tuple[int, float], ...]]:
-        return {w: tuple(entries) for w, entries in self._entries.items()}
-
 
 @dataclass(frozen=True)
 class StepRecord:
@@ -313,8 +310,7 @@ def cp_window_quality(
     truth: ChangePointLabels,
 ) -> float:
     """Detection quality (distance-curve PR-AUC) at one uniform size."""
-    result = detect_change_points(windowed_at(seq, size))
-    return cp_pr_auc(result.times, truth.times, seq.length)
+    return cp_pr_auc(detect_change_points(windowed_at(seq, size)), truth.times, seq.length)
 
 
 def attr_window_quality(

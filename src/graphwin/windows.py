@@ -1,12 +1,11 @@
 """Segmentations of graph sequences into contiguous windows.
 
 A windowing of a length-T sequence is a set of cut indices; segment i unions
-the step graphs it covers into one windowed graph. Windowings are immutable
-and serialize as the bare JSON array of their cut indices.
+the step graphs it covers into one windowed graph. Windowings are immutable;
+reports record a windowing as the list of its cut indices.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,10 +40,6 @@ class Windowing:
                 raise ValueError("cuts must be strictly increasing")
             prev = k
 
-    @property
-    def segment_count(self) -> int:
-        return len(self.cuts) + 1
-
     def spans(self) -> tuple[tuple[int, int], ...]:
         """1-based inclusive (start, end) of each segment."""
         bounds = (0,) + self.cuts + (self.length,)
@@ -52,14 +47,6 @@ class Windowing:
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(end - start + 1 for start, end in self.spans())
-
-    def to_json(self) -> str:
-        return json.dumps(list(self.cuts))
-
-    @classmethod
-    def from_json(cls, text: str, length: int) -> "Windowing":
-        cuts = json.loads(text)
-        return cls(length, tuple(int(k) for k in cuts))
 
 
 def uniform_windowing(length: int, size: int) -> Windowing:
@@ -91,18 +78,10 @@ class WindowedSequence:
     def window_count(self) -> int:
         return len(self.graphs)
 
-    def last_graph(self) -> StaticGraph:
-        return self.graphs[-1]
-
     @cached_property
     def neighbor_lists(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Each windowed graph's neighbour lists, built once per sequence."""
         return tuple(g.neighbor_lists() for g in self.graphs)
-
-    def to_graph_sequence(self) -> GraphSequence:
-        """View the windowed graphs as a sequence of their own (for re-windowing),
-        at the source's resolution."""
-        return GraphSequence(self.n, self.graphs, self.source.resolution)
 
 
 def apply_windowing(seq: GraphSequence, windowing: Windowing) -> WindowedSequence:

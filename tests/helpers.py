@@ -1,4 +1,5 @@
-"""Shared helpers for the test suite: graph and stream building."""
+"""Shared helpers for the test suite: graph and stream building, and
+rankings as items."""
 from __future__ import annotations
 
 import importlib.util
@@ -36,6 +37,11 @@ def random_graph(rng: np.random.Generator, n: int, p: float) -> StaticGraph:
 
 def random_sequence(rng: np.random.Generator, n: int, length: int, p: float) -> GraphSequence:
     return GraphSequence(n, tuple(random_graph(rng, n, p) for _ in range(length)), 1)
+
+
+def items(ranking) -> list[tuple[tuple[int, int], float]]:
+    """A `katz_scores` ranking as ((u, v), score) items, in rank order."""
+    return list(zip(zip(ranking.u.tolist(), ranking.v.tolist()), ranking.score.tolist()))
 
 
 def clique_edges(vertices) -> set[tuple[int, int]]:

@@ -43,7 +43,7 @@ from graphwin.attrpred import (
 )
 import graphwin
 from graphwin import harness, linkpred, selectors
-from graphwin.changepoint import DetectionResult, _block_bits, cp_pr_auc, log_star
+from graphwin.changepoint import _block_bits, cp_pr_auc, log_star
 from graphwin.harness import CellResult, EvalParams, ExperimentReport, IntervalPlan, derive_seed
 from graphwin.linkpred import KatzParams, _truncated_matrix
 from graphwin.selectors import (
@@ -507,7 +507,7 @@ class _SegmentState:
         return sweeps
 
 
-def detect_change_points(ws: WindowedSequence) -> DetectionResult:
+def detect_change_points(ws: WindowedSequence) -> tuple[int, ...]:
     """Online MDL segmentation of a windowed sequence."""
     graphs = ws.graphs
     spans = ws.spans
@@ -526,7 +526,7 @@ def detect_change_points(ws: WindowedSequence) -> DetectionResult:
         else:
             times.append(spans[p - 1][0])
             state = fresh
-    return DetectionResult(tuple(times))
+    return tuple(times)
 
 
 
@@ -834,9 +834,9 @@ def offline_cell(
     ws = apply_windowing(test, windowing)
     detail: dict = {"windowing": list(windowing.cuts), "window_sizes": list(windowing.sizes())}
     if task == "changepoint":
-        result = graphwin.detect_change_points(ws)
-        score = cp_pr_auc(result.times, test_cp.times, test.length)
-        detail["detected"] = list(result.times)
+        detected = graphwin.detect_change_points(ws)
+        score = cp_pr_auc(detected, test_cp.times, test.length)
+        detail["detected"] = list(detected)
         detail["truth"] = list(test_cp.times)
         return score, detail
     pairs = graphwin.leave_out_scores(ws, attrs, params.batch_size, params.kernel)

@@ -18,7 +18,7 @@ from graphwin import (
 )
 
 import oracles
-from helpers import clique_edges, edge_set, graph, random_graph, seq_of
+from helpers import clique_edges, edge_set, graph, items, random_graph, seq_of
 
 
 def walk_sum_oracle(adj: np.ndarray, beta: float, max_len: int) -> np.ndarray:
@@ -129,13 +129,12 @@ def test_truncation_error_bound():
 def test_empty_graph_scores_zero():
     g = graph(4, [])
     assert np.all(katz_matrix(g) == 0)
-    assert katz_scores(g) == []
+    assert items(katz_scores(g)) == []
 
 
 def test_scores_exclude_edges_and_isolated_vertices():
     g = graph(4, [(0, 1), (1, 2)])  # vertex 3 isolated
-    ranking = katz_scores(g)
-    pairs = [p for p, _ in ranking]
+    pairs = [p for p, _ in items(katz_scores(g))]
     assert pairs == [(0, 2)]  # only non-edge among non-isolated vertices
 
 
@@ -144,7 +143,7 @@ def test_scores_tie_break_lexicographically():
     # symmetric longer walks, but (1,3) differs; isolate an exact tie instead
     # with two disjoint stars.
     g = graph(6, [(0, 1), (0, 2), (3, 4), (3, 5)])
-    ranking = katz_scores(g)
+    ranking = items(katz_scores(g))
     scores = dict(ranking)
     assert scores[(1, 2)] == scores[(4, 5)]
     assert ranking.index(((1, 2), scores[(1, 2)])) < ranking.index(((4, 5), scores[(4, 5)]))
@@ -153,47 +152,35 @@ def test_scores_tie_break_lexicographically():
 def test_ranking_is_sorted_by_score_then_pair():
     rng = np.random.default_rng(3)
     g = random_graph(rng, 10, 0.3)
-    ranking = katz_scores(g)
+    ranking = items(katz_scores(g))
     for (pa, sa), (pb, sb) in zip(ranking, ranking[1:]):
         assert sa > sb or (sa == sb and pa < pb)
 
 
-def test_katz_scores_is_a_read_only_sequence():
-    g = random_graph(np.random.default_rng(5), 10, 0.3)
-    first = katz_scores(g)
-    want = list(first)
-    assert len(want) > 3
-    with pytest.raises(AttributeError):
-        first.append(((1, 1), 2.0))
-    with pytest.raises(AttributeError):
-        first.reverse()
-    with pytest.raises(TypeError):
-        first[0] = ((0, 0), 1.0)
-    again = katz_scores(g)
-    assert again == want and want == again and again == first
-    assert again != want[:-1] and want[1:] != again
-    assert len(first) == len(want)
-    assert first[-1] == want[-1] and first[-len(want)] == want[0]
-    with pytest.raises(IndexError):
-        first[len(want)]
-    for cut in (slice(1, None), slice(None, -2), slice(None, None, 2), slice(-3, -1)):
-        assert first[cut] == want[cut] and want[cut] == first[cut]
-        assert isinstance(first[cut], linkpred.ScoredPairs)
-    assert first.index(want[2]) == 2
-    assert want[1] in first and ((0, 0), 1.0) not in first
-    with pytest.raises(TypeError):
-        hash(first)
+def test_katz_scores_is_one_record_array_in_rank_order():
+    """Fields u, v, score; one record per candidate pair (both ends active,
+    not already linked); ordered by score, then by pair."""
+    rng = np.random.default_rng(5)
+    graphs = [random_graph(rng, 10, 0.3), graph(6, [(0, 1), (0, 2), (3, 4), (3, 5)]), graph(4, [])]
+    for g in graphs:
+        ranking = katz_scores(g)
+        assert ranking.dtype.names == ("u", "v", "score")
+        assert [ranking.dtype[f] for f in ranking.dtype.names] == [
+            np.dtype(np.int64), np.dtype(np.int64), np.dtype(np.float64)
+        ]
+        active = np.flatnonzero(g.degrees()).tolist()
+        candidates = math.comb(len(active), 2) - g.edge_count
+        assert len(ranking) == candidates
+        assert np.all(ranking.u < ranking.v)
+        keys = [(-s, u, v) for (u, v), s in items(ranking)]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
 def test_katz_scores_match_the_plain_ranking():
     rng = np.random.default_rng(13)
     for _ in range(30):
         g = random_graph(rng, int(rng.integers(1, 12)), float(rng.uniform(0.1, 0.6)))
-        want = oracles.katz_scores(g)
-        got = katz_scores(g)
-        assert got == want and want == got
-        assert [got[i] for i in range(len(got))] == want
-        assert list(reversed(got)) == want[::-1]
+        assert items(katz_scores(g)) == oracles.katz_scores(g)
 
 
 # --------------------------------------------------------------------------
@@ -252,7 +239,7 @@ def test_ap_direct_definition_oracle():
 def test_online_step_score_none_without_new_links():
     seq = seq_of(3, [(0, 1)], [(0, 1)])
     ws = windowed_at(seq, 1)
-    assert online_step_score(ws.last_graph(), seq.step(2)) is None
+    assert online_step_score(ws.graphs[-1], seq.step(2)) is None
 
 
 def test_online_step_score_scores_new_links():
@@ -260,7 +247,7 @@ def test_online_step_score_scores_new_links():
     history = seq_of(3, [(0, 1), (0, 2)])
     ws = windowed_at(history, 1)
     incoming = graph(3, [(0, 1), (1, 2)])
-    assert online_step_score(ws.last_graph(), incoming) == 1.0
+    assert online_step_score(ws.graphs[-1], incoming) == 1.0
 
 
 def test_online_step_score_partial_rank():
@@ -268,8 +255,8 @@ def test_online_step_score_partial_rank():
     # make the new link appear at rank 2 among three candidates
     history = seq_of(5, [(0, 1), (0, 2), (1, 2), (2, 3)])
     ws = windowed_at(history, 1)
-    ranking = katz_scores(ws.last_graph())
+    ranking = items(katz_scores(ws.graphs[-1]))
     # pick the pair ranked second as the sole new link
     second = ranking[1][0]
-    incoming = graph(5, edge_set(ws.last_graph()) | {second})
-    assert online_step_score(ws.last_graph(), incoming) == 0.5
+    incoming = graph(5, edge_set(ws.graphs[-1]) | {second})
+    assert online_step_score(ws.graphs[-1], incoming) == 0.5

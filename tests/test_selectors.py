@@ -123,11 +123,17 @@ def test_online_selector_hand_trace():
         ((2, 0.0), (3, 0.0)),  # (0,3) is never a candidate
     ]
     assert [r.chosen for r in records] == [1, 1, 2, 1]
-    assert sel.ledger.snapshot() == {
-        1: ((2, 0.0), (3, 1.0)),
-        2: ((3, 1.0), (4, 0.0)),
-        3: ((4, 0.0),),
+    entries = {}
+    for r in records:
+        for w, score in r.tested:
+            entries.setdefault(w, []).append((r.step, score))
+    assert entries == {
+        1: [(2, 0.0), (3, 1.0)],
+        2: [(3, 1.0), (4, 0.0)],
+        3: [(4, 0.0)],
     }
+    assert [sel.ledger.count(w) for w in (1, 2, 3)] == [2, 2, 1]
+    assert sel.ledger.ranked() == [(1, 0.5), (2, 0.5), (3, 0.0)]
 
 
 def test_online_selector_first_step_defaults_to_one():
@@ -145,7 +151,7 @@ def test_online_selector_empty_ledger_sticks_to_one():
     for _ in range(4):
         rec = sel.process(graph(3, [(0, 1)]))
         assert rec.chosen == 1
-    assert sel.ledger.snapshot() == {}
+    assert sel.ledger.ranked() == []
 
 
 def test_online_selector_skipped_steps_append_nothing():
@@ -178,8 +184,9 @@ def test_training_only_freeze():
     assert records[2].chosen == 2  # decided while still testing
     assert records[3].tested == ()  # frozen: no more tests
     assert records[3].chosen == 2  # pinned to the step-3 choice
-    snapshot = sel.ledger.snapshot()
-    assert all(step <= 3 for entries in snapshot.values() for step, _ in entries)
+    # the ledger holds the scores of the first three steps and no more
+    scored = sum(score is not None for r in records[:3] for _, score in r.tested)
+    assert sum(sel.ledger.count(w) for w in range(1, 5)) == scored
 
 
 def test_freeze_after_zero_never_tests():
@@ -196,7 +203,7 @@ def test_fixed_online_selector():
     assert [r.chosen for r in recs] == [1, 2, 2, 2]  # clamped on the first step
     assert recs[3].windowing == Windowing(4, (2,))
     assert all(r.tested == () for r in recs)
-    assert sel.ledger.snapshot() == {}
+    assert sel.ledger.ranked() == []
 
 
 def random_online_selector(seed: int) -> OnlineWindowSelector:
@@ -256,7 +263,7 @@ def test_online_last_graph_is_the_windowings_last_window(kind):
                 assert record.windowing == uniform_windowing(i, record.chosen)
             start = record.windowing.cuts[-1] if record.windowing.cuts else 0
             last = union_graphs(history.graphs[start:])
-            assert last == apply_windowing(history, record.windowing).last_graph()
+            assert last == apply_windowing(history, record.windowing).graphs[-1]
 
 
 def test_online_selector_reads_its_katz_parameters_from_its_span_table():
@@ -269,7 +276,7 @@ def test_online_selector_reads_its_katz_parameters_from_its_span_table():
             record = sel.process(g)
             for w, score in record.tested:
                 history = seq.slice_steps(1, i - 1)
-                window = apply_windowing(history, uniform_windowing(i - 1, w)).last_graph()
+                window = apply_windowing(history, uniform_windowing(i - 1, w)).graphs[-1]
                 assert score == online_step_score(window, g, katz)
                 moved += score != online_step_score(window, g, KatzParams())
     assert moved > 0

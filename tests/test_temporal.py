@@ -228,7 +228,7 @@ def test_binning_then_windowing_equals_coarser_binning(events, resolution, facto
     fine = bin_initial(evs, resolution, n=6, origin=origin)
     factor = min(factor, fine.length)  # a window cannot outgrow the sequence
     coarse = bin_initial(evs, resolution * factor, n=6, origin=origin)
-    rewindowed = windowed_at(fine, factor).to_graph_sequence()
+    rewindowed = GraphSequence(fine.n, windowed_at(fine, factor).graphs, fine.resolution)
     assert rewindowed.length == coarse.length
     for i in range(1, coarse.length + 1):
         assert rewindowed.step(i) == coarse.step(i)
