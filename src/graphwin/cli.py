@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .harness import (
+    LEDGER_SELECTORS,
     OFFLINE_SELECTORS,
     ONLINE_SELECTORS,
     TASKS,
@@ -29,8 +30,8 @@ from .harness import (
     EvalParams,
     ExperimentReport,
     IntervalPlan,
+    QualityTable,
     _jsonable,
-    _QualityTable,
     _write_json,
     cross_task_matrix,
     hyperparam_sweep,
@@ -42,10 +43,8 @@ from .harness import (
     stability_diff,
 )
 from .temporal import (
-    ChangePointLabels,
     DataFormatError,
     LoadedArchive,
-    VertexAttributes,
     bin_initial,
     load_archive,
     load_attributes,
@@ -133,13 +132,14 @@ def _flag(key: str) -> str:
 
 def _load_inputs(
     source: Mapping, tasks: Sequence, errors: list[str], config: str | None = None
-) -> tuple[LoadedArchive, VertexAttributes | None, ChangePointLabels | None, EvalParams]:
-    """The archive, sidecars and params that `source` (parsed arguments, or
-    the run config read from path `config`) names. First checks the files,
-    the attributes' target, the sidecars `tasks` need, and the tuning values
-    (the flags named after the flat params keys, or the config's `params`);
-    raises ValidationFailure listing these problems and the caller's
-    `errors`, each naming its key as `--flag` or as `'key'`."""
+) -> tuple[LoadedArchive, QualityTable]:
+    """The archive that `source` (parsed arguments, or the run config read
+    from path `config`) names, and the stage's one quality table of its
+    sequence, sidecars and params. First checks the files, the attributes'
+    target, the sidecars `tasks` need, and the tuning values (the flags
+    named after the flat params keys, or the config's `params`); raises
+    ValidationFailure listing these problems and the caller's `errors`,
+    each naming its key as `--flag` or as `'key'`."""
     name = repr if config else _flag
     if config:
         flat = source.get("params", {})
@@ -172,7 +172,7 @@ def _load_inputs(
         attrs = load_attributes(Path(source["attributes"]), source["target"], arch.labels)
     if source.get("changepoints"):
         cp_truth = load_change_points(Path(source["changepoints"]), arch.sequence.length)
-    return arch, attrs, cp_truth, params
+    return arch, QualityTable(arch.sequence, attrs, cp_truth, params)
 
 
 # --------------------------------------------------------------------------
@@ -189,16 +189,13 @@ def cmd_select(args: argparse.Namespace) -> int:
             errors.append("supervised selection needs --task attribute or changepoint")
         if not args.train_span:
             errors.append("supervised selection needs --train-span")
-    arch, attrs, cp_truth, params = _load_inputs(
-        vars(args), [args.task] if supervised else [], errors
-    )
+    arch, table = _load_inputs(vars(args), [args.task] if supervised else [], errors)
     seq = arch.sequence
     test_span = tuple(args.test_span) if args.test_span else (1, seq.length)
     train_span = tuple(args.train_span) if args.train_span else None
     # every selector refuses a bad span, the test span's first
     for span in filter(None, (test_span, train_span)):
         seq.slice_steps(*span)
-    table = _QualityTable(seq, attrs, cp_truth, params)
     windowing = table.test_windowing(args.selector, args.task, train_span, test_span, args.seed)
     sizes = windowing.sizes()
     uniform = windowing == uniform_windowing(windowing.length, sizes[0])
@@ -233,17 +230,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         errors.append("--tasks must name at least one task")
     if len(set(tasks)) != len(tasks):
         errors.append("--tasks has duplicates")
-    arch, attrs, cp_truth, params = _load_inputs(vars(args), tasks, errors)
+    if args.intervals is not None and args.intervals < 1:
+        errors.append(f"--intervals must be >= 1, got {args.intervals}")
+    arch, table = _load_inputs(vars(args), tasks, errors)
     plan = _interval_plan(arch.sequence.length, args.intervals, tasks)
-    curves = score_curves(
-        arch.sequence,
-        plan,
-        tasks,
-        attrs=attrs,
-        cp_truth=cp_truth,
-        params=params,
-        dataset_id=arch.dataset_id,
-    )
+    curves = score_curves(table, plan, tasks, dataset_id=arch.dataset_id)
     metadata = {
         "mode": "sweep",
         "tasks": tasks,
@@ -316,26 +307,33 @@ def _read_config(path: str) -> tuple[dict, dict | None, list[str]]:
     intervals = config.get("intervals")
     if intervals is not None and (type(intervals) is not int or intervals < 2):
         errors.append("intervals must be an integer >= 2")
-    return config, _hyper_grid(config.get("hyperparams"), errors), errors
+    return config, _hyper_grid(config.get("hyperparams"), mode, errors), errors
 
 
-def _hyper_grid(hyper: object, errors: list[str]) -> dict | None:
+def _hyper_grid(hyper: object, mode: object, errors: list[str]) -> dict | None:
     """A config's `hyperparams` as keyword arguments of `hyperparam_sweep`,
-    None without a grid; adds its problems to `errors`. Each retest budget
-    takes the values `params.min_tests` takes."""
+    None without a grid; adds its problems to `errors`. A grid belongs to an
+    online run, varies at least one retest budget, and runs a selector those
+    budgets steer; each budget takes the values `params.min_tests` takes."""
     if hyper is None:
         return None
     if not isinstance(hyper, dict):
         errors.append("'hyperparams' must be an object")
         return None
+    if mode == "offline":
+        errors.append("'hyperparams' grids an online run, but mode is offline")
     unknown = sorted(set(hyper) - {"min_tests_values", "top_count_values", "fixed", "selector"})
     if unknown:
         errors.append(f"unknown hyperparams keys {unknown}")
     selector = hyper.get("selector", "online")
-    if selector not in ONLINE_SELECTORS:
+    if selector not in LEDGER_SELECTORS:
+        steered = ", ".join(LEDGER_SELECTORS)
         errors.append(
-            f"unknown hyperparams selector {selector!r}; valid: {', '.join(ONLINE_SELECTORS)}"
+            f"hyperparams.selector must be one the retest budgets steer ({steered}),"
+            f" got {selector!r}"
         )
+    if not (hyper.get("min_tests_values") or hyper.get("top_count_values")):
+        errors.append("'hyperparams' needs a non-empty min_tests_values or top_count_values")
 
     def budget(name: str, value: object) -> object:
         try:
@@ -351,28 +349,17 @@ def _hyper_grid(hyper: object, errors: list[str]) -> dict | None:
             grid[key] = [budget(f"{key}[{i}]", v) for i, v in enumerate(values)]
         else:
             errors.append(f"hyperparams.{key} must be a list, got {values!r}")
-    return grid if hyper else None
+    return grid
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config, hyper, errors = _read_config(args.config)
     task = config.get("task")
     tasks = [task] if config.get("mode") == "offline" else []
-    arch, attrs, cp_truth, params = _load_inputs(config, tasks, errors, args.config)
-    seq = arch.sequence
+    arch, table = _load_inputs(config, tasks, errors, args.config)
     seed = config.get("seed", 0)
-    plan = _interval_plan(seq.length, config.get("intervals"), [task])
-    report = run_suite(
-        seq,
-        plan,
-        config["mode"],
-        config["selectors"],
-        task,
-        attrs=attrs,
-        cp_truth=cp_truth,
-        params=params,
-        seed=seed,
-    )
+    plan = _interval_plan(arch.sequence.length, config.get("intervals"), [task])
+    report = run_suite(table, plan, config["mode"], config["selectors"], task, seed=seed)
     config_hash = _config_hash(config)
     report.metadata["dataset_id"] = arch.dataset_id
     report.metadata["config_hash"] = config_hash
@@ -381,7 +368,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report.write_json(prefix.with_suffix(".json"))
     report.write_csv(prefix.with_suffix(".csv"))
     if hyper:
-        grid = hyperparam_sweep(seq, plan, **hyper, params=params, seed=seed)
+        grid = hyperparam_sweep(table, plan, **hyper, seed=seed)
         sweep_out = {
             "grid": grid,
             "config_hash": config_hash,

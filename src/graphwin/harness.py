@@ -12,17 +12,18 @@ report is `run_suite`'s: its cells by selector, then by pair, and each
 selector's aggregate; `run_offline` and `run_online` are `run_suite` with
 one selector.
 
-Offline work reads one quality table per stage: an entry (task, span,
-windowing) is the task run on that windowing of the span, and each distinct
-entry is scored once, when it is first read. `_QualityTable.test_windowing`
-picks every offline test windowing, the offline cells' and `graphwin
-select`'s: supervised selection is the argmax of a training span's row of
-uniform sizes, and a baseline sees the test edges only. The offline cells
-read their test entries, and `score_curves` is the table of every uniform
-size.
-Link-prediction work reads one span table per stage (`SpanScores`), so each
-one-step-ahead score of a window span is computed once, whether a sweep
-entry, a ledger test or a test step needs it. It is the only link-prediction
+Each stage reads one `QualityTable`, built where its inputs are loaded and
+passed to every entry point it runs (`run_suite`, `score_curves`,
+`hyperparam_sweep`). An entry (task, span, windowing) is the task run on
+that windowing of the span, and each distinct entry is scored once, when it
+is first read. `QualityTable.test_windowing` picks every offline test
+windowing, the offline cells' and `graphwin select`'s: supervised selection
+is the argmax of a training span's row of uniform sizes, and a baseline sees
+the test edges only. The offline cells read their test entries, and
+`score_curves` is the table of every uniform size. Link-prediction work
+reads the table's span table (`SpanScores`), so each one-step-ahead score of
+a window span is computed once per stage, whether a sweep entry, a ledger
+test, a test step or a grid point needs it. It is the only link-prediction
 cache: the online selectors run one after another, and each span's ranking
 is built once per table.
 """
@@ -65,7 +66,9 @@ __all__ = [
     "split_intervals",
     "OFFLINE_SELECTORS",
     "ONLINE_SELECTORS",
+    "LEDGER_SELECTORS",
     "TASKS",
+    "QualityTable",
     "CellResult",
     "ExperimentReport",
     "run_offline",
@@ -97,14 +100,10 @@ OFFLINE_SELECTORS = (
     "adage",
 )
 
-ONLINE_SELECTORS = (
-    "online",
-    "online-weighted",
-    "training-only",
-    "hand-picked",
-    "random",
-    "adage",
-)
+# the online selectors whose ledger chooses each size, so that the retest
+# budgets steer them; the others follow a windowing policy
+LEDGER_SELECTORS = ("online", "online-weighted", "training-only")
+ONLINE_SELECTORS = (*LEDGER_SELECTORS, "hand-picked", "random", "adage")
 
 # keys of a run config's flat `params` object -> (the JSON type their value
 # must have, the nested `EvalParams` field that holds them; None when
@@ -240,10 +239,11 @@ def _row(kind: str, span: tuple[int, int]) -> list[Entry]:
     return [(kind, span, uniform_windowing(length, w)) for w in range(1, length + 1)]
 
 
-class _QualityTable:
+class QualityTable:
     """Task quality per entry of `seq`, each distinct entry scored once:
     when it is first read. Reading an entry whose task raised a ValueError
-    raises it again. Link-prediction entries read one span table.
+    raises it again. Link-prediction entries, and the online selectors of
+    every run given this table, read its one span table (`spans`).
     """
 
     def __init__(
@@ -433,24 +433,21 @@ def run_offline(
     seed: int = 0,
 ) -> ExperimentReport:
     """Evaluate one offline selector on one task across all interval pairs:
-    `run_suite` with that one selector."""
-    kwargs = {"attrs": attrs, "cp_truth": cp_truth, "params": params, "seed": seed}
-    return run_suite(seq, plan, "offline", [selector], task, **kwargs)
+    `run_suite` with that one selector, on a quality table of its own."""
+    table = QualityTable(seq, attrs, cp_truth, params)
+    return run_suite(table, plan, "offline", [selector], task, seed=seed)
 
 
 def _offline_cells(
-    seq: GraphSequence,
+    table: QualityTable,
     plan: IntervalPlan,
     selectors: Sequence[str],
     task: str,
-    attrs: VertexAttributes | None,
-    cp_truth: ChangePointLabels | None,
-    params: EvalParams,
     seed: int,
 ) -> tuple[list[CellResult], dict]:
-    """The cells and aggregates of each offline selector, from one quality
-    table: its training rows pick the supervised windowings, and every cell
-    reads its test entry. Change-point pair scores average into the aggregate;
+    """The cells and aggregates of each offline selector, from `table`: its
+    training rows pick the supervised windowings, and every cell reads its
+    test entry. Change-point pair scores average into the aggregate;
     attribute pairs pool their (score, label) lists into a single AUC (the
     population repeats across test sets, so pooling is what combines them)."""
     if task not in ("attribute", "changepoint"):
@@ -458,11 +455,10 @@ def _offline_cells(
     for selector in selectors:
         if selector not in OFFLINE_SELECTORS:
             raise ValueError(f"unknown offline selector {selector!r}")
-    if task == "attribute" and attrs is None:
+    if task == "attribute" and table.attrs is None:
         raise ValueError("attribute evaluation needs attributes")
-    if task == "changepoint" and cp_truth is None:
+    if task == "changepoint" and table.cp_truth is None:
         raise ValueError("change-point evaluation needs ground-truth labels")
-    table = _QualityTable(seq, attrs, cp_truth, params)
     cells, aggregates = [], {}
     for name in selectors:
         own = []
@@ -478,7 +474,7 @@ def _offline_cells(
             entry = {"score": _mean([c.score for c in own]), "method": "mean"}
         else:
             pooled = [pair for c in own for pair in c.detail["pairs"]]
-            entry = {"score": pairs_auc(pooled, attrs), "method": "pooled"}
+            entry = {"score": pairs_auc(pooled, table.attrs), "method": "pooled"}
         cells += own
         aggregates[name] = {task: entry}
     return cells, aggregates
@@ -490,46 +486,45 @@ def _offline_cells(
 
 def _make_online_selector(
     name: str,
-    n: int,
-    params: EvalParams,
+    table: QualityTable,
+    knobs: SelectorParams,
     train_span: tuple[int, int],
     seed: int,
-    spans: SpanScores,
 ) -> OnlineWindowSelector:
+    """Selector `name` of `table`'s sequence with ledger knobs `knobs`:
+    `online` and `training-only` weigh every score alike, and
+    `training-only` stops testing after the training span."""
+    n, params = table.seq.n, table.params
     rng = np.random.default_rng(seed)
-    flat = replace(params.selector, alpha=1.0)
-    train_length = train_span[1] - train_span[0] + 1
-    # name -> (windowing policy, ledger knobs, freeze step); no policy = the ledger
-    table = {
-        "online": (None, flat, None),
-        "online-weighted": (None, params.selector, None),
-        "training-only": (None, flat, train_length),
-        "hand-picked": (lambda history: 1, params.selector, None),
-        "random": (lambda history: random_windowing(len(history), rng), params.selector, None),
-        "adage": (AdagePolicy(n, params.adage_tol, params.adage_patience), params.selector, None),
+    policies = {
+        "hand-picked": lambda history: 1,
+        "random": lambda history: random_windowing(len(history), rng),
+        "adage": AdagePolicy(n, params.adage_tol, params.adage_patience),
     }
-    policy, knobs, freeze_after = table[name]
+    policy = None if name in LEDGER_SELECTORS else policies[name]
+    if name in ("online", "training-only"):
+        knobs = replace(knobs, alpha=1.0)
+    freeze_after = train_span[1] - train_span[0] + 1 if name == "training-only" else None
     return OnlineWindowSelector(
-        n, knobs, freeze_after, spans=spans, policy=policy, first_step=train_span[0]
+        n, knobs, freeze_after, spans=table.spans, policy=policy, first_step=train_span[0]
     )
 
 
 def _online_cells(
-    seq: GraphSequence,
+    table: QualityTable,
     plan: IntervalPlan,
     selectors: Sequence[str],
-    params: EvalParams,
+    knobs: SelectorParams,
     seed: int,
-    spans: SpanScores | None = None,
 ) -> tuple[list[CellResult], dict]:
-    """The cells and aggregates of each online selector, run selector by
-    selector and pair by pair. One span table of `seq` and `params.katz`
-    serves them all (`spans`, or a new one): it scores the ledger tests, and
-    each test step against the last window the previous step emitted."""
+    """The cells and aggregates of each online selector with ledger knobs
+    `knobs`, run selector by selector and pair by pair. `table`'s span table
+    serves them all: it scores the ledger tests, and each test step against
+    the last window the previous step emitted."""
     for selector in selectors:
         if selector not in ONLINE_SELECTORS:
             raise ValueError(f"unknown online selector {selector!r}")
-    spans = SpanScores(params.katz) if spans is None else spans
+    seq, spans = table.seq, table.spans
     cells, aggregates = [], {}
     for name in selectors:
         own = []
@@ -538,7 +533,7 @@ def _online_cells(
             first = train_span[0]
             stream = seq.graphs[first - 1 : test_span[1]]
             pair_seed = derive_seed(seed, name, "linkpred", idx)
-            sel = _make_online_selector(name, seq.n, params, train_span, pair_seed, spans)
+            sel = _make_online_selector(name, table, knobs, train_span, pair_seed)
             scored, run_log = [], []
             for local, g in enumerate(stream, start=1):
                 if local > train_span[1] - first + 1:
@@ -569,7 +564,7 @@ def run_online(
     seed: int = 0,
 ) -> ExperimentReport:
     """One-step-ahead link prediction with per-step size selection:
-    `run_suite` with that one selector.
+    `run_suite` with that one selector, on a quality table of its own.
 
     For each (train, test) pair the selector consumes the whole contiguous
     stream; predictions targeting test-interval steps are scored by average
@@ -577,34 +572,33 @@ def run_online(
     empty ledger. Pairs without a single scoreable step are skipped; the
     aggregate is the mean of pair means.
     """
-    return run_suite(seq, plan, "online", [selector], "linkpred", params=params, seed=seed)
+    table = QualityTable(seq, None, None, params)
+    return run_suite(table, plan, "online", [selector], "linkpred", seed=seed)
 
 
 def run_suite(
-    seq: GraphSequence,
+    table: QualityTable,
     plan: IntervalPlan,
     mode: str,
     selectors: Sequence[str],
     task: str,
     *,
-    attrs: VertexAttributes | None = None,
-    cp_truth: ChangePointLabels | None = None,
-    params: EvalParams = EvalParams(),
     seed: int = 0,
 ) -> ExperimentReport:
-    """Run several selectors on one task into one report: the cells of each
-    selector in the given order, each selector's aggregate, and the run's
-    metadata. Offline selectors read one quality table (see
-    `_offline_cells`); online ones read one span table (see
-    `_online_cells`), and an online report's task is always "linkpred"."""
+    """Run several selectors on one task of `table`'s sequence into one
+    report: the cells of each selector in the given order, each selector's
+    aggregate, and the run's metadata. Offline selectors read the table's
+    entries (see `_offline_cells`); online ones read its span table with the
+    ledger knobs of `table.params` (see `_online_cells`), and an online
+    report's task is always "linkpred"."""
     if mode not in ("offline", "online"):
         raise ValueError(f"mode must be 'offline' or 'online', not {mode!r}")
     if len(set(selectors)) != len(selectors):
         raise ValueError("duplicate selector names")
     if mode == "offline":
-        result = _offline_cells(seq, plan, selectors, task, attrs, cp_truth, params, seed)
+        result = _offline_cells(table, plan, selectors, task, seed)
     else:
-        result = _online_cells(seq, plan, selectors, params, seed)
+        result = _online_cells(table, plan, selectors, table.params.selector, seed)
     metadata = {
         "mode": mode,
         "selectors": list(selectors),
@@ -663,16 +657,13 @@ class CurveSet:
 
 
 def score_curves(
-    seq: GraphSequence,
+    table: QualityTable,
     plan: IntervalPlan,
     tasks: Sequence[str],
     *,
-    attrs: VertexAttributes | None = None,
-    cp_truth: ChangePointLabels | None = None,
-    params: EvalParams = EvalParams(),
     dataset_id: str = "",
 ) -> CurveSet:
-    """Quality of every uniform size, per task, per interval.
+    """`table`'s quality of every uniform size, per task, per interval.
 
     Sizes run from 1 to the shortest interval length so curves align across
     intervals.
@@ -680,13 +671,12 @@ def score_curves(
     for task in tasks:
         if task not in TASKS:
             raise ValueError(f"unknown task {task!r}")
-    if "attribute" in tasks and attrs is None:
+    if "attribute" in tasks and table.attrs is None:
         raise ValueError("attribute curves need attributes")
-    if "changepoint" in tasks and cp_truth is None:
+    if "changepoint" in tasks and table.cp_truth is None:
         raise ValueError("change-point curves need ground-truth labels")
     w_max = min(b - a + 1 for a, b in plan.spans)
     sizes = tuple(range(1, w_max + 1))
-    table = _QualityTable(seq, attrs, cp_truth, params)
     values = {
         task: tuple(tuple(table[e][0] for e in _row(task, span)[:w_max]) for span in plan.spans)
         for task in tasks
@@ -797,27 +787,26 @@ def stability_curve(curves: CurveSet) -> dict[str, tuple[float, ...]]:
 
 
 def hyperparam_sweep(
-    seq: GraphSequence,
+    table: QualityTable,
     plan: IntervalPlan,
     *,
     min_tests_values: Sequence[float] = (),
     top_count_values: Sequence[float] = (),
     fixed: float = 10.0,
     selector: str = "online",
-    params: EvalParams = EvalParams(),
     seed: int = 0,
 ) -> list[dict]:
     """Aggregate online score across a one-axis-at-a-time grid over the
-    ledger's retest budgets; every other value comes from `params`. Every
-    grid point reads one span table: the budgets change no span's score."""
-    alpha = params.selector.alpha
+    ledger's retest budgets; alpha and every other value come from
+    `table.params`. Every grid point reads `table`'s span table, which the
+    run that shares the table may already have filled: the budgets change
+    no span's score."""
+    alpha = table.params.selector.alpha
     grid = [("min_tests", v, SelectorParams(v, fixed, alpha)) for v in min_tests_values]
     grid += [("top_count", v, SelectorParams(fixed, v, alpha)) for v in top_count_values]
-    spans = SpanScores(params.katz)
     records = []
     for axis, value, knobs in grid:
-        knobbed = replace(params, selector=knobs)
-        _, aggregates = _online_cells(seq, plan, [selector], knobbed, seed, spans)
+        _, aggregates = _online_cells(table, plan, [selector], knobs, seed)
         score = aggregates[selector]["linkpred"]["score"]
         records.append({"axis": axis, "value": value, "fixed": fixed, "score": score})
     return records

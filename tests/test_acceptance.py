@@ -19,7 +19,13 @@ import pytest
 from graphwin.attrpred import roc_auc
 from graphwin.changepoint import cp_pr_auc, detect_change_points
 from graphwin.cli import main as cli_main
-from graphwin.harness import EvalParams, cross_task_matrix, score_curves, split_intervals
+from graphwin.harness import (
+    EvalParams,
+    QualityTable,
+    cross_task_matrix,
+    score_curves,
+    split_intervals,
+)
 from graphwin.linkpred import KatzParams, average_precision, katz_matrix, katz_scores
 from graphwin.selectors import OnlineWindowSelector, SelectorParams
 from graphwin.temporal import (
@@ -393,12 +399,9 @@ def test_tasks_prefer_different_window_sizes():
     attrs = VertexAttributes(30, "y", {"y": "categorical"}, rows)
     truth = ChangePointLabels(tuple(range(5, 37, 4)))
     curves = score_curves(
-        seq,
+        QualityTable(seq, attrs, truth, EvalParams(batch_size=1)),
         split_intervals(36, 3),
         ["linkpred", "attribute", "changepoint"],
-        attrs=attrs,
-        cp_truth=truth,
-        params=EvalParams(batch_size=1),
         dataset_id="three-signal",
     )
     out = cross_task_matrix(curves)

@@ -9,7 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphwin import EvalParams, KatzParams, SelectorParams, run_suite, split_intervals
+from graphwin import (
+    EvalParams,
+    KatzParams,
+    QualityTable,
+    SelectorParams,
+    harness,
+    run_suite,
+    split_intervals,
+)
 from graphwin.cli import main
 from graphwin.harness import OFFLINE_SELECTORS, derive_seed
 from graphwin.temporal import load_archive
@@ -278,6 +286,36 @@ def test_sweep_validation(dataset, capsys):
     assert "task attribute needs --attributes" in err
 
 
+def test_each_stage_builds_one_quality_table(dataset, monkeypatch):
+    """`select`, `sweep` and `evaluate` (with a `hyperparams` grid) each
+    build the one quality table that every step of the stage reads."""
+    built = []
+    init = harness.QualityTable.__init__
+
+    def recorded(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(harness.QualityTable, "__init__", recorded)
+    tmp, archive, cps = dataset["tmp"], str(dataset["archive"]), str(dataset["cps"])
+    cfg = online_config(dataset, tmp / "out" / "run")
+    cfg["hyperparams"] = {"min_tests_values": [1, 2], "top_count_values": [1], "fixed": 2}
+    (tmp / "run.json").write_text(json.dumps(cfg))
+    stages = [
+        ["select", archive, "--selector", "supervised", "--task", "changepoint",
+         "--train-span", "1", "6", "--test-span", "7", "12", "--changepoints", cps,
+         "--out", str(tmp / "select.json")],
+        ["sweep", archive, "--tasks", "linkpred,changepoint", "--changepoints", cps,
+         "--intervals", "3", "--out", str(tmp / "curves.json")],
+        ["evaluate", str(tmp / "run.json")],
+    ]
+    for argv in stages:
+        built.clear()
+        assert main(argv) == 0, argv[0]
+        assert len(built) == 1, argv[0]
+    assert (tmp / "out" / "run_sweep.json").exists()
+
+
 def test_sweep_rejects_a_types_line_without_colon(dataset, capsys):
     attrs = dataset["tmp"] / "nocolon.csv"
     attrs.write_text(dataset["attrs"].read_text().replace("#types:", "#types"))
@@ -315,16 +353,16 @@ def test_evaluate_is_a_thin_wrapper_over_the_library(dataset):
 
     report = json.loads(prefix.with_suffix(".json").read_text())
     arch = load_archive(dataset["archive"])
+    params = EvalParams(
+        katz=KatzParams(0.005),
+        selector=SelectorParams(min_tests=2, top_count=2, alpha=1.0),
+    )
     direct = run_suite(
-        arch.sequence,
+        QualityTable(arch.sequence, None, None, params),
         split_intervals(12, 3),
         "online",
         ["online", "hand-picked"],
         "linkpred",
-        params=EvalParams(
-            katz=KatzParams(0.005),
-            selector=SelectorParams(min_tests=2, top_count=2, alpha=1.0),
-        ),
         seed=3,
     ).to_dict()
     assert report["aggregates"] == direct["aggregates"]
@@ -442,6 +480,7 @@ def test_evaluate_rejects_bad_param_values_before_compute(dataset, capsys):
         "output": str(prefix),
     }
     cfg_path = dataset["tmp"] / "params.json"
+    online = {"mode": "online", "task": "linkpred", "selectors": ["online"]}
     number = "must be a number, got"
     budget = 'must be a number >= 1 or "inf", got'
     cases = [
@@ -499,6 +538,13 @@ def test_evaluate_rejects_bad_param_values_before_compute(dataset, capsys):
         ({"hyperparams": {"min_tests_values": [2, False], "fixed": "inf"}},
          [f"hyperparams.min_tests_values[1] {budget} False"]),
         ({"hyperparams": {"min_tests_values": 2}}, ["hyperparams.min_tests_values must be a list"]),
+        ({"hyperparams": {"min_tests_values": [1, 2], "fixed": 10}},
+         ["'hyperparams' grids an online run, but mode is offline"]),
+        ({**online, "hyperparams": {"min_tests_values": [1, 2], "selector": "random"}},
+         ["hyperparams.selector must be one the retest budgets steer"
+          " (online, online-weighted, training-only), got 'random'"]),
+        ({**online, "hyperparams": {"fixed": 10}},
+         ["'hyperparams' needs a non-empty min_tests_values or top_count_values"]),
         (
             {"seed": 1.5, "params": {"beta": True}, "hyperparams": {"fixed": 0}},
             [
@@ -559,6 +605,18 @@ def test_tuning_flags_are_validated_before_compute(dataset, capsys, monkeypatch)
     assert "error: task changepoint needs --changepoints" in err
     assert "--batch-size must be an integer >= 1, got 0" in err
     assert "--beta must lie in (0, 1), got 1.0" in err
+    assert not (dataset["tmp"] / "c.json").exists()
+
+    for tasks, intervals, messages in [
+        ("linkpred,bogus", "0", ["unknown task 'bogus'", "--intervals must be >= 1, got 0"]),
+        ("linkpred", "-2", ["--intervals must be >= 1, got -2"]),
+    ]:
+        rc = main(["sweep", str(dataset["archive"]), "--tasks", tasks, "--intervals", intervals,
+                   "--out", str(dataset["tmp"] / "c.json")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        for message in messages:
+            assert f"error: {message}" in err, (message, err)
     assert not (dataset["tmp"] / "c.json").exists()
 
     rc = main(["select", str(dataset["archive"]), "--selector", "jaccard", "--theta", "2",

@@ -17,6 +17,7 @@ from graphwin import (
     EvalParams,
     ExperimentReport,
     GraphSequence,
+    QualityTable,
     SelectorParams,
     adage_select,
     cross_task_matrix,
@@ -45,7 +46,8 @@ from graphwin.selectors import (
     linkpred_window_quality,
     powerlaw_exponent,
 )
-from graphwin.temporal import ChangePointLabels, VertexAttributes, union_graphs
+from graphwin.cli import main
+from graphwin.temporal import ChangePointLabels, VertexAttributes, save_archive, union_graphs
 from graphwin.windows import uniform_windowing
 
 import oracles
@@ -216,8 +218,10 @@ def test_run_offline_is_deterministic_across_jobs():
     plan = split_intervals(18, 3)
     for task in ("attribute", "changepoint"):
         kwargs = dict(attrs=attrs, cp_truth=truth, params=EvalParams(batch_size=2), seed=5)
-        first = run_suite(seq, plan, "offline", OFFLINE_SELECTORS, task, **kwargs)
-        rerun = run_suite(seq, plan, "offline", OFFLINE_SELECTORS, task, **kwargs)
+        table = QualityTable(seq, attrs, truth, kwargs["params"])
+        first = run_suite(table, plan, "offline", OFFLINE_SELECTORS, task, seed=5)
+        table = QualityTable(seq, attrs, truth, kwargs["params"])
+        rerun = run_suite(table, plan, "offline", OFFLINE_SELECTORS, task, seed=5)
         assert rerun.to_dict() == first.to_dict()
         one = run_offline(seq, plan, "random", task, **kwargs)
         assert [c for c in first.cells if c.selector == "random"] == one.cells
@@ -250,10 +254,8 @@ def test_offline_suite_scores_each_windowed_span_once(monkeypatch):
         for name in calls:
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     for task, name in (("changepoint", "detect_change_points"), ("attribute", "leave_out_scores")):
-        report = run_suite(
-            seq, plan, "offline", selectors, task,
-            attrs=attrs, cp_truth=truth, params=EvalParams(batch_size=2),
-        )
+        table = QualityTable(seq, attrs, truth, EvalParams(batch_size=2))
+        report = run_suite(table, plan, "offline", selectors, task)
         cells = {(c.test_span, tuple(c.detail["windowing"])) for c in report.cells}
         assert len(cells) < len(report.cells)  # selectors collide
         assert calls[name]
@@ -269,7 +271,7 @@ def test_quality_table_caches_a_task_error(monkeypatch):
         return selectors_module.attr_split_window_quality(*args)
 
     monkeypatch.setattr(harness, "attr_split_window_quality", counted)
-    table = harness._QualityTable(seq, attrs, None, EvalParams(batch_size=2))
+    table = QualityTable(seq, attrs, None, EvalParams(batch_size=2))
     # the halves of a 6-step training span hold 3 steps each
     entry = ("attribute-split", (1, 6), uniform_windowing(6, 4))
     errors = []
@@ -416,23 +418,25 @@ def test_online_suite_scores_each_span_once(monkeypatch):
     interval pair read one span table, so each span is scored once."""
     requested, scored = count_span_scores(monkeypatch)
     seq = planted_sequence()
-    run_suite(seq, split_intervals(seq.length, 3), "online", ONLINE_SELECTORS, "linkpred",
-              params=PLANTED_PARAMS, seed=3)
+    run_suite(QualityTable(seq, None, None, PLANTED_PARAMS), split_intervals(seq.length, 3),
+              "online", ONLINE_SELECTORS, "linkpred", seed=3)
     assert len(scored) == len(set(requested)) < len(requested) / 2
 
 
 def test_score_curves_score_each_span_once(monkeypatch):
     requested, scored = count_span_scores(monkeypatch)
     seq = planted_sequence()
-    score_curves(seq, split_intervals(seq.length, 3), ["linkpred"])
+    score_curves(QualityTable(seq, None, None, EvalParams()), split_intervals(seq.length, 3),
+                 ["linkpred"])
     assert len(scored) == len(set(requested)) < len(requested) / 2
 
 
-def test_each_katz_solve_is_one_span_table_entry(monkeypatch):
+def test_each_katz_solve_is_one_span_table_entry(monkeypatch, tmp_path):
     """The span table is the only link-prediction cache. In an online suite
-    given its own table, and in a sweep, `katz_matrix` solves the window of
-    each table entry that holds a score once, and nothing else. The demo
-    stream's online suite makes 184 solves; it made 211 when every step
+    given its own table, in a sweep, and in an `evaluate` with a
+    `hyperparams` grid, `katz_matrix` solves the window of each entry of the
+    stage's one span table that holds a score once, and nothing else. The
+    demo stream's online suite makes 184 solves; it made 211 when every step
     also ranked its emitted last window."""
     tables, solved = [], []
     solve = linkpred.katz_matrix
@@ -454,19 +458,35 @@ def test_each_katz_solve_is_one_span_table_entry(monkeypatch):
     monkeypatch.setattr(linkpred, "katz_matrix", counted)
     seq = planted_sequence()
     plan = split_intervals(seq.length, 3)
-    spans = SpanScores(PLANTED_PARAMS.katz)
-    harness._online_cells(seq, plan, ONLINE_SELECTORS, PLANTED_PARAMS, 3, spans)
-    assert solved and Counter(solved) == scored_windows(seq, spans)
-    assert tables == []
+    table = QualityTable(seq, None, None, PLANTED_PARAMS)
+    harness._online_cells(table, plan, ONLINE_SELECTORS, PLANTED_PARAMS.selector, 3)
+    assert solved and Counter(solved) == scored_windows(seq, table.spans)
+    assert tables == [table.spans]
     solved.clear()
-    hyperparam_sweep(seq, plan, min_tests_values=[1, 2, 4], top_count_values=[1, 2],
-                     params=PLANTED_PARAMS, seed=3)
+    tables.clear()
+    table = QualityTable(seq, None, None, PLANTED_PARAMS)
+    hyperparam_sweep(table, plan, min_tests_values=[1, 2, 4], top_count_values=[1, 2], seed=3)
+    assert tables == [table.spans]
+    assert solved and Counter(solved) == scored_windows(seq, tables[0])
+    solved.clear()
+    tables.clear()
+    # the CLI stage: the evaluate and its grid read one span table
+    save_archive(seq, tuple(f"v{i}" for i in range(seq.n)), tmp_path / "archive")
+    config = {
+        "archive": str(tmp_path / "archive"), "mode": "online", "task": "linkpred",
+        "selectors": list(ONLINE_SELECTORS), "intervals": 3, "seed": 3,
+        "output": str(tmp_path / "run"), "params": {"min_tests": 2, "top_count": 4, "alpha": 0.5},
+        "hyperparams": {"min_tests_values": [1, 2, 4], "top_count_values": [1, 2], "fixed": 10},
+    }
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    assert main(["evaluate", str(tmp_path / "run.json")]) == 0
+    assert (tmp_path / "run_sweep.json").exists()
     assert len(tables) == 1
     assert solved and Counter(solved) == scored_windows(seq, tables[0])
     solved.clear()
     demo = planted_sequence(copies=1)
-    run_suite(demo, split_intervals(demo.length, 3), "online", ONLINE_SELECTORS, "linkpred",
-              params=PLANTED_PARAMS, seed=3)
+    run_suite(QualityTable(demo, None, None, PLANTED_PARAMS), split_intervals(demo.length, 3),
+              "online", ONLINE_SELECTORS, "linkpred", seed=3)
     assert len(solved) == 184
 
 
@@ -477,8 +497,8 @@ def test_each_katz_solve_is_one_span_table_entry(monkeypatch):
 def test_run_suite_merges_online_reports():
     seq = split_star_stream(6)
     plan = split_intervals(18, 3)
-    suite = run_suite(seq, plan, "online", ["online", "hand-picked"], "linkpred",
-                      params=ONLINE_PARAMS, seed=3)
+    suite = run_suite(QualityTable(seq, None, None, ONLINE_PARAMS), plan, "online",
+                      ["online", "hand-picked"], "linkpred", seed=3)
     solo_a = run_online(seq, plan, "online", params=ONLINE_PARAMS, seed=3)
     solo_b = run_online(seq, plan, "hand-picked", params=ONLINE_PARAMS, seed=3)
     assert suite.cells == solo_a.cells + solo_b.cells
@@ -494,7 +514,8 @@ def test_run_suite_merges_offline_reports():
     seq, truth = regime_flip_sequence()
     plan = split_intervals(18, 3)
     suite = run_suite(
-        seq, plan, "offline", ["supervised", "no-time"], "changepoint", cp_truth=truth
+        QualityTable(seq, None, truth, EvalParams()), plan, "offline", ["supervised", "no-time"],
+        "changepoint",
     )
     assert {c.selector for c in suite.cells} == {"supervised", "no-time"}
     assert suite.aggregates["supervised"]["changepoint"]["score"] == 0.75
@@ -509,12 +530,14 @@ def test_single_selector_runs_are_the_suite_with_that_selector():
     kwargs = dict(attrs=attrs, cp_truth=truth, params=EvalParams(batch_size=2), seed=5)
     for task in ("attribute", "changepoint"):
         for name in OFFLINE_SELECTORS:
-            suite = run_suite(seq, plan, "offline", [name], task, **kwargs)
+            table = QualityTable(seq, attrs, truth, kwargs["params"])
+            suite = run_suite(table, plan, "offline", [name], task, seed=5)
             assert run_offline(seq, plan, name, task, **kwargs).to_dict() == suite.to_dict()
             assert suite.metadata["selectors"] == [name]
     seq = split_star_stream(6)
     for name in ONLINE_SELECTORS:
-        suite = run_suite(seq, plan, "online", [name], "linkpred", params=ONLINE_PARAMS, seed=3)
+        table = QualityTable(seq, None, None, ONLINE_PARAMS)
+        suite = run_suite(table, plan, "online", [name], "linkpred", seed=3)
         solo = run_online(seq, plan, name, params=ONLINE_PARAMS, seed=3)
         assert solo.to_dict() == suite.to_dict()
         assert suite.metadata["selectors"] == [name]
@@ -523,10 +546,11 @@ def test_single_selector_runs_are_the_suite_with_that_selector():
 def test_run_suite_validation():
     seq, truth = regime_flip_sequence()
     plan = split_intervals(18, 3)
+    table = QualityTable(seq, None, truth, EvalParams())
     with pytest.raises(ValueError, match="mode"):
-        run_suite(seq, plan, "sideways", ["no-time"], "changepoint", cp_truth=truth)
+        run_suite(table, plan, "sideways", ["no-time"], "changepoint")
     with pytest.raises(ValueError, match="duplicate"):
-        run_suite(seq, plan, "offline", ["no-time", "no-time"], "changepoint", cp_truth=truth)
+        run_suite(table, plan, "offline", ["no-time", "no-time"], "changepoint")
 
 
 # --------------------------------------------------------------------------
@@ -587,8 +611,8 @@ def curve_fixture():
 def test_score_curves_sizes_span_the_shortest_interval():
     seq, plan, attrs, truth = curve_fixture()
     curves = score_curves(
-        seq, plan, ["linkpred", "attribute", "changepoint"],
-        attrs=attrs, cp_truth=truth, params=EvalParams(batch_size=2), dataset_id="probe",
+        QualityTable(seq, attrs, truth, EvalParams(batch_size=2)), plan,
+        ["linkpred", "attribute", "changepoint"], dataset_id="probe",
     )
     assert curves.sizes == (1, 2, 3, 4)
     assert curves.intervals == plan.spans
@@ -603,8 +627,8 @@ def test_score_curves_sizes_span_the_shortest_interval():
 def test_score_curves_match_direct_quality_calls():
     seq, plan, attrs, truth = curve_fixture()
     curves = score_curves(
-        seq, plan, ["linkpred", "attribute", "changepoint"],
-        attrs=attrs, cp_truth=truth, params=EvalParams(batch_size=2),
+        QualityTable(seq, attrs, truth, EvalParams(batch_size=2)), plan,
+        ["linkpred", "attribute", "changepoint"],
     )
     for idx, span in enumerate(plan.spans):
         segment = seq.slice_steps(*span)
@@ -621,22 +645,23 @@ def test_score_curves_match_direct_quality_calls():
 
 def test_score_curves_validation_and_jobs():
     seq, plan, attrs, truth = curve_fixture()
+    bare = QualityTable(seq, None, None, EvalParams())
     with pytest.raises(ValueError, match="unknown task"):
-        score_curves(seq, plan, ["linkpred", "mystery"], attrs=attrs, cp_truth=truth)
+        score_curves(QualityTable(seq, attrs, truth, EvalParams()), plan, ["linkpred", "mystery"])
     with pytest.raises(ValueError, match="need attributes"):
-        score_curves(seq, plan, ["attribute"])
+        score_curves(bare, plan, ["attribute"])
     with pytest.raises(ValueError, match="ground-truth"):
-        score_curves(seq, plan, ["changepoint"])
+        score_curves(bare, plan, ["changepoint"])
     # a rerun gives the same curves
-    a = score_curves(seq, plan, ["linkpred"])
-    b = score_curves(seq, plan, ["linkpred"])
+    a = score_curves(QualityTable(seq, None, None, EvalParams()), plan, ["linkpred"])
+    b = score_curves(QualityTable(seq, None, None, EvalParams()), plan, ["linkpred"])
     assert a == b
 
 
 def test_curveset_round_trips_through_json():
     seq, plan, attrs, truth = curve_fixture()
-    curves = score_curves(seq, plan, ["linkpred", "changepoint"], cp_truth=truth,
-                          dataset_id="rt")
+    curves = score_curves(QualityTable(seq, None, truth, EvalParams()), plan,
+                          ["linkpred", "changepoint"], dataset_id="rt")
     blob = json.dumps(curves.to_dict(), sort_keys=True)
     assert CurveSet.from_dict(json.loads(blob)) == curves
 
@@ -857,9 +882,8 @@ def test_hyperparam_sweep_matches_direct_runs():
     seq = split_star_stream(6)
     plan = split_intervals(18, 3)
     records = hyperparam_sweep(
-        seq, plan, min_tests_values=[2], top_count_values=[3],
-        fixed=4.0, selector="online", params=EvalParams(selector=SelectorParams(alpha=0.5)),
-        seed=7,
+        QualityTable(seq, None, None, EvalParams(selector=SelectorParams(alpha=0.5))), plan,
+        min_tests_values=[2], top_count_values=[3], fixed=4.0, selector="online", seed=7,
     )
     assert [r["axis"] for r in records] == ["min_tests", "top_count"]
     assert [r["value"] for r in records] == [2, 3]
@@ -883,6 +907,7 @@ def test_hyperparam_sweep_scores_each_span_once(monkeypatch):
     one span table."""
     requested, scored = count_span_scores(monkeypatch)
     seq = planted_sequence()
-    hyperparam_sweep(seq, split_intervals(seq.length, 3), min_tests_values=[1, 2, 4],
-                     top_count_values=[1, 2], params=PLANTED_PARAMS, seed=3)
+    hyperparam_sweep(QualityTable(seq, None, None, PLANTED_PARAMS),
+                     split_intervals(seq.length, 3), min_tests_values=[1, 2, 4],
+                     top_count_values=[1, 2], seed=3)
     assert len(scored) == len(set(requested)) < len(requested) / 2

@@ -27,6 +27,7 @@ from graphwin import (
     GraphSequence,
     KatzParams,
     KernelParams,
+    QualityTable,
     ScoreLedger,
     StaticGraph,
     VertexAttributes,
@@ -263,7 +264,8 @@ def test_online_suite_matches_sequential_oracle():
     for (seq, count), selector in itertools.product(streams, knobs):
         plan = split_intervals(seq.length, count)
         params = EvalParams(selector=selector)
-        suite = run_suite(seq, plan, "online", ONLINE_SELECTORS, "linkpred", params=params, seed=5)
+        table = QualityTable(seq, None, None, params)
+        suite = run_suite(table, plan, "online", ONLINE_SELECTORS, "linkpred", seed=5)
         want = [oracles.run_online(seq, plan, name, params, 5) for name in ONLINE_SELECTORS]
         assert suite.to_dict()["cells"] == [c for rep in want for c in rep.to_dict()["cells"]]
         assert suite.aggregates == {
@@ -491,10 +493,8 @@ def test_quality_table_matches_cell_oracles():
     plan = split_intervals(length, 3)
     params = EvalParams(batch_size=2)
     for task in ("attribute", "changepoint"):
-        report = run_suite(
-            seq, plan, "offline", OFFLINE_SELECTORS, task,
-            attrs=attrs, cp_truth=truth, params=params, seed=11,
-        )
+        table = QualityTable(seq, attrs, truth, params)
+        report = run_suite(table, plan, "offline", OFFLINE_SELECTORS, task, seed=11)
         for name in OFFLINE_SELECTORS:
             want = [
                 oracles.offline_cell(seq, plan, task, attrs, truth, params, 11, (name, idx))
@@ -503,7 +503,7 @@ def test_quality_table_matches_cell_oracles():
             got = [(c.score, c.detail) for c in report.cells if c.selector == name]
             assert got == want
             assert report.aggregates[name][task] == oracles.offline_aggregate(task, attrs, want)
-    curves = score_curves(seq, plan, TASKS, attrs=attrs, cp_truth=truth, params=params)
+    curves = score_curves(QualityTable(seq, attrs, truth, params), plan, TASKS)
     for task in TASKS:
         assert curves.values[task] == tuple(
             oracles.curve_cell(seq, plan, curves.sizes, attrs, truth, params, (task, idx))
