@@ -19,6 +19,10 @@
 #   offline-7  the same at seed 7
 #   select     offline-attr-cp seed 7: select with supervised and every baseline,
 #              each baseline both with and without --train-span
+#   errors     offline-attr-cp seed 7: the exit code and stderr of an evaluate whose config
+#              has every params key out of range and a bad hyperparams grid, of
+#              sweep --beta 2 --theta 1 --batch-size 0, and of
+#              select --tau -1 --adage-tol 0 --adage-patience 0
 set -u
 [ $# -eq 3 ] || { echo "usage: sh scripts/compare_with_base.sh BASE HEAD OUT" >&2; exit 2; }
 base=$(cd "$1" && pwd) && head=$(cd "$2" && pwd) && mkdir -p "$3" && out=$(cd "$3" && pwd) || exit 2
@@ -39,6 +43,17 @@ prepare() { py 'import run; run.prepare(run.WORKLOADS[sys.argv[1]], Path(sys.arg
 online_inputs() {
   prepare online-linkpred 7 &&
   py 'import json; work = Path(sys.argv[1]); config = json.loads((work / "config-linkpred.json").read_text()); config["output"] = str(work / "grid"); config["hyperparams"] = {"min_tests_values": [1, 2, 4], "top_count_values": [1, 2], "fixed": 10}; (work / "config-grid.json").write_text(json.dumps(config))' "$work"
+}
+errors_inputs() {
+  prepare offline-attr-cp 7 &&
+  cat > "$work/config-errors.json" <<EOF
+{"archive": "$work/archive", "mode": "online", "task": "linkpred", "selectors": ["online"],
+ "output": "$work/report",
+ "params": {"beta": 2, "theta": 1, "batch_size": 0, "min_tests": 0.5, "top_count": 0,
+            "alpha": 0, "tau": -1, "adage_tol": 0, "adage_patience": 0},
+ "hyperparams": {"min_tests_values": [0, "inf"], "top_count_values": "x", "fixed": 0,
+                 "selector": "random"}}
+EOF
 }
 enron_inputs() {
   py 'import json, planted; work = sys.argv[1]; planted.write_planted(Path(work), 7, copies=5, steps=1008); print(json.dumps({"archive": f"{work}/archive", "mode": "online", "task": "linkpred", "selectors": ["online", "online-weighted", "training-only", "hand-picked", "random", "adage"], "intervals": 3, "seed": 7, "output": f"{work}/report", "params": {"min_tests": 2, "top_count": 4, "alpha": 0.5}}))' "$work" > "$work/config.json"
@@ -80,6 +95,17 @@ select_all() {
   mkdir "$dest" && mv "$work/archive" "$work/out" "$dest"
 }
 
+# refused FILE ARG...: one side's CLI exit code and stderr, as $dest/FILE.code and .err
+refused() { file=$1; shift; gw "$@" 2> "$dest/$file.err"; echo $? > "$dest/$file.code"; }
+errors() {
+  gw ingest "$work/stream.csv" --out "$work/archive" --resolution 1 > /dev/null && mkdir "$dest" || return
+  refused evaluate evaluate "$work/config-errors.json"
+  refused sweep sweep "$work/archive" --tasks linkpred --beta 2 --theta 1 --batch-size 0 \
+    --out "$work/curves.json"
+  refused select select "$work/archive" --selector jaccard --tau -1 --adage-tol 0 --adage-patience 0
+  mv "$work/archive" "$dest"
+}
+
 failed=""
 # compare NAME RUN [INPUTS...]: write the inputs, run RUN for each side, diff the outputs
 compare() {
@@ -100,6 +126,7 @@ compare enron enron enron_inputs
 compare offline-3 offline prepare offline-attr-cp 3
 compare offline-7 offline prepare offline-attr-cp 7
 compare select select_all prepare offline-attr-cp 7
+compare errors errors errors_inputs
 
 status=0
 [ -z "$failed" ] || { echo "differs or failed:$failed" >&2; status=1; }

@@ -19,7 +19,6 @@ from .temporal import CATEGORICAL, VertexAttributes
 from .windows import WindowedSequence
 
 __all__ = [
-    "KernelParams",
     "AttributeModel",
     "edge_weight",
     "fit_model",
@@ -33,17 +32,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 VARIANCE_FLOOR = 1e-9
-
-
-@dataclass(frozen=True)
-class KernelParams:
-    """Exponential recency kernel: window i of m weighs (1-theta)^(m-i) * theta."""
-
-    theta: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError("theta must lie in (0, 1)")
 
 
 def edge_weight(window_count: int, window_index: int, theta: float) -> float:
@@ -81,13 +69,14 @@ def fit_model(
     ws: WindowedSequence,
     attrs: VertexAttributes,
     known: Iterable[int],
-    kernel: KernelParams = KernelParams(),
+    theta: float,
 ) -> AttributeModel:
     """Fit the classifier on the labelled vertices in `known`.
 
     Local features contribute unweighted; neighbour-label evidence from
-    window i of m carries edge_weight(m, i, theta). Only neighbours that are
-    themselves in `known` contribute label evidence.
+    window i of m carries edge_weight(m, i, theta), an exponential recency
+    kernel with `theta` in (0, 1). Only neighbours that are themselves in
+    `known` contribute label evidence.
     """
     known_set = {v for v in known if attrs.target_of(v) is not None}
     if not known_set:
@@ -146,7 +135,7 @@ def fit_model(
     raw = {c: {d: 0.0 for d in classes} for c in classes}
     for v in known_set:
         c = labels[v]
-        for w, lab in _neighbor_evidence(ws, v, labels, kernel.theta):
+        for w, lab in _neighbor_evidence(ws, v, labels, theta):
             raw[c][lab] += w
     neighbor: dict[str, dict[str, float]] = {}
     for c in classes:
@@ -160,7 +149,7 @@ def fit_model(
         gaussian=gaussian,
         neighbor=neighbor,
         known_labels=dict(labels),
-        theta=kernel.theta,
+        theta=theta,
     )
 
 
@@ -226,15 +215,16 @@ def default_batch_size(labelled_count: int) -> int:
 def leave_out_scores(
     ws: WindowedSequence,
     attrs: VertexAttributes,
-    batch_size: int | None = None,
-    kernel: KernelParams = KernelParams(),
+    batch_size: int | None,
+    theta: float,
     eval_ws: WindowedSequence | None = None,
 ) -> list[tuple[float, str]]:
     """(positive posterior, true label) for every labelled vertex, leave-out style.
 
-    Labelled vertices are batched by ascending id; each batch is predicted by
-    a model fitted on the remaining labelled vertices, so no vertex's label
-    ever informs its own prediction. `eval_ws` supplies prediction-time graph
+    Labelled vertices are batched by ascending id, `batch_size` at a time
+    (None = `default_batch_size`); each batch is predicted by a model fitted
+    on the remaining labelled vertices, so no vertex's label ever informs
+    its own prediction. `eval_ws` supplies prediction-time graph
     evidence when it should differ from the fitting evidence (defaults to
     `ws`).
     """
@@ -254,7 +244,7 @@ def leave_out_scores(
     for start in range(0, len(labelled), b):
         batch = labelled[start : start + b]
         known = [v for v in labelled if v not in set(batch)]
-        model = fit_model(ws, attrs, known, kernel)
+        model = fit_model(ws, attrs, known, theta)
         for v in batch:
             _, posterior = predict_attribute(model, predict_evidence, attrs, v)
             out.append((posterior, attrs.target_of(v)))

@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -25,7 +26,6 @@ from .harness import (
     OFFLINE_SELECTORS,
     ONLINE_SELECTORS,
     TASKS,
-    _FLAT_KEYS,
     CurveSet,
     EvalParams,
     ExperimentReport,
@@ -148,7 +148,8 @@ def _load_inputs(
             flat = {}
         source = {key: value for key, value in source.items() if isinstance(value, str)}
     else:
-        flat = {k: v for k, v in source.items() if k in _FLAT_KEYS and v is not None}
+        keys = {f.name for f in fields(EvalParams)}
+        flat = {k: v for k, v in source.items() if k in keys and v is not None}
     if source.get("archive") and not Path(source["archive"]).exists():
         errors.append(f"archive {source['archive']} does not exist")
     if "attribute" in tasks and not source.get("attributes"):
@@ -189,13 +190,22 @@ def cmd_select(args: argparse.Namespace) -> int:
             errors.append("supervised selection needs --task attribute or changepoint")
         if not args.train_span:
             errors.append("supervised selection needs --train-span")
+    # a cell seed, as `derive_seed` makes them
+    if args.seed < 0:
+        errors.append(f"--seed must be >= 0, got {args.seed}")
     arch, table = _load_inputs(vars(args), [args.task] if supervised else [], errors)
     seq = arch.sequence
     test_span = tuple(args.test_span) if args.test_span else (1, seq.length)
     train_span = tuple(args.train_span) if args.train_span else None
-    # every selector refuses a bad span, the test span's first
+    # every selector refuses a bad span, the test span's first, and a
+    # training span that shares a step with the test span, whose ground
+    # truth selection must not see
     for span in filter(None, (test_span, train_span)):
         seq.slice_steps(*span)
+    if train_span and train_span[0] <= test_span[1] and test_span[0] <= train_span[1]:
+        (a, b), (c, d) = train_span, test_span
+        test = "--test-span" if args.test_span else "the default test span"
+        raise ValidationFailure([f"--train-span {a} {b} overlaps {test} {c} {d}"])
     windowing = table.test_windowing(args.selector, args.task, train_span, test_span, args.seed)
     sizes = windowing.sizes()
     uniform = windowing == uniform_windowing(windowing.length, sizes[0])
@@ -338,7 +348,7 @@ def _hyper_grid(hyper: object, mode: object, errors: list[str]) -> dict | None:
     def budget(name: str, value: object) -> object:
         try:
             params = EvalParams.from_flat({"min_tests": value}, lambda _: f"hyperparams.{name}")
-            return params.selector.min_tests
+            return params.min_tests
         except ValueError as exc:
             errors.append(str(exc))
 
@@ -590,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attributes", default=None)
     p.add_argument("--target", default=None)
     p.add_argument("--changepoints", default=None)
-    p.add_argument("--theta", type=float, default=defaults.kernel.theta)
+    p.add_argument("--theta", type=float, default=defaults.theta)
     p.add_argument("--batch-size", type=int, default=defaults.batch_size)
     p.add_argument("--tau", type=float, default=defaults.tau)
     p.add_argument("--adage-tol", type=float, default=defaults.adage_tol)
@@ -606,8 +616,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attributes", default=None)
     p.add_argument("--target", default=None)
     p.add_argument("--changepoints", default=None)
-    p.add_argument("--beta", type=float, default=defaults.katz.beta)
-    p.add_argument("--theta", type=float, default=defaults.kernel.theta)
+    p.add_argument("--beta", type=float, default=defaults.beta)
+    p.add_argument("--theta", type=float, default=defaults.theta)
     p.add_argument("--batch-size", type=int, default=defaults.batch_size)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1, help=_IGNORED)

@@ -33,20 +33,18 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from ._numeric import midranks, t_two_sided_p
-from .attrpred import KernelParams, leave_out_scores, pairs_auc
+from .attrpred import leave_out_scores, pairs_auc
 from .changepoint import cp_pr_auc, detect_change_points
-from .linkpred import KatzParams
 from .selectors import (
     AdagePolicy,
     OnlineWindowSelector,
-    SelectorParams,
     SpanScores,
     adage_select,
     attr_split_window_quality,
@@ -105,56 +103,61 @@ OFFLINE_SELECTORS = (
 LEDGER_SELECTORS = ("online", "online-weighted", "training-only")
 ONLINE_SELECTORS = (*LEDGER_SELECTORS, "hand-picked", "random", "adage")
 
-# keys of a run config's flat `params` object -> (the JSON type their value
-# must have, the nested `EvalParams` field that holds them; None when
-# `EvalParams` holds them itself). A number is never a bool, which JSON
-# true/false parse to; a retest budget is a number or "inf" (unbounded).
-# The classes that hold the values enforce their ranges.
+# the JSON type a run config's `params` value must have, by key; every
+# other key takes a number. A number is never a bool, which JSON true/false
+# parse to; a retest budget is a number or "inf" (unbounded). `EvalParams`
+# enforces the ranges.
 _NUMBER, _INTEGER = "must be a number", "must be an integer >= 1"
 _COUNT = 'must be a number >= 1 or "inf"'
-_FLAT_KEYS = {
-    "beta": (_NUMBER, "katz"),
-    "theta": (_NUMBER, "kernel"),
-    "batch_size": (_INTEGER, None),
-    "min_tests": (_COUNT, "selector"),
-    "top_count": (_COUNT, "selector"),
-    "alpha": (_NUMBER, "selector"),
-    "tau": (_NUMBER, None),
-    "adage_tol": (_NUMBER, None),
-    "adage_patience": (_INTEGER, None),
-}
+_JSON_TYPES = {"batch_size": _INTEGER, "min_tests": _COUNT, "top_count": _COUNT,
+               "adage_patience": _INTEGER}
 
 
 @dataclass(frozen=True)
 class EvalParams:
-    """Every tuning value of an evaluation, with its default.
+    """Every tuning value of an evaluation: its default is its field's, and
+    `__post_init__` states its range. The fields are the keys of a run
+    config's `params` object.
 
-    katz: Katz scoring for link prediction.
-    kernel: recency kernel for attribute prediction.
+    beta: Katz damping per edge.
+    theta: the attribute recency kernel: window i of m weighs
+        (1-theta)^(m-i) * theta.
     batch_size: attribute leave-out batch size (None = the default size).
+    min_tests: retest any size scored fewer than this many times (inf = always).
+    top_count: how many of the best-scoring sizes to retest each step (inf = all).
+    alpha: per-step decay of a size's older scores in its ledger mean;
+        1 = plain mean. Every online interval pair starts from an empty
+        ledger.
     tau: the jaccard baseline's rise threshold.
     adage_tol, adage_patience: the adage baseline's convergence test.
-    selector: the online ledger's knobs; every online interval pair
-        starts from an empty ledger.
     """
 
-    katz: KatzParams = KatzParams()
-    kernel: KernelParams = KernelParams()
+    beta: float = 0.005
+    theta: float = 0.5
     batch_size: int | None = None
+    min_tests: float = 10.0
+    top_count: float = 10.0
+    alpha: float = 0.5
     tau: float = 0.05
     adage_tol: float = 0.01
     adage_patience: int = 3
-    selector: SelectorParams = SelectorParams()
 
     def __post_init__(self) -> None:
         batch = 1 if self.batch_size is None else self.batch_size
-        for key, value in (("batch_size", batch), ("adage_patience", self.adage_patience)):
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"{key} must be an integer >= 1")
-        if not 0.0 <= self.tau < math.inf:
-            raise ValueError("tau must be a finite number >= 0")
-        if not 0.0 < self.adage_tol < math.inf:
-            raise ValueError("adage_tol must be a finite number > 0")
+        for key, valid, rule in (
+            ("beta", 0.0 < self.beta < 1.0, "must lie in (0, 1)"),
+            ("theta", 0.0 < self.theta < 1.0, "must lie in (0, 1)"),
+            ("batch_size", isinstance(batch, int) and batch >= 1, _INTEGER),
+            ("min_tests", self.min_tests >= 1, "must be >= 1"),
+            ("top_count", self.top_count >= 1, "must be >= 1"),
+            ("alpha", 0.0 < self.alpha <= 1.0, "must lie in (0, 1]"),
+            ("tau", 0.0 <= self.tau < math.inf, "must be a finite number >= 0"),
+            ("adage_tol", 0.0 < self.adage_tol < math.inf, "must be a finite number > 0"),
+            ("adage_patience",
+             isinstance(self.adage_patience, int) and self.adage_patience >= 1, _INTEGER),
+        ):
+            if not valid:
+                raise ValueError(f"{key} {rule}")
 
     @classmethod
     def from_flat(
@@ -164,24 +167,22 @@ class EvalParams:
         `min_tests`, ...); absent keys keep their defaults. Raises one
         ValueError listing every problem, each naming its key as `name`
         renders it."""
-        unknown = sorted(set(flat) - set(_FLAT_KEYS))
+        keys = [f.name for f in fields(cls)]
+        unknown = sorted(set(flat) - set(keys))
         problems = [f"unknown params keys {unknown}"] if unknown else []
         params = cls()
-        for key, (rule, part) in _FLAT_KEYS.items():
+        for key in keys:
             if key not in flat:
                 continue
-            raw = flat[key]
+            raw, rule = flat[key], _JSON_TYPES.get(key, _NUMBER)
             value = math.inf if rule is _COUNT and raw == "inf" else raw
             if type(value) not in ((int,) if rule is _INTEGER else (int, float)):
                 problems.append(f"{name(key)} {rule}, got {raw!r}")
                 continue
-            value = value if rule is _INTEGER else float(value)
             try:
-                if part is not None:
-                    value = replace(getattr(params, part), **{key: value})
-                params = replace(params, **{part or key: value})
+                params = replace(params, **{key: value if rule is _INTEGER else float(value)})
             except ValueError as exc:
-                # the classes word their ranges as "<field> must ..."
+                # __post_init__ words each range as "<key> must ..."
                 problems.append(f"{name(key)} {str(exc).removeprefix(key + ' ')}, got {raw!r}")
         if problems:
             raise ValueError("; ".join(problems))
@@ -255,25 +256,25 @@ class QualityTable:
     ) -> None:
         self.seq, self.attrs, self.cp_truth, self.params = seq, attrs, cp_truth, params
         self.values: dict[Entry, tuple[float, dict] | ValueError] = {}
-        self.spans = SpanScores(params.katz)
+        self.spans = SpanScores(params.beta)
 
     def score(self, kind: str, span: tuple[int, int], windowing: Windowing) -> tuple[float, dict]:
         """How task `kind` scores the steps of `span` under `windowing`: the
         score, and the detail an offline cell reports."""
-        attrs, kernel, batch = self.attrs, self.params.kernel, self.params.batch_size
+        attrs, theta, batch = self.attrs, self.params.theta, self.params.batch_size
         segment = self.seq.slice_steps(*span)
         size = windowing.sizes()[0]
         if kind == "linkpred":
             return linkpred_window_quality(segment, size, self.spans, span[0]), {}
         if kind == "attribute-split":
-            return attr_split_window_quality(segment, size, attrs, kernel, batch), {}
+            return attr_split_window_quality(segment, size, attrs, theta, batch), {}
         ws = apply_windowing(segment, windowing)
         if kind == "changepoint":
             truth = self.cp_truth.restrict(*span)
             detected = detect_change_points(ws)
             score = cp_pr_auc(detected, truth.times, segment.length)
             return score, {"detected": list(detected), "truth": list(truth.times)}
-        pairs = leave_out_scores(ws, attrs, batch, kernel)
+        pairs = leave_out_scores(ws, attrs, batch, theta)
         return pairs_auc(pairs, attrs), {"pairs": [[s, lab] for s, lab in pairs]}
 
     def __getitem__(self, entry: Entry) -> tuple[float, dict]:
@@ -487,14 +488,14 @@ def _offline_cells(
 def _make_online_selector(
     name: str,
     table: QualityTable,
-    knobs: SelectorParams,
+    params: EvalParams,
     train_span: tuple[int, int],
     seed: int,
 ) -> OnlineWindowSelector:
-    """Selector `name` of `table`'s sequence with ledger knobs `knobs`:
-    `online` and `training-only` weigh every score alike, and
-    `training-only` stops testing after the training span."""
-    n, params = table.seq.n, table.params
+    """Selector `name` of `table`'s sequence with the ledger knobs and
+    adage test of `params`: `online` and `training-only` weigh every score
+    alike, and `training-only` stops testing after the training span."""
+    n = table.seq.n
     rng = np.random.default_rng(seed)
     policies = {
         "hand-picked": lambda history: 1,
@@ -502,11 +503,11 @@ def _make_online_selector(
         "adage": AdagePolicy(n, params.adage_tol, params.adage_patience),
     }
     policy = None if name in LEDGER_SELECTORS else policies[name]
-    if name in ("online", "training-only"):
-        knobs = replace(knobs, alpha=1.0)
+    alpha = 1.0 if name in ("online", "training-only") else params.alpha
     freeze_after = train_span[1] - train_span[0] + 1 if name == "training-only" else None
     return OnlineWindowSelector(
-        n, knobs, freeze_after, spans=table.spans, policy=policy, first_step=train_span[0]
+        n, table.spans, min_tests=params.min_tests, top_count=params.top_count, alpha=alpha,
+        freeze_after=freeze_after, policy=policy, first_step=train_span[0],
     )
 
 
@@ -514,13 +515,13 @@ def _online_cells(
     table: QualityTable,
     plan: IntervalPlan,
     selectors: Sequence[str],
-    knobs: SelectorParams,
+    params: EvalParams,
     seed: int,
 ) -> tuple[list[CellResult], dict]:
-    """The cells and aggregates of each online selector with ledger knobs
-    `knobs`, run selector by selector and pair by pair. `table`'s span table
-    serves them all: it scores the ledger tests, and each test step against
-    the last window the previous step emitted."""
+    """The cells and aggregates of each online selector with the ledger
+    knobs of `params`, run selector by selector and pair by pair. `table`'s
+    span table serves them all: it scores the ledger tests, and each test
+    step against the last window the previous step emitted."""
     for selector in selectors:
         if selector not in ONLINE_SELECTORS:
             raise ValueError(f"unknown online selector {selector!r}")
@@ -533,7 +534,7 @@ def _online_cells(
             first = train_span[0]
             stream = seq.graphs[first - 1 : test_span[1]]
             pair_seed = derive_seed(seed, name, "linkpred", idx)
-            sel = _make_online_selector(name, table, knobs, train_span, pair_seed)
+            sel = _make_online_selector(name, table, params, train_span, pair_seed)
             scored, run_log = [], []
             for local, g in enumerate(stream, start=1):
                 if local > train_span[1] - first + 1:
@@ -598,7 +599,7 @@ def run_suite(
     if mode == "offline":
         result = _offline_cells(table, plan, selectors, task, seed)
     else:
-        result = _online_cells(table, plan, selectors, table.params.selector, seed)
+        result = _online_cells(table, plan, selectors, table.params, seed)
     metadata = {
         "mode": mode,
         "selectors": list(selectors),
@@ -792,21 +793,21 @@ def hyperparam_sweep(
     *,
     min_tests_values: Sequence[float] = (),
     top_count_values: Sequence[float] = (),
-    fixed: float = 10.0,
+    fixed: float,
     selector: str = "online",
     seed: int = 0,
 ) -> list[dict]:
     """Aggregate online score across a one-axis-at-a-time grid over the
-    ledger's retest budgets; alpha and every other value come from
-    `table.params`. Every grid point reads `table`'s span table, which the
-    run that shares the table may already have filled: the budgets change
-    no span's score."""
-    alpha = table.params.selector.alpha
-    grid = [("min_tests", v, SelectorParams(v, fixed, alpha)) for v in min_tests_values]
-    grid += [("top_count", v, SelectorParams(fixed, v, alpha)) for v in top_count_values]
+    ledger's retest budgets, the other budget held at `fixed`; alpha and
+    every other value come from `table.params`. Every grid point reads
+    `table`'s span table, which the run that shares the table may already
+    have filled: the budgets change no span's score."""
+    grid = [("min_tests", v, {"min_tests": v, "top_count": fixed}) for v in min_tests_values]
+    grid += [("top_count", v, {"min_tests": fixed, "top_count": v}) for v in top_count_values]
     records = []
-    for axis, value, knobs in grid:
-        _, aggregates = _online_cells(table, plan, [selector], knobs, seed)
+    for axis, value, budgets in grid:
+        point = replace(table.params, **budgets)
+        _, aggregates = _online_cells(table, plan, [selector], point, seed)
         score = aggregates[selector]["linkpred"]["score"]
         records.append({"axis": axis, "value": value, "fixed": fixed, "score": score})
     return records

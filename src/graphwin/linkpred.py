@@ -20,14 +20,12 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from .temporal import StaticGraph
 
 __all__ = [
-    "KatzParams",
     "katz_matrix",
     "katz_scores",
     "average_precision",
@@ -48,22 +46,6 @@ _fallback_warned = False
 _RANKING = np.dtype([("u", np.int64), ("v", np.int64), ("score", np.float64)])
 
 
-@dataclass(frozen=True)
-class KatzParams:
-    """Damped path-sum parameters.
-
-    beta: per-edge damping factor in (0, 1). The scores are the closed-form
-        solve; only where the series diverges (beta * spectral radius >= 1)
-        are they its first 8 terms instead.
-    """
-
-    beta: float = 0.005
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
-
-
 def _truncated_matrix(a: np.ndarray, beta: float, max_len: int) -> np.ndarray:
     # Horner form of sum_{l=1..L} beta^l A^l.
     s = beta * a
@@ -72,27 +54,28 @@ def _truncated_matrix(a: np.ndarray, beta: float, max_len: int) -> np.ndarray:
     return s
 
 
-def katz_matrix(graph: StaticGraph, params: KatzParams = KatzParams()) -> np.ndarray:
-    """Dense matrix of damped path-count scores between all vertex pairs."""
+def katz_matrix(graph: StaticGraph, beta: float) -> np.ndarray:
+    """Dense matrix of damped path-count scores between all vertex pairs,
+    with per-edge damping `beta` in (0, 1)."""
     global _fallback_warned
     a = graph.adjacency()
     if graph.edge_count == 0:
         return np.zeros_like(a)
     # spectral radius <= max degree, so under the degree bound the series
     # converges without an eigen-solve
-    bound = params.beta * float(a.sum(axis=1).max())
+    bound = beta * float(a.sum(axis=1).max())
     if bound >= 1.0:
         # eigvalsh is backward stable: the true radius lies within about
         # n*eps (relative) of the computed one, and where beta * radius is 1
         # within that error, I - beta*A is singular to working precision and
         # the series diverges
         radius = float(np.max(np.abs(np.linalg.eigvalsh(a))))
-        bound = params.beta * radius * (1.0 + graph.n * _EPS)
+        bound = beta * radius * (1.0 + graph.n * _EPS)
     if bound < 1.0:
         # one identity and an in-place subtraction: every n-by-n temporary is
         # memory the allocator may hand back to the system and fault in again
         eye = np.eye(graph.n)
-        s = np.linalg.solve(eye - params.beta * a, eye)
+        s = np.linalg.solve(eye - beta * a, eye)
         s -= eye
         return s
     log.log(
@@ -102,10 +85,10 @@ def katz_matrix(graph: StaticGraph, params: KatzParams = KatzParams()) -> np.nda
         _MAX_PATH_LEN,
     )
     _fallback_warned = True
-    return _truncated_matrix(a, params.beta, _MAX_PATH_LEN)
+    return _truncated_matrix(a, beta, _MAX_PATH_LEN)
 
 
-def katz_scores(graph: StaticGraph, params: KatzParams = KatzParams()) -> np.recarray:
+def katz_scores(graph: StaticGraph, beta: float) -> np.recarray:
     """Ranked candidate pairs of `graph` by damped path-count score, as a
     record array of (u, v, score) records.
 
@@ -113,7 +96,7 @@ def katz_scores(graph: StaticGraph, params: KatzParams = KatzParams()) -> np.rec
     already joined by an edge are excluded. Ties break lexicographically by
     pair, so the ranking is total and deterministic.
     """
-    s = katz_matrix(graph, params)
+    s = katz_matrix(graph, beta)
     active = graph.degrees() > 0
     candidate = np.triu(active[:, None] & active, 1)
     candidate[graph.ends()] = False
@@ -153,7 +136,7 @@ def average_precision(
 def online_step_score(
     last: StaticGraph,
     incoming: StaticGraph,
-    params: KatzParams = KatzParams(),
+    beta: float,
 ) -> float | None:
     """Score a one-step-ahead prediction made from the last windowed graph.
 
@@ -166,5 +149,5 @@ def online_step_score(
     positives = int(np.count_nonzero(hit))
     if not positives:
         return None
-    ranking = katz_scores(last, params)
+    ranking = katz_scores(last, beta)
     return _ap(np.flatnonzero(hit[ranking.u, ranking.v]) + 1, positives)

@@ -18,14 +18,13 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ._numeric import bisect, zeta
-from .attrpred import KernelParams, leave_out_scores, pairs_auc
+from .attrpred import leave_out_scores, pairs_auc
 from .changepoint import cp_pr_auc, detect_change_points
-from .linkpred import KatzParams, online_step_score
+from .linkpred import online_step_score
 from .temporal import ChangePointLabels, GraphSequence, StaticGraph, VertexAttributes, union_graphs
 from .windows import Windowing, uniform_windowing, windowed_at
 
 __all__ = [
-    "SelectorParams",
     "SpanScores",
     "ScoreLedger",
     "StepRecord",
@@ -53,41 +52,18 @@ log = logging.getLogger(__name__)
 # Online supervised selection
 
 
-@dataclass(frozen=True)
-class SelectorParams:
-    """Online-selector knobs.
-
-    min_tests: retest any size scored fewer than this many times (inf = always).
-    top_count: how many of the best-scoring sizes to retest each step (inf = all).
-    alpha: per-step decay of a size's older scores in its ledger mean, each
-        weighed by alpha ** (steps behind that size's newest score); 1 = plain
-        mean.
-    """
-
-    min_tests: float = 10.0
-    top_count: float = 10.0
-    alpha: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not (self.min_tests >= 1):
-            raise ValueError("min_tests must be >= 1")
-        if not (self.top_count >= 1):
-            raise ValueError("top_count must be >= 1")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
-
-
 class SpanScores:
     """One-step-ahead link-prediction scores by absolute step span.
 
     Entry (a, b) is `online_step_score` of the union of steps a..b against
-    step b + 1 (None where that step adds no new link). A table belongs to
-    one sequence, whose step numbers key it, and one `KatzParams`, and holds
-    these values only, never a graph: the readers of a stage share one.
+    step b + 1 (None where that step adds no new link), ranked with Katz
+    damping `beta`. A table belongs to one sequence, whose step numbers key
+    it, and one `beta`, and holds these values only, never a graph: the
+    readers of a stage share one.
     """
 
-    def __init__(self, katz: KatzParams = KatzParams()) -> None:
-        self.katz = katz
+    def __init__(self, beta: float) -> None:
+        self.beta = beta
         self.values: dict[tuple[int, int], float | None] = {}
 
     def score(
@@ -97,7 +73,7 @@ class SpanScores:
         `first_step + k`, and they run through step b + 1."""
         if (a, b) not in self.values:
             window = union_graphs(steps[a - first_step : b - first_step + 1])
-            self.values[a, b] = online_step_score(window, steps[b - first_step + 1], self.katz)
+            self.values[a, b] = online_step_score(window, steps[b - first_step + 1], self.beta)
         return self.values[a, b]
 
 
@@ -173,16 +149,17 @@ class OnlineWindowSelector:
     graph, every size seen fewer than `min_tests` times and the current
     `top_count` best sizes are retested by ranking pairs of the history's
     last window at that size; scores append to the ledger (steps without
-    new links at a size append nothing). A test reads its score from
-    `spans`, a span table on the ledger clock that scores (and builds the
-    window) only on a miss; selectors on one stream may be given one table
-    to share (a table of default `KatzParams` when none is given), whose
-    `katz` ranks every test. The emitted windowing uses the size with the
-    best (decayed) ledger mean, smallest size on ties, size 1 before any
-    score exists; scoring its last window against the next step is the
-    caller's, through the same table. `freeze_after=k` stops all
-    testing after step k for training-only selection: the ledger then stops
-    changing, and so the size chosen at step k stays pinned.
+    new links at a size append nothing). A size's older scores weigh
+    `alpha ** (steps behind its newest score)` in its ledger mean (see
+    `ScoreLedger`). A test reads its score from `spans`, a span table on
+    the ledger clock that scores (and builds the window) only on a miss;
+    selectors on one stream may share one table, whose `beta` ranks every
+    test. The emitted windowing uses the size with the best (decayed)
+    ledger mean, smallest size on ties, size 1 before any score exists;
+    scoring its last window against the next step is the caller's, through
+    the same table. `freeze_after=k` stops all testing after step k for
+    training-only selection: the ledger then stops changing, and so the
+    size chosen at step k stays pinned.
 
     A `policy` replaces the ledger and nothing is tested. It is called on
     the history list, incoming graph included, and returns either a uniform
@@ -197,21 +174,23 @@ class OnlineWindowSelector:
     def __init__(
         self,
         n: int,
-        params: SelectorParams = SelectorParams(),
-        freeze_after: int | None = None,
+        spans: SpanScores,
         *,
-        spans: SpanScores | None = None,
+        min_tests: float,
+        top_count: float,
+        alpha: float,
+        freeze_after: int | None = None,
         policy: Policy | None = None,
         first_step: int = 1,
     ) -> None:
         self.n = n
-        self.params = params
+        self.spans = spans
+        self.min_tests, self.top_count = min_tests, top_count
         self.freeze_after = freeze_after
         self.policy = policy
         self.first_step = first_step
-        self.spans = SpanScores() if spans is None else spans
         self.history: list[StaticGraph] = []
-        self.ledger = ScoreLedger(params.alpha)
+        self.ledger = ScoreLedger(alpha)
 
     def process(self, incoming: StaticGraph) -> StepRecord:
         if incoming.n != self.n:
@@ -223,8 +202,8 @@ class OnlineWindowSelector:
         ledger_driven = self.policy is None
         testing = ledger_driven and (self.freeze_after is None or i <= self.freeze_after)
         if i >= 2 and testing:
-            fresh = {w for w in range(1, i) if self.ledger.count(w) < self.params.min_tests}
-            best = set(self.ledger.top_sizes(self.params.top_count))
+            fresh = {w for w in range(1, i) if self.ledger.count(w) < self.min_tests}
+            best = set(self.ledger.top_sizes(self.top_count))
             # the history before `incoming` ends at step `end`
             end = self.first_step + i - 2
             for w in sorted(fresh | best):
@@ -280,7 +259,7 @@ def supervised_offline_select(seq: GraphSequence, quality: QualityFn) -> Offline
 def linkpred_window_quality(
     seq: GraphSequence,
     size: int,
-    spans: SpanScores | None = None,
+    spans: SpanScores,
     first_step: int = 1,
 ) -> float:
     """Mean one-step-ahead AP inside `seq` with histories windowed at `size`.
@@ -288,11 +267,10 @@ def linkpred_window_quality(
     Histories shorter than `size` collapse to a single window. Steps with no
     new links are skipped; if no step is scoreable the quality is 0. Scores
     are read from `spans`, a span table on whose clock `seq` starts at
-    `first_step` (a table of its own, of default `KatzParams`, by default).
+    `first_step`.
     """
     if size < 1:
         raise ValueError(f"window size {size} must be >= 1")
-    spans = SpanScores() if spans is None else spans
     scores: list[float] = []
     for end in range(first_step, first_step + seq.length - 1):
         s = spans.score(seq.graphs, first_step, end - (end - first_step) % size, end)
@@ -317,19 +295,19 @@ def attr_window_quality(
     seq: GraphSequence,
     size: int,
     attrs: VertexAttributes,
-    kernel: KernelParams = KernelParams(),
-    batch_size: int | None = None,
+    theta: float,
+    batch_size: int | None,
 ) -> float:
     """Leave-out attribute AUC with the whole segment windowed at `size`."""
-    return pairs_auc(leave_out_scores(windowed_at(seq, size), attrs, batch_size, kernel), attrs)
+    return pairs_auc(leave_out_scores(windowed_at(seq, size), attrs, batch_size, theta), attrs)
 
 
 def attr_split_window_quality(
     seq: GraphSequence,
     size: int,
     attrs: VertexAttributes,
-    kernel: KernelParams = KernelParams(),
-    batch_size: int | None = None,
+    theta: float,
+    batch_size: int | None,
 ) -> float:
     """Attribute quality with fitting and scoring evidence decoupled in time.
 
@@ -347,7 +325,7 @@ def attr_split_window_quality(
         raise ValueError(f"size {size} exceeds a training half, cannot decouple")
     ws_fit = windowed_at(first, size)
     ws_eval = windowed_at(second, size)
-    return pairs_auc(leave_out_scores(ws_fit, attrs, batch_size, kernel, eval_ws=ws_eval), attrs)
+    return pairs_auc(leave_out_scores(ws_fit, attrs, batch_size, theta, eval_ws=ws_eval), attrs)
 
 
 # --------------------------------------------------------------------------
@@ -390,7 +368,7 @@ def _jaccard(a: StaticGraph, b: StaticGraph) -> float:
     return common / (a.edge_count + b.edge_count - common)
 
 
-def jaccard_select(seq: GraphSequence, tau: float = 0.05) -> int:
+def jaccard_select(seq: GraphSequence, tau: float) -> int:
     """Smallest size where consecutive-window overlap stops rising.
 
     For each candidate size the mean Jaccard similarity of consecutive
@@ -496,7 +474,7 @@ def powerlaw_exponent(degrees: Sequence[int]) -> float:
     return float(bisect(objective, lo, hi, xtol=1e-10))
 
 
-def adage_select(seq: GraphSequence, rel_tol: float = 0.01, patience: int = 3) -> int:
+def adage_select(seq: GraphSequence, rel_tol: float, patience: int) -> int:
     """Smallest size where the opening window's degree exponent has converged.
 
     The first window's union graph grows with the candidate size; once the
@@ -513,7 +491,7 @@ class AdagePolicy:
     the previous call's. The opening window's union, the last exponent and
     the run length carry over, so each step is fitted once."""
 
-    def __init__(self, n: int, rel_tol: float = 0.01, patience: int = 3) -> None:
+    def __init__(self, n: int, rel_tol: float, patience: int) -> None:
         self.rel_tol, self.patience = rel_tol, patience
         self.window = StaticGraph(n, [])  # the union of the opening window's steps
         self.previous: float | None = None

@@ -36,7 +36,6 @@ from scipy.special import zeta
 from graphwin.attrpred import (
     VARIANCE_FLOOR,
     AttributeModel,
-    KernelParams,
     _gaussian_logpdf,
     default_batch_size,
     edge_weight,
@@ -45,10 +44,9 @@ import graphwin
 from graphwin import harness, linkpred, selectors
 from graphwin.changepoint import _block_bits, cp_pr_auc, log_star
 from graphwin.harness import CellResult, EvalParams, ExperimentReport, IntervalPlan, derive_seed
-from graphwin.linkpred import KatzParams, _truncated_matrix
+from graphwin.linkpred import _truncated_matrix
 from graphwin.selectors import (
     OnlineWindowSelector,
-    SelectorParams,
     SpanScores,
     attr_split_window_quality,
     attr_window_quality,
@@ -200,7 +198,7 @@ def fit_model(
     ws: WindowedSequence,
     attrs: VertexAttributes,
     known: Iterable[int],
-    kernel: KernelParams = KernelParams(),
+    theta: float,
 ) -> AttributeModel:
     """Fit the classifier on the labelled vertices in `known`."""
     known_set = {v for v in known if attrs.target_of(v) is not None}
@@ -259,7 +257,7 @@ def fit_model(
     # Neighbour-label conditionals, kernel-weighted over windows.
     m = ws.window_count
     nbr_lists = [g.neighbor_lists() for g in ws.graphs]
-    weights = [edge_weight(m, i, kernel.theta) for i in range(1, m + 1)]
+    weights = [edge_weight(m, i, theta) for i in range(1, m + 1)]
     raw = {c: {d: 0.0 for d in classes} for c in classes}
     for v in known_set:
         c = labels[v]
@@ -280,7 +278,7 @@ def fit_model(
         gaussian=gaussian,
         neighbor=neighbor,
         known_labels=dict(labels),
-        theta=kernel.theta,
+        theta=theta,
     )
 
 
@@ -323,8 +321,8 @@ def predict_attribute(
 def leave_out_scores(
     ws: WindowedSequence,
     attrs: VertexAttributes,
-    batch_size: int | None = None,
-    kernel: KernelParams = KernelParams(),
+    batch_size: int | None,
+    theta: float,
     eval_ws: WindowedSequence | None = None,
 ) -> list[tuple[float, str]]:
     """(positive posterior, true label) for every labelled vertex, leave-out style."""
@@ -344,7 +342,7 @@ def leave_out_scores(
     for start in range(0, len(labelled), b):
         batch = labelled[start : start + b]
         known = [v for v in labelled if v not in set(batch)]
-        model = fit_model(ws, attrs, known, kernel)
+        model = fit_model(ws, attrs, known, theta)
         for v in batch:
             _, posterior = predict_attribute(model, predict_evidence, attrs, v)
             out.append((posterior, attrs.target_of(v)))
@@ -534,21 +532,19 @@ def detect_change_points(ws: WindowedSequence) -> tuple[int, ...]:
 # damped path-sum link prediction
 
 
-def katz_matrix(
-    graph: StaticGraph, params: KatzParams = KatzParams(), truncate: bool = False
-) -> np.ndarray:
+def katz_matrix(graph: StaticGraph, beta: float, truncate: bool = False) -> np.ndarray:
     """(I - beta*A)^{-1} - I, or with `truncate` the series' first 8 terms."""
     a = graph.adjacency()
     if truncate:
-        return _truncated_matrix(a, params.beta, 8)
-    m = np.eye(graph.n) - params.beta * a
+        return _truncated_matrix(a, beta, 8)
+    m = np.eye(graph.n) - beta * a
     return np.linalg.solve(m, np.eye(graph.n)) - np.eye(graph.n)
 
 
 def katz_scores(
-    graph: StaticGraph, params: KatzParams = KatzParams(), truncate: bool = False
+    graph: StaticGraph, beta: float, truncate: bool = False
 ) -> list[tuple[tuple[int, int], float]]:
-    s = katz_matrix(graph, params, truncate)
+    s = katz_matrix(graph, beta, truncate)
     deg = graph.degrees()
     active = [v for v in range(graph.n) if deg[v] > 0]
     out: list[tuple[tuple[int, int], float]] = []
@@ -581,20 +577,20 @@ def average_precision(
 def online_step_score(
     last: StaticGraph,
     incoming: StaticGraph,
-    params: KatzParams = KatzParams(),
+    beta: float,
     truncate: bool = False,
 ) -> float | None:
     positives = edge_set(incoming) - edge_set(last)
     if not positives:
         return None
-    ranking = katz_scores(last, params, truncate)
+    ranking = katz_scores(last, beta, truncate)
     return average_precision(ranking, positives)
 
 
-def ranked(graph: StaticGraph, params: KatzParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def ranked(graph: StaticGraph, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The package's candidate pairs and scores in rank order: pairs of the
     active vertices, an n-by-n matrix of linked pairs, a 3-key lexsort."""
-    s = linkpred.katz_matrix(graph, params)
+    s = linkpred.katz_matrix(graph, beta)
     linked = np.zeros((graph.n, graph.n), dtype=bool)
     linked[graph.ends()] = True
     active = np.flatnonzero(graph.degrees())
@@ -617,15 +613,13 @@ def last_window(seq: GraphSequence, windowing: Windowing) -> StaticGraph:
     return union_graphs(seq.graphs[start:])
 
 
-def linkpred_window_quality(
-    seq: GraphSequence, size: int, params: KatzParams = KatzParams()
-) -> float:
+def linkpred_window_quality(seq: GraphSequence, size: int, beta: float) -> float:
     """Mean one-step-ahead AP, each history sliced and its last window built."""
     scores: list[float] = []
     for i in range(2, seq.length + 1):
         history = seq.slice_steps(1, i - 1)
         last = last_window(history, uniform_windowing(i - 1, min(size, i - 1)))
-        s = graphwin.online_step_score(last, seq.step(i), params)
+        s = graphwin.online_step_score(last, seq.step(i), beta)
         if s is not None:
             scores.append(s)
     return math.fsum(scores) / len(scores) if scores else 0.0
@@ -706,25 +700,26 @@ def online_selector(
 ) -> OnlineWindowSelector:
     """The harness's online selector `name`, with a span table of its own."""
     rng = np.random.default_rng(seed)
-    flat = SelectorParams(params.selector.min_tests, params.selector.top_count, 1.0)
 
     def adage(history: list[StaticGraph]) -> int:
         seq = GraphSequence(n, tuple(history))
         return adage_select(seq, params.adage_tol, params.adage_patience)
 
-    policy, knobs, freeze_after = {
-        "online": (None, flat, None),
-        "online-weighted": (None, params.selector, None),
-        "training-only": (None, flat, train_span[1] - train_span[0] + 1),
-        "hand-picked": (lambda history: 1, params.selector, None),
-        "random": (lambda history: random_windowing(len(history), rng), params.selector, None),
-        "adage": (adage, params.selector, None),
+    policy, alpha, freeze_after = {
+        "online": (None, 1.0, None),
+        "online-weighted": (None, params.alpha, None),
+        "training-only": (None, 1.0, train_span[1] - train_span[0] + 1),
+        "hand-picked": (lambda history: 1, params.alpha, None),
+        "random": (lambda history: random_windowing(len(history), rng), params.alpha, None),
+        "adage": (adage, params.alpha, None),
     }[name]
     return OnlineWindowSelector(
         n,
-        knobs,
-        freeze_after,
-        spans=SpanScores(params.katz),
+        SpanScores(params.beta),
+        min_tests=params.min_tests,
+        top_count=params.top_count,
+        alpha=alpha,
+        freeze_after=freeze_after,
         policy=policy,
         first_step=train_span[0],
     )
@@ -747,7 +742,7 @@ def run_online(
             if previous is not None and local > train_length:
                 history = stream.slice_steps(1, local - 1)
                 last = last_window(history, previous.windowing)
-                ap = graphwin.online_step_score(last, g, params.katz)
+                ap = graphwin.online_step_score(last, g, params.beta)
                 if ap is not None:
                     scores.append(ap)
                 scored.append({"target_step": local, "chosen": previous.chosen, "score": ap})
@@ -797,7 +792,7 @@ def choose_test_windowing(
     else:
         selection = supervised_offline_select(
             train,
-            lambda s, w: attr_split_window_quality(s, w, attrs, params.kernel, params.batch_size),
+            lambda s, w: attr_split_window_quality(s, w, attrs, params.theta, params.batch_size),
         )
     return uniform_windowing(test.length, min(selection.chosen, test.length))
 
@@ -839,7 +834,7 @@ def offline_cell(
         detail["detected"] = list(detected)
         detail["truth"] = list(test_cp.times)
         return score, detail
-    pairs = graphwin.leave_out_scores(ws, attrs, params.batch_size, params.kernel)
+    pairs = graphwin.leave_out_scores(ws, attrs, params.batch_size, params.theta)
     _, positive = attrs.classes
     flags = [lab == positive for _, lab in pairs]
     score = roc_auc([s for s, _ in pairs], flags)
@@ -873,10 +868,10 @@ def curve_cell(
     span = plan.spans[interval]
     segment = seq.slice_steps(*span)
     if task == "linkpred":
-        return tuple(linkpred_window_quality(segment, w, params.katz) for w in sizes)
+        return tuple(linkpred_window_quality(segment, w, params.beta) for w in sizes)
     if task == "attribute":
         return tuple(
-            attr_window_quality(segment, w, attrs, params.kernel, params.batch_size)
+            attr_window_quality(segment, w, attrs, params.theta, params.batch_size)
             for w in sizes
         )
     local_truth = cp_truth.restrict(*span)

@@ -26,8 +26,8 @@ from graphwin.harness import (
     score_curves,
     split_intervals,
 )
-from graphwin.linkpred import KatzParams, average_precision, katz_matrix, katz_scores
-from graphwin.selectors import OnlineWindowSelector, SelectorParams
+from graphwin.linkpred import average_precision, katz_matrix, katz_scores
+from graphwin.selectors import OnlineWindowSelector, SpanScores
 from graphwin.temporal import (
     ChangePointLabels,
     GraphSequence,
@@ -96,12 +96,11 @@ def test_change_point_score_matches_unit_step_integration():
 def test_katz_exact_solve_matches_truncated_path_sums():
     rng = np.random.default_rng(76)
     beta = 0.005
-    params = KatzParams(beta=beta)
     start = time.perf_counter()
     for _ in range(200):
         n = int(rng.integers(2, 31))
         g = random_graph(rng, n, float(rng.uniform(0.05, 0.5)))
-        exact = katz_matrix(g, params)
+        exact = katz_matrix(g, beta)
         # walk counts by exact integer matrix powers; 29^11 fits in int64
         adj = g.adjacency().astype(np.int64)
         power = np.eye(n, dtype=np.int64)
@@ -135,7 +134,7 @@ class ReferenceSelector:
         self.min_tests = min_tests
         self.top_count = top_count
         self.alpha = alpha
-        self.params = KatzParams()
+        self.beta = 0.005
         self.graphs: list[StaticGraph] = []
         self.entries: dict[int, list[tuple[int, float]]] = {}
 
@@ -173,7 +172,7 @@ class ReferenceSelector:
                 last = self._last_window(self.graphs, w)
                 positives = edge_set(incoming) - edge_set(last)
                 if positives:
-                    score = average_precision(items(katz_scores(last, self.params)), positives)
+                    score = average_precision(items(katz_scores(last, self.beta)), positives)
                     self.entries.setdefault(w, []).append((i, score))
                 else:
                     score = None
@@ -187,7 +186,7 @@ class ReferenceSelector:
             "chosen": chosen,
             "cuts": tuple(range(chosen, i, chosen)),
             "last": last,
-            "prediction": items(katz_scores(last, self.params)),
+            "prediction": items(katz_scores(last, self.beta)),
         }
 
 
@@ -204,8 +203,7 @@ def ledger_entries(records):
 
 def assert_traces_match(seq, min_tests, top_count, alpha):
     selector = OnlineWindowSelector(
-        seq.n,
-        SelectorParams(min_tests=min_tests, top_count=top_count, alpha=alpha),
+        seq.n, SpanScores(0.005), min_tests=min_tests, top_count=top_count, alpha=alpha
     )
     reference = ReferenceSelector(
         seq.n, min_tests=min_tests, top_count=top_count, alpha=alpha
@@ -223,7 +221,7 @@ def assert_traces_match(seq, min_tests, top_count, alpha):
         cuts = record.windowing.cuts
         last = union_graphs(seq.graphs[:i][cuts[-1] if cuts else 0 :])
         assert last == want["last"]
-        assert items(katz_scores(last)) == want["prediction"], f"step {i} predictions differ"
+        assert items(katz_scores(last, 0.005)) == want["prediction"], f"step {i} predictions differ"
     entries = ledger_entries(records)
     assert entries == reference.entries
     assert all(selector.ledger.count(w) == len(e) for w, e in entries.items())
@@ -250,7 +248,7 @@ def test_online_selection_matches_exhaustive_reference():
     )
     entries = assert_traces_match(novel, 1, 1, 1.0)
     replay = OnlineWindowSelector(
-        novel.n, SelectorParams(min_tests=1, top_count=1, alpha=1.0)
+        novel.n, SpanScores(0.005), min_tests=1, top_count=1, alpha=1.0
     )
     records = [replay.process(novel.step(i)) for i in range(1, T + 1)]
     assert all(len(r.tested) <= 2 for r in records)

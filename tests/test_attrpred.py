@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphwin import (
-    KernelParams,
     VertexAttributes,
     default_batch_size,
     edge_weight,
@@ -35,10 +34,6 @@ def test_edge_weight_values():
         edge_weight(3, 0, 0.5)
     with pytest.raises(ValueError):
         edge_weight(3, 4, 0.5)
-    with pytest.raises(ValueError):
-        KernelParams(theta=0.0)
-    with pytest.raises(ValueError):
-        KernelParams(theta=1.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -80,7 +75,7 @@ def hand_instance():
 
 def test_fit_model_hand_oracle():
     attrs, ws = hand_instance()
-    model = fit_model(ws, attrs, known=[0, 1, 2, 3])
+    model = fit_model(ws, attrs, known=[0, 1, 2, 3], theta=0.5)
     assert model.classes == ("a", "b")
     # add-one priors: (2+1)/(4+2) each
     assert model.log_priors["a"] == pytest.approx(math.log(0.5), abs=1e-12)
@@ -107,7 +102,7 @@ def test_fit_model_hand_oracle():
 
 def test_predict_hand_oracle():
     attrs, ws = hand_instance()
-    model = fit_model(ws, attrs, known=[0, 1, 2, 3])
+    model = fit_model(ws, attrs, known=[0, 1, 2, 3], theta=0.5)
     # vertex 4: col = y, no z, one known neighbour (0, label a) in window 2
     lp_a = math.log(0.5) + math.log(2 / 4) + 0.5 * math.log(2.5 / 3.5)
     lp_b = math.log(0.5) + math.log(1 / 4) + 0.5 * math.log(1.0 / 2.5)
@@ -119,7 +114,7 @@ def test_predict_hand_oracle():
 
 def test_predict_degenerate_variance_dominates():
     attrs, ws = hand_instance()
-    model = fit_model(ws, attrs, known=[0, 1, 2, 3])
+    model = fit_model(ws, attrs, known=[0, 1, 2, 3], theta=0.5)
     # vertex 0 has z = 1.0; class b's variance floor makes its density vanish
     label, posterior = predict_attribute(model, ws, attrs, 0)
     assert label == "a"
@@ -135,7 +130,7 @@ def test_largest_continuous_values_keep_every_posterior_finite():
     attrs = load_attributes(text, "y", [str(v) for v in range(6)])
     assert [row["z"] for row in attrs.rows] == [float(z) for z in zs]
     ws = windowed_at(seq_of(6, [(0, 1), (2, 3)], [(4, 5)]), 1)
-    scores = leave_out_scores(ws, attrs, 1)
+    scores = leave_out_scores(ws, attrs, 1, 0.5)
     assert len(scores) == 6
     assert all(math.isfinite(posterior) for posterior, _ in scores)
 
@@ -143,9 +138,9 @@ def test_largest_continuous_values_keep_every_posterior_finite():
 def test_fit_model_requires_labelled_vertices():
     attrs, ws = hand_instance()
     with pytest.raises(ValueError):
-        fit_model(ws, attrs, known=[4])
+        fit_model(ws, attrs, known=[4], theta=0.5)
     with pytest.raises(ValueError):
-        fit_model(ws, attrs, known=[])
+        fit_model(ws, attrs, known=[], theta=0.5)
 
 
 def test_default_batch_size():
@@ -161,7 +156,7 @@ def test_default_batch_size():
 
 def test_leave_out_scores_shape_and_labels():
     attrs, ws = hand_instance()
-    pairs = leave_out_scores(ws, attrs, batch_size=1)
+    pairs = leave_out_scores(ws, attrs, batch_size=1, theta=0.5)
     assert len(pairs) == 4
     assert [lab for _, lab in pairs] == ["a", "a", "b", "b"]
     for score, _ in pairs:
@@ -181,8 +176,8 @@ def test_leave_out_never_sees_its_own_label():
             for v, row in enumerate(attrs.rows)
         ),
     )
-    base = leave_out_scores(ws, attrs, batch_size=1)
-    swapped = leave_out_scores(ws, flipped, batch_size=1)
+    base = leave_out_scores(ws, attrs, batch_size=1, theta=0.5)
+    swapped = leave_out_scores(ws, flipped, batch_size=1, theta=0.5)
     assert base[0][0] == swapped[0][0]
     assert base[0][1] == "a" and swapped[0][1] == "b"
 
@@ -190,9 +185,9 @@ def test_leave_out_never_sees_its_own_label():
 def test_leave_out_eval_evidence_decouples():
     attrs, ws = hand_instance()
     empty_ws = windowed_at(seq_of(5, [], []), 1)
-    with_graph = leave_out_scores(ws, attrs, batch_size=1)
-    without_graph = leave_out_scores(ws, attrs, batch_size=1, eval_ws=empty_ws)
-    defaulted = leave_out_scores(ws, attrs, batch_size=1, eval_ws=ws)
+    with_graph = leave_out_scores(ws, attrs, batch_size=1, theta=0.5)
+    without_graph = leave_out_scores(ws, attrs, batch_size=1, theta=0.5, eval_ws=empty_ws)
+    defaulted = leave_out_scores(ws, attrs, batch_size=1, theta=0.5, eval_ws=ws)
     assert with_graph == defaulted
     assert with_graph != without_graph
 
@@ -200,9 +195,9 @@ def test_leave_out_eval_evidence_decouples():
 def test_leave_out_validation():
     attrs, ws = hand_instance()
     with pytest.raises(ValueError, match="batch size"):
-        leave_out_scores(ws, attrs, batch_size=4)  # fitting set would be empty
+        leave_out_scores(ws, attrs, batch_size=4, theta=0.5)  # fitting set would be empty
     with pytest.raises(ValueError, match="batch size"):
-        leave_out_scores(ws, attrs, batch_size=0)
+        leave_out_scores(ws, attrs, batch_size=0, theta=0.5)
     single = VertexAttributes(
         2,
         "y",
@@ -210,7 +205,7 @@ def test_leave_out_validation():
         ({"y": "a"}, {"y": "b"}),
     )
     ws2 = windowed_at(seq_of(2, [(0, 1)]), 1)
-    assert len(leave_out_scores(ws2, single, batch_size=1)) == 2
+    assert len(leave_out_scores(ws2, single, batch_size=1, theta=0.5)) == 2
 
 
 # --------------------------------------------------------------------------
@@ -275,14 +270,14 @@ def test_symmetric_evidence_gives_half():
         ({"y": "a"}, {"y": "b"}, {"y": "a"}, {"y": "b"}),
     )
     ws = windowed_at(seq_of(4, [], [], []), 1)  # no edges, no features
-    pairs = leave_out_scores(ws, attrs, batch_size=2)
+    pairs = leave_out_scores(ws, attrs, batch_size=2, theta=0.5)
     assert all(s == 0.5 for s, _ in pairs)
     assert pairs_auc(pairs, attrs) == 0.5
 
 
 def test_leave_out_auc_matches_components():
     attrs, ws = hand_instance()
-    pairs = leave_out_scores(ws, attrs, batch_size=1)
+    pairs = leave_out_scores(ws, attrs, batch_size=1, theta=0.5)
     expected = roc_auc([s for s, _ in pairs], [lab == "b" for _, lab in pairs])
     assert pairs_auc(pairs, attrs) == expected
     assert pairs_auc([[s, lab] for s, lab in pairs], attrs) == expected  # as reports hold them

@@ -11,9 +11,7 @@ import pytest
 
 from graphwin import (
     EvalParams,
-    KatzParams,
     QualityTable,
-    SelectorParams,
     harness,
     run_suite,
     split_intervals,
@@ -219,6 +217,21 @@ def test_select_refuses_a_bad_span_for_every_selector(dataset, capsys, selector)
     rc = main([*base, "--train-span", "0", "6", "--test-span", "7", "13"])
     assert rc == 1
     assert capsys.readouterr().err == "error: bad span [7, 13] for length 12\n"
+    # a training span shares no step with the test span, given or defaulted,
+    # so supervised selection never reads the test span's ground truth
+    out = dataset["tmp"] / f"{selector}.json"
+    for spans, message in [
+        (["1", "6"], "--train-span 1 6 overlaps the default test span 1 12"),
+        (["1", "6", "--test-span", "6", "12"], "--train-span 1 6 overlaps --test-span 6 12"),
+        (["4", "9", "--test-span", "1", "5"], "--train-span 4 9 overlaps --test-span 1 5"),
+    ]:
+        rc = main([*base, "--train-span", *spans, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+    rc = main([*base, "--train-span", "7", "12", "--test-span", "1", "6", "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["test_span"] == [1, 6]
 
 
 def test_select_writes_the_windowing_evaluate_scores(dataset, capsys):
@@ -353,10 +366,7 @@ def test_evaluate_is_a_thin_wrapper_over_the_library(dataset):
 
     report = json.loads(prefix.with_suffix(".json").read_text())
     arch = load_archive(dataset["archive"])
-    params = EvalParams(
-        katz=KatzParams(0.005),
-        selector=SelectorParams(min_tests=2, top_count=2, alpha=1.0),
-    )
+    params = EvalParams(beta=0.005, min_tests=2, top_count=2, alpha=1.0)
     direct = run_suite(
         QualityTable(arch.sequence, None, None, params),
         split_intervals(12, 3),
@@ -632,6 +642,16 @@ def test_tuning_flags_are_validated_before_compute(dataset, capsys, monkeypatch)
     err = capsys.readouterr().err
     assert rc == 1
     assert "--tau must be a finite number >= 0, got nan" in err
+
+    # a select seed is a cell seed, which derive_seed makes non-negative
+    for selector in ("random", "hand-picked"):
+        rc = main(["select", str(dataset["archive"]), "--selector", selector, "--seed", "-1",
+                   "--tau", "-1"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: --seed must be >= 0, got -1\n"
+            "error: --tau must be a finite number >= 0, got -1.0\n"
+        )
 
 
 def test_evaluate_hyperparameter_grid(dataset):

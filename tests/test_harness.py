@@ -18,7 +18,6 @@ from graphwin import (
     ExperimentReport,
     GraphSequence,
     QualityTable,
-    SelectorParams,
     adage_select,
     cross_task_matrix,
     derive_seed,
@@ -46,7 +45,7 @@ from graphwin.selectors import (
     linkpred_window_quality,
     powerlaw_exponent,
 )
-from graphwin.cli import main
+from graphwin.cli import _flag, main
 from graphwin.temporal import ChangePointLabels, VertexAttributes, save_archive, union_graphs
 from graphwin.windows import uniform_windowing
 
@@ -79,13 +78,66 @@ def test_split_intervals_remainder_goes_first():
     assert plan.spans[-1] == (12, 13)
 
 
-def test_eval_params_refuses_integers_out_of_range():
-    for key in ("batch_size", "adage_patience"):
-        for value in (0, -5, 1.5, "2"):
-            with pytest.raises(ValueError, match=f"^{key} must be an integer >= 1$"):
+def test_eval_params_refuses_each_key_out_of_range():
+    """Each key's range, stated once by `EvalParams`: values just inside it
+    are kept, and values just outside it, NaN and inf where they lie
+    outside, are refused with the dataclass's message, which `from_flat`
+    words with the key as `params.<key>` and as `--<flag>`. `from_flat`
+    also refuses a value of the wrong JSON type, and reads "inf" as an
+    unbounded retest budget."""
+    tiny, below_one, above_one = 5e-324, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)
+    nan, inf = math.nan, math.inf
+    integer = [0, -5, 1.5, "2", nan, inf]
+    # key: (values kept, values refused, the range's wording)
+    ranges = {
+        "beta": ([tiny, 0.5, below_one], [0.0, 1.0, -tiny, above_one, nan, inf], "must lie in (0, 1)"),
+        "theta": ([tiny, 0.5, below_one], [0.0, 1.0, -tiny, above_one, nan, inf], "must lie in (0, 1)"),
+        "batch_size": ([1, 2], integer, "must be an integer >= 1"),
+        "min_tests": ([1, above_one, inf], [below_one, 0.5, 0, nan], "must be >= 1"),
+        "top_count": ([1, above_one, inf], [below_one, 0, nan], "must be >= 1"),
+        "alpha": ([tiny, 0.5, 1.0], [0.0, -tiny, above_one, 1.5, nan, inf], "must lie in (0, 1]"),
+        "tau": ([0.0, 0.05, 1e308], [-tiny, -1, nan, inf], "must be a finite number >= 0"),
+        "adage_tol": ([tiny, 0.01, 1e308], [0.0, -1, nan, inf], "must be a finite number > 0"),
+        "adage_patience": ([1, 3], integer, "must be an integer >= 1"),
+    }
+    number, budget = "must be a number", 'must be a number >= 1 or "inf"'
+    # key: (values of a JSON type `from_flat` refuses, its wording)
+    json_types = {
+        "beta": (["inf", True, None], number),
+        "theta": (["0.5", False], number),
+        "batch_size": ([True, None], "must be an integer >= 1"),
+        "min_tests": (["x", True, None], budget),
+        "top_count": (["Inf", False], budget),
+        "alpha": (["inf", [1]], number),
+        "tau": (["inf", None], number),
+        "adage_tol": (["inf", True], number),
+        "adage_patience": ([True, "3"], "must be an integer >= 1"),
+    }
+
+    def assert_flat_refuses(key, value, wording):
+        flag = "--" + key.replace("_", "-")
+        for name, shown in (("params.{}".format, f"params.{key}"), (_flag, flag)):
+            with pytest.raises(ValueError) as exc:
+                EvalParams.from_flat({key: value}, name)
+            assert str(exc.value) == f"{shown} {wording}, got {value!r}", (key, value)
+
+    for key, (kept, refused, rule) in ranges.items():
+        for value in kept:
+            assert getattr(EvalParams(**{key: value}), key) == value
+            assert getattr(EvalParams.from_flat({key: value}), key) == value
+        for value in refused:
+            with pytest.raises(ValueError) as exc:
                 EvalParams(**{key: value})
+            assert str(exc.value) == f"{key} {rule}", (key, value)
+            assert_flat_refuses(key, value, rule)
+        wrong, wording = json_types[key]
+        for value in wrong:
+            assert_flat_refuses(key, value, wording)
+    for key in ("min_tests", "top_count"):
+        assert getattr(EvalParams.from_flat({key: "inf"}), key) == math.inf
     assert EvalParams(batch_size=None, adage_patience=1).batch_size is None
     assert EvalParams(batch_size=1).batch_size == 1
+    assert EvalParams(min_tests=inf, top_count=inf, alpha=1.0).alpha == 1.0
 
 
 def test_split_intervals_validation():
@@ -287,7 +339,7 @@ def test_quality_table_caches_a_task_error(monkeypatch):
 # online runner
 
 
-ONLINE_PARAMS = EvalParams(selector=SelectorParams(min_tests=2, top_count=2, alpha=1.0))
+ONLINE_PARAMS = EvalParams(min_tests=2, top_count=2, alpha=1.0)
 
 
 def test_run_online_scores_only_test_steps():
@@ -401,16 +453,16 @@ def count_span_scores(monkeypatch) -> tuple[list, list]:
         requested.append((a, b))
         return read(self, steps, first_step, a, b)
 
-    def counted_score(last, incoming, params):
+    def counted_score(last, incoming, beta):
         scored.append((last, incoming))
-        return online_step_score(last, incoming, params)
+        return online_step_score(last, incoming, beta)
 
     monkeypatch.setattr(SpanScores, "score", counted_read)
     monkeypatch.setattr(selectors_module, "online_step_score", counted_score)
     return requested, scored
 
 
-PLANTED_PARAMS = EvalParams(selector=SelectorParams(min_tests=2, top_count=4, alpha=0.5))
+PLANTED_PARAMS = EvalParams(min_tests=2, top_count=4, alpha=0.5)
 
 
 def test_online_suite_scores_each_span_once(monkeypatch):
@@ -442,13 +494,13 @@ def test_each_katz_solve_is_one_span_table_entry(monkeypatch, tmp_path):
     solve = linkpred.katz_matrix
 
     class RecordedSpans(SpanScores):
-        def __init__(self, katz):
-            super().__init__(katz)
+        def __init__(self, beta):
+            super().__init__(beta)
             tables.append(self)
 
-    def counted(graph, params):
+    def counted(graph, beta):
         solved.append(graph)
-        return solve(graph, params)
+        return solve(graph, beta)
 
     def scored_windows(seq, spans):
         entries = [span for span, value in spans.values.items() if value is not None]
@@ -459,13 +511,14 @@ def test_each_katz_solve_is_one_span_table_entry(monkeypatch, tmp_path):
     seq = planted_sequence()
     plan = split_intervals(seq.length, 3)
     table = QualityTable(seq, None, None, PLANTED_PARAMS)
-    harness._online_cells(table, plan, ONLINE_SELECTORS, PLANTED_PARAMS.selector, 3)
+    harness._online_cells(table, plan, ONLINE_SELECTORS, PLANTED_PARAMS, 3)
     assert solved and Counter(solved) == scored_windows(seq, table.spans)
     assert tables == [table.spans]
     solved.clear()
     tables.clear()
     table = QualityTable(seq, None, None, PLANTED_PARAMS)
-    hyperparam_sweep(table, plan, min_tests_values=[1, 2, 4], top_count_values=[1, 2], seed=3)
+    hyperparam_sweep(table, plan, min_tests_values=[1, 2, 4], top_count_values=[1, 2],
+                     fixed=10.0, seed=3)
     assert tables == [table.spans]
     assert solved and Counter(solved) == scored_windows(seq, tables[0])
     solved.clear()
@@ -580,7 +633,7 @@ def test_report_json_is_strict_with_unbounded_budgets(tmp_path):
         raise ValueError(f"non-standard JSON constant {constant}")
 
     seq = split_star_stream(6)
-    params = EvalParams(selector=SelectorParams(min_tests=math.inf))
+    params = EvalParams(min_tests=math.inf)
     rep = run_online(seq, split_intervals(18, 3), "online", params=params, seed=3)
     first, second = rep.cells
     cells = [replace(first, score=math.inf), replace(second, score=math.nan)]
@@ -634,9 +687,11 @@ def test_score_curves_match_direct_quality_calls():
         segment = seq.slice_steps(*span)
         local_truth = truth.restrict(*span)
         for j, w in enumerate(curves.sizes):
-            assert curves.curve("linkpred", idx)[j] == linkpred_window_quality(segment, w)
+            assert curves.curve("linkpred", idx)[j] == linkpred_window_quality(
+                segment, w, SpanScores(0.005)
+            )
             assert curves.curve("attribute", idx)[j] == attr_window_quality(
-                segment, w, attrs, batch_size=2
+                segment, w, attrs, 0.5, 2
             )
             assert curves.curve("changepoint", idx)[j] == cp_window_quality(
                 segment, w, local_truth
@@ -882,7 +937,7 @@ def test_hyperparam_sweep_matches_direct_runs():
     seq = split_star_stream(6)
     plan = split_intervals(18, 3)
     records = hyperparam_sweep(
-        QualityTable(seq, None, None, EvalParams(selector=SelectorParams(alpha=0.5))), plan,
+        QualityTable(seq, None, None, EvalParams(alpha=0.5)), plan,
         min_tests_values=[2], top_count_values=[3], fixed=4.0, selector="online", seed=7,
     )
     assert [r["axis"] for r in records] == ["min_tests", "top_count"]
@@ -890,13 +945,13 @@ def test_hyperparam_sweep_matches_direct_runs():
     assert all(r["fixed"] == 4.0 for r in records)
     direct_min = run_online(
         seq, plan, "online",
-        params=EvalParams(selector=SelectorParams(min_tests=2, top_count=4.0, alpha=0.5)),
+        params=EvalParams(min_tests=2, top_count=4.0, alpha=0.5),
         seed=7,
     )
     assert records[0]["score"] == direct_min.aggregates["online"]["linkpred"]["score"]
     direct_top = run_online(
         seq, plan, "online",
-        params=EvalParams(selector=SelectorParams(min_tests=4.0, top_count=3, alpha=0.5)),
+        params=EvalParams(min_tests=4.0, top_count=3, alpha=0.5),
         seed=7,
     )
     assert records[1]["score"] == direct_top.aggregates["online"]["linkpred"]["score"]
@@ -909,5 +964,5 @@ def test_hyperparam_sweep_scores_each_span_once(monkeypatch):
     seq = planted_sequence()
     hyperparam_sweep(QualityTable(seq, None, None, PLANTED_PARAMS),
                      split_intervals(seq.length, 3), min_tests_values=[1, 2, 4],
-                     top_count_values=[1, 2], seed=3)
+                     top_count_values=[1, 2], fixed=10.0, seed=3)
     assert len(scored) == len(set(requested)) < len(requested) / 2

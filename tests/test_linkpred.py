@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from graphwin import (
-    KatzParams,
     average_precision,
     katz_matrix,
     katz_scores,
@@ -33,17 +32,10 @@ def walk_sum_oracle(adj: np.ndarray, beta: float, max_len: int) -> np.ndarray:
     return total
 
 
-def test_params_validation():
-    with pytest.raises(ValueError):
-        KatzParams(beta=0.0)
-    with pytest.raises(ValueError):
-        KatzParams(beta=1.0)
-
-
 def test_single_edge_closed_form():
     g = graph(2, [(0, 1)])
     for beta in (0.005, 0.1, 0.3):
-        m = katz_matrix(g, KatzParams(beta=beta))
+        m = katz_matrix(g, beta)
         # walks alternate endpoints: score = beta + beta^3 + ... = beta/(1-beta^2)
         assert m[0, 1] == pytest.approx(beta / (1 - beta**2), abs=1e-12)
         assert m[0, 1] == m[1, 0]
@@ -55,7 +47,7 @@ def test_exact_solve_matches_walk_enumeration():
     for _ in range(25):
         n = int(rng.integers(2, 13))
         g = random_graph(rng, n, 0.4)
-        exact = katz_matrix(g, KatzParams(beta=beta))
+        exact = katz_matrix(g, beta)
         # beta * spectral radius <= 0.06 here, so 40 terms leave a tail
         # far below 1e-12
         oracle = walk_sum_oracle(g.adjacency(), beta, 40)
@@ -64,7 +56,7 @@ def test_exact_solve_matches_walk_enumeration():
 
 def test_truncation_fallback_when_series_diverges():
     g = graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])  # K6, radius 5
-    m = katz_matrix(g, KatzParams(beta=0.25))  # 0.25 * 5 >= 1
+    m = katz_matrix(g, 0.25)  # 0.25 * 5 >= 1
     oracle = walk_sum_oracle(g.adjacency(), 0.25, 8)
     assert np.max(np.abs(m - oracle)) < 1e-9
 
@@ -81,7 +73,7 @@ def test_truncation_fallback_when_series_diverges():
 def test_series_at_the_convergence_bound_truncates(g, beta):
     # beta * radius = 1: I - beta*A is singular, and a computed radius a few
     # ulps low must not send it to the closed-form solve
-    m = katz_matrix(g, KatzParams(beta=beta))
+    m = katz_matrix(g, beta)
     assert np.max(np.abs(m - walk_sum_oracle(g.adjacency(), beta, 8))) < 1e-9
 
 
@@ -91,18 +83,17 @@ def test_degree_bound_skips_the_eigen_solve(monkeypatch):
 
     monkeypatch.setattr(linkpred.np.linalg, "eigvalsh", no_eigen_solve)
     g = graph(6, clique_edges(range(6)))  # max degree 5, beta * 5 = 0.5
-    exact = katz_matrix(g, KatzParams(beta=0.1))
+    exact = katz_matrix(g, 0.1)
     series = linkpred._truncated_matrix(g.adjacency(), 0.1, 80)
     assert np.max(np.abs(exact - series)) < 1e-12
 
 
 def test_divergence_fallback_warns_once_per_process(caplog, monkeypatch):
     monkeypatch.setattr(linkpred, "_fallback_warned", False)
-    params = KatzParams(beta=0.5)
     k5 = graph(5, clique_edges(range(5)))
     with caplog.at_level(logging.DEBUG, logger="graphwin.linkpred"):
-        m = katz_matrix(k5, params)
-        katz_matrix(graph(6, clique_edges(range(6))), params)
+        m = katz_matrix(k5, 0.5)
+        katz_matrix(graph(6, clique_edges(range(6))), 0.5)
     fallbacks = [r for r in caplog.records if "diverges" in r.getMessage()]
     assert [r.levelno for r in fallbacks] == [logging.WARNING, logging.DEBUG]
     # the one truncation path: the series' first 8 terms
@@ -119,7 +110,7 @@ def test_truncation_error_bound():
         g = random_graph(rng, n, 0.5)
         if g.edge_count == 0:
             continue
-        exact = katz_matrix(g, KatzParams(beta=beta))
+        exact = katz_matrix(g, beta)
         truncated = linkpred._truncated_matrix(g.adjacency(), beta, max_len)
         radius = float(np.max(np.abs(np.linalg.eigvalsh(g.adjacency()))))
         bound = beta ** (max_len + 1) * n * radius ** (max_len + 1) / (1 - beta * radius)
@@ -128,13 +119,13 @@ def test_truncation_error_bound():
 
 def test_empty_graph_scores_zero():
     g = graph(4, [])
-    assert np.all(katz_matrix(g) == 0)
-    assert items(katz_scores(g)) == []
+    assert np.all(katz_matrix(g, 0.005) == 0)
+    assert items(katz_scores(g, 0.005)) == []
 
 
 def test_scores_exclude_edges_and_isolated_vertices():
     g = graph(4, [(0, 1), (1, 2)])  # vertex 3 isolated
-    pairs = [p for p, _ in items(katz_scores(g))]
+    pairs = [p for p, _ in items(katz_scores(g, 0.005))]
     assert pairs == [(0, 2)]  # only non-edge among non-isolated vertices
 
 
@@ -143,7 +134,7 @@ def test_scores_tie_break_lexicographically():
     # symmetric longer walks, but (1,3) differs; isolate an exact tie instead
     # with two disjoint stars.
     g = graph(6, [(0, 1), (0, 2), (3, 4), (3, 5)])
-    ranking = items(katz_scores(g))
+    ranking = items(katz_scores(g, 0.005))
     scores = dict(ranking)
     assert scores[(1, 2)] == scores[(4, 5)]
     assert ranking.index(((1, 2), scores[(1, 2)])) < ranking.index(((4, 5), scores[(4, 5)]))
@@ -152,7 +143,7 @@ def test_scores_tie_break_lexicographically():
 def test_ranking_is_sorted_by_score_then_pair():
     rng = np.random.default_rng(3)
     g = random_graph(rng, 10, 0.3)
-    ranking = items(katz_scores(g))
+    ranking = items(katz_scores(g, 0.005))
     for (pa, sa), (pb, sb) in zip(ranking, ranking[1:]):
         assert sa > sb or (sa == sb and pa < pb)
 
@@ -163,7 +154,7 @@ def test_katz_scores_is_one_record_array_in_rank_order():
     rng = np.random.default_rng(5)
     graphs = [random_graph(rng, 10, 0.3), graph(6, [(0, 1), (0, 2), (3, 4), (3, 5)]), graph(4, [])]
     for g in graphs:
-        ranking = katz_scores(g)
+        ranking = katz_scores(g, 0.005)
         assert ranking.dtype.names == ("u", "v", "score")
         assert [ranking.dtype[f] for f in ranking.dtype.names] == [
             np.dtype(np.int64), np.dtype(np.int64), np.dtype(np.float64)
@@ -180,7 +171,7 @@ def test_katz_scores_match_the_plain_ranking():
     rng = np.random.default_rng(13)
     for _ in range(30):
         g = random_graph(rng, int(rng.integers(1, 12)), float(rng.uniform(0.1, 0.6)))
-        assert items(katz_scores(g)) == oracles.katz_scores(g)
+        assert items(katz_scores(g, 0.005)) == oracles.katz_scores(g, 0.005)
 
 
 # --------------------------------------------------------------------------
@@ -239,7 +230,7 @@ def test_ap_direct_definition_oracle():
 def test_online_step_score_none_without_new_links():
     seq = seq_of(3, [(0, 1)], [(0, 1)])
     ws = windowed_at(seq, 1)
-    assert online_step_score(ws.graphs[-1], seq.step(2)) is None
+    assert online_step_score(ws.graphs[-1], seq.step(2), 0.005) is None
 
 
 def test_online_step_score_scores_new_links():
@@ -247,7 +238,7 @@ def test_online_step_score_scores_new_links():
     history = seq_of(3, [(0, 1), (0, 2)])
     ws = windowed_at(history, 1)
     incoming = graph(3, [(0, 1), (1, 2)])
-    assert online_step_score(ws.graphs[-1], incoming) == 1.0
+    assert online_step_score(ws.graphs[-1], incoming, 0.005) == 1.0
 
 
 def test_online_step_score_partial_rank():
@@ -255,8 +246,8 @@ def test_online_step_score_partial_rank():
     # make the new link appear at rank 2 among three candidates
     history = seq_of(5, [(0, 1), (0, 2), (1, 2), (2, 3)])
     ws = windowed_at(history, 1)
-    ranking = items(katz_scores(ws.graphs[-1]))
+    ranking = items(katz_scores(ws.graphs[-1], 0.005))
     # pick the pair ranked second as the sole new link
     second = ranking[1][0]
     incoming = graph(5, edge_set(ws.graphs[-1]) | {second})
-    assert online_step_score(ws.graphs[-1], incoming) == 0.5
+    assert online_step_score(ws.graphs[-1], incoming, 0.005) == 0.5

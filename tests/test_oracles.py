@@ -25,8 +25,6 @@ from graphwin import (
     DataFormatError,
     EvalParams,
     GraphSequence,
-    KatzParams,
-    KernelParams,
     QualityTable,
     ScoreLedger,
     StaticGraph,
@@ -53,7 +51,7 @@ from graphwin._numeric import zeta
 from graphwin.attrpred import roc_auc
 from graphwin.changepoint import _SegmentState
 from graphwin.harness import spearman
-from graphwin.selectors import SelectorParams, adage_select, powerlaw_exponent
+from graphwin.selectors import adage_select, powerlaw_exponent
 
 import oracles
 from helpers import edge_set, graph, items, planted_sequence, random_sequence, trace_streams
@@ -132,7 +130,7 @@ def katz_graph(rng: np.random.Generator, kind: str, n: int) -> StaticGraph:
     return graph(n, edges)
 
 
-def diverges(g: StaticGraph, params: KatzParams) -> bool:
+def diverges(g: StaticGraph, beta: float) -> bool:
     """Whether the package truncates the series on `g`, so the oracle must too.
 
     That is wherever beta * radius >= 1, and also where beta * radius is 1
@@ -142,14 +140,14 @@ def diverges(g: StaticGraph, params: KatzParams) -> bool:
     if not g.edge_count:
         return False
     radius = float(np.max(np.abs(np.linalg.eigvalsh(g.adjacency()))))
-    return params.beta * radius * (1.0 + g.n * np.finfo(float).eps) >= 1.0
+    return beta * radius * (1.0 + g.n * np.finfo(float).eps) >= 1.0
 
 
 KATZ_KINDS_LIST = ["random", "disconnected", "regular", "complete", "empty"]
 KATZ_KINDS = st.sampled_from(KATZ_KINDS_LIST)
 # the larger betas put beta * max degree >= 1 on most graphs here: the
 # eigen-solve decides, and often falls back to truncation
-KATZ_PARAMS = st.builds(KatzParams, beta=st.sampled_from([0.005, 0.05, 0.25, 0.5]))
+KATZ_BETAS = st.sampled_from([0.005, 0.05, 0.25, 0.5])
 
 
 @seed(1702)
@@ -158,11 +156,11 @@ KATZ_PARAMS = st.builds(KatzParams, beta=st.sampled_from([0.005, 0.05, 0.25, 0.5
     draw_seed=st.integers(min_value=0, max_value=2**32 - 1),
     kind=KATZ_KINDS,
     n=st.integers(min_value=1, max_value=12),
-    params=KATZ_PARAMS,
+    beta=KATZ_BETAS,
 )
-def test_katz_ranking_matches_oracle(draw_seed, kind, n, params):
+def test_katz_ranking_matches_oracle(draw_seed, kind, n, beta):
     g = katz_graph(np.random.default_rng(draw_seed), kind, n)
-    assert items(katz_scores(g, params)) == oracles.katz_scores(g, params, diverges(g, params))
+    assert items(katz_scores(g, beta)) == oracles.katz_scores(g, beta, diverges(g, beta))
 
 
 @seed(1702)
@@ -171,22 +169,22 @@ def test_katz_ranking_matches_oracle(draw_seed, kind, n, params):
     draw_seed=st.integers(min_value=0, max_value=2**32 - 1),
     kind=KATZ_KINDS,
     n=st.integers(min_value=2, max_value=12),
-    params=KATZ_PARAMS,
+    beta=KATZ_BETAS,
 )
-def test_link_scoring_matches_oracle(draw_seed, kind, n, params):
+def test_link_scoring_matches_oracle(draw_seed, kind, n, beta):
     rng = np.random.default_rng(draw_seed)
     last = katz_graph(rng, kind, n)
     # the incoming step keeps some old links and adds some new ones
     kept = {e for e in edge_set(last) if rng.random() < 0.5}
     fresh = {e for e in edge_set(katz_graph(rng, "random", n)) if rng.random() < 0.3}
     incoming = graph(n, kept | fresh)
-    assert online_step_score(last, incoming, params) == oracles.online_step_score(
-        last, incoming, params, diverges(last, params)
+    assert online_step_score(last, incoming, beta) == oracles.online_step_score(
+        last, incoming, beta, diverges(last, beta)
     )
     # either vertex order, duplicates, and pairs the ranking never holds
     ranking = [
         ((v, u) if rng.random() < 0.3 else (u, v), s)
-        for (u, v), s in items(katz_scores(last, params))
+        for (u, v), s in items(katz_scores(last, beta))
     ]
     positives = [
         (v, u) if rng.random() < 0.5 else (u, v)
@@ -237,7 +235,9 @@ def test_graph_core_matches_set_oracle(n, data):
     assert all(g == union and hash(g) == hash(union) for g in rebuilt)
     assert graph(n, []) != graph(n + 1, [])
     for last, incoming in zip(ours + [union], ours[1:] + ours[:1]):
-        assert online_step_score(last, incoming) == oracles.online_step_score(last, incoming)
+        assert online_step_score(last, incoming, 0.005) == oracles.online_step_score(
+            last, incoming, 0.005
+        )
 
 
 def test_ranking_arrays_match_lexsort_oracle():
@@ -249,8 +249,8 @@ def test_ranking_arrays_match_lexsort_oracle():
     rng = np.random.default_rng(4)
     graphs += [katz_graph(rng, kind, n) for kind in KATZ_KINDS_LIST for n in (1, 2, 7, 12)]
     for g in graphs:
-        for params in (KatzParams(), KatzParams(beta=0.25)):
-            got, want = katz_scores(g, params), oracles.ranked(g, params)
+        for beta in (0.005, 0.25):
+            got, want = katz_scores(g, beta), oracles.ranked(g, beta)
             assert all(np.array_equal(a, b) for a, b in zip((got.u, got.v, got.score), want))
 
 
@@ -260,10 +260,9 @@ def test_online_suite_matches_sequential_oracle():
     of its own, pair by pair, scoring each test step against the last window
     of the previous step's windowing, built from the steps."""
     streams = [(seq, 2) for seq in trace_streams()] + [(planted_sequence(), 3)]
-    knobs = [SelectorParams(), SelectorParams(min_tests=2, top_count=4, alpha=0.5)]
-    for (seq, count), selector in itertools.product(streams, knobs):
+    knobs = [EvalParams(), EvalParams(min_tests=2, top_count=4, alpha=0.5)]
+    for (seq, count), params in itertools.product(streams, knobs):
         plan = split_intervals(seq.length, count)
-        params = EvalParams(selector=selector)
         table = QualityTable(seq, None, None, params)
         suite = run_suite(table, plan, "online", ONLINE_SELECTORS, "linkpred", seed=5)
         want = [oracles.run_online(seq, plan, name, params, 5) for name in ONLINE_SELECTORS]
@@ -457,9 +456,8 @@ def test_leave_out_scores_match_oracle(draw_seed, n, length, theta, split):
         eval_ws = apply_windowing(community_sequence(rng, n, other), random_windowing(rng, other))
     labelled = len(attrs.labeled())
     batch_size = None if rng.random() < 0.3 else int(rng.integers(1, labelled))
-    kernel = KernelParams(theta)
-    assert leave_out_scores(ws, attrs, batch_size, kernel, eval_ws) == oracles.leave_out_scores(
-        ws, attrs, batch_size, kernel, eval_ws
+    assert leave_out_scores(ws, attrs, batch_size, theta, eval_ws) == oracles.leave_out_scores(
+        ws, attrs, batch_size, theta, eval_ws
     )
 
 
@@ -477,7 +475,7 @@ def test_leave_out_scores_match_oracle_at_benchmark_scale():
     for start in range(0, len(labelled), b):
         known = [v for v in labelled if v not in labelled[start : start + b]]
         assert list({v for v in known}) != known
-    assert leave_out_scores(ws, attrs) == oracles.leave_out_scores(ws, attrs)
+    assert leave_out_scores(ws, attrs, None, 0.5) == oracles.leave_out_scores(ws, attrs, None, 0.5)
 
 
 def test_quality_table_matches_cell_oracles():

@@ -10,10 +10,8 @@ from scipy.special import zeta
 from graphwin import (
     AdagePolicy,
     GraphSequence,
-    KatzParams,
     OnlineWindowSelector,
     ScoreLedger,
-    SelectorParams,
     SpanScores,
     Windowing,
     adage_select,
@@ -35,18 +33,6 @@ from graphwin import (
 from graphwin.temporal import ChangePointLabels, VertexAttributes, union_graphs
 
 from helpers import clique_edges, edge_set, graph, seq_of, trace_streams
-
-
-def test_selector_params_validation():
-    SelectorParams(min_tests=math.inf, top_count=math.inf, alpha=1.0)
-    with pytest.raises(ValueError):
-        SelectorParams(min_tests=0.5)
-    with pytest.raises(ValueError):
-        SelectorParams(top_count=0)
-    with pytest.raises(ValueError):
-        SelectorParams(alpha=0.0)
-    with pytest.raises(ValueError):
-        SelectorParams(alpha=1.5)
 
 
 # --------------------------------------------------------------------------
@@ -112,9 +98,7 @@ def scripted_stream():
 
 def test_online_selector_hand_trace():
     """Full hand-derived trace with min_tests = 1, top_count = 1, alpha = 1."""
-    sel = OnlineWindowSelector(
-        4, SelectorParams(min_tests=1, top_count=1, alpha=1.0)
-    )
+    sel = OnlineWindowSelector(4, SpanScores(0.005), min_tests=1, top_count=1, alpha=1.0)
     records = [sel.process(g) for g in scripted_stream()]
     assert [r.tested for r in records] == [
         (),
@@ -137,7 +121,7 @@ def test_online_selector_hand_trace():
 
 
 def test_online_selector_first_step_defaults_to_one():
-    sel = OnlineWindowSelector(3)
+    sel = OnlineWindowSelector(3, SpanScores(0.005), min_tests=10, top_count=10, alpha=0.5)
     rec = sel.process(graph(3, [(0, 1)]))
     assert rec.step == 1
     assert rec.tested == ()
@@ -147,7 +131,7 @@ def test_online_selector_first_step_defaults_to_one():
 
 def test_online_selector_empty_ledger_sticks_to_one():
     # identical graphs: never any new links, so nothing is ever scored
-    sel = OnlineWindowSelector(3)
+    sel = OnlineWindowSelector(3, SpanScores(0.005), min_tests=10, top_count=10, alpha=0.5)
     for _ in range(4):
         rec = sel.process(graph(3, [(0, 1)]))
         assert rec.chosen == 1
@@ -156,7 +140,7 @@ def test_online_selector_empty_ledger_sticks_to_one():
 
 def test_online_selector_skipped_steps_append_nothing():
     sel = OnlineWindowSelector(
-        4, SelectorParams(min_tests=math.inf, top_count=math.inf, alpha=1.0)
+        4, SpanScores(0.005), min_tests=math.inf, top_count=math.inf, alpha=1.0
     )
     sel.process(graph(4, [(0, 1)]))
     rec = sel.process(graph(4, [(0, 1)]))  # no new links
@@ -166,7 +150,7 @@ def test_online_selector_skipped_steps_append_nothing():
 
 def test_online_selector_exhaustive_tests_every_size():
     sel = OnlineWindowSelector(
-        4, SelectorParams(min_tests=math.inf, top_count=math.inf, alpha=1.0)
+        4, SpanScores(0.005), min_tests=math.inf, top_count=math.inf, alpha=1.0
     )
     for i, g in enumerate(scripted_stream(), start=1):
         rec = sel.process(g)
@@ -176,9 +160,7 @@ def test_online_selector_exhaustive_tests_every_size():
 def test_training_only_freeze():
     stream = scripted_stream()
     sel = OnlineWindowSelector(
-        4,
-        SelectorParams(min_tests=1, top_count=1, alpha=1.0),
-        freeze_after=3,
+        4, SpanScores(0.005), min_tests=1, top_count=1, alpha=1.0, freeze_after=3
     )
     records = [sel.process(g) for g in stream]
     assert records[2].chosen == 2  # decided while still testing
@@ -190,7 +172,9 @@ def test_training_only_freeze():
 
 
 def test_freeze_after_zero_never_tests():
-    sel = OnlineWindowSelector(4, freeze_after=0)
+    sel = OnlineWindowSelector(
+        4, SpanScores(0.005), min_tests=10, top_count=10, alpha=0.5, freeze_after=0
+    )
     for g in scripted_stream():
         rec = sel.process(g)
         assert rec.tested == ()
@@ -198,7 +182,9 @@ def test_freeze_after_zero_never_tests():
 
 
 def test_fixed_online_selector():
-    sel = OnlineWindowSelector(4, policy=lambda history: 2)
+    sel = OnlineWindowSelector(
+        4, SpanScores(0.005), min_tests=10, top_count=10, alpha=0.5, policy=lambda history: 2
+    )
     recs = [sel.process(g) for g in scripted_stream()]
     assert [r.chosen for r in recs] == [1, 2, 2, 2]  # clamped on the first step
     assert recs[3].windowing == Windowing(4, (2,))
@@ -209,7 +195,8 @@ def test_fixed_online_selector():
 def random_online_selector(seed: int) -> OnlineWindowSelector:
     rng = np.random.default_rng(seed)
     return OnlineWindowSelector(
-        4, policy=lambda history: random_windowing(len(history), rng)
+        4, SpanScores(0.005), min_tests=10, top_count=10, alpha=0.5,
+        policy=lambda history: random_windowing(len(history), rng),
     )
 
 
@@ -227,7 +214,10 @@ def test_random_online_selector_is_seeded():
 
 
 def test_adage_online_selector_uses_history():
-    sel = OnlineWindowSelector(6, policy=AdagePolicy(6))
+    sel = OnlineWindowSelector(
+        6, SpanScores(0.005), min_tests=10, top_count=10, alpha=0.5,
+        policy=AdagePolicy(6, 0.01, 3),
+    )
     rec = sel.process(graph(6, [(0, 1)]))
     assert rec.chosen == 1  # too short to fit anything
     rec = sel.process(graph(6, [(1, 2)]))
@@ -235,17 +225,19 @@ def test_adage_online_selector_uses_history():
 
 
 def online_selector_of_kind(kind: str, n: int) -> OnlineWindowSelector:
-    params = SelectorParams(min_tests=2, top_count=2, alpha=0.5)
+    knobs = dict(min_tests=2, top_count=2, alpha=0.5)
     if kind == "ledger":
-        return OnlineWindowSelector(n, params)
+        return OnlineWindowSelector(n, SpanScores(0.005), **knobs)
     if kind == "freeze_after":
-        return OnlineWindowSelector(n, params, freeze_after=3)
+        return OnlineWindowSelector(n, SpanScores(0.005), **knobs, freeze_after=3)
     if kind == "fixed":
-        return OnlineWindowSelector(n, params, policy=lambda history: 3)
+        return OnlineWindowSelector(n, SpanScores(0.005), **knobs, policy=lambda history: 3)
     if kind == "random":
         rng = np.random.default_rng(4)
-        return OnlineWindowSelector(n, params, policy=lambda h: random_windowing(len(h), rng))
-    return OnlineWindowSelector(n, params, policy=AdagePolicy(n))
+        return OnlineWindowSelector(
+            n, SpanScores(0.005), **knobs, policy=lambda h: random_windowing(len(h), rng)
+        )
+    return OnlineWindowSelector(n, SpanScores(0.005), **knobs, policy=AdagePolicy(n, 0.01, 3))
 
 
 @pytest.mark.parametrize("kind", ["ledger", "freeze_after", "fixed", "random", "adage"])
@@ -267,23 +259,22 @@ def test_online_last_graph_is_the_windowings_last_window(kind):
 
 
 def test_online_selector_reads_its_katz_parameters_from_its_span_table():
-    katz = KatzParams(beta=0.01)
+    beta = 0.01
     moved = 0  # tested scores that differ at the default beta
     for seq in trace_streams():
-        sel = OnlineWindowSelector(seq.n, SelectorParams(min_tests=3, top_count=3),
-                                   spans=SpanScores(katz))
+        sel = OnlineWindowSelector(seq.n, SpanScores(beta), min_tests=3, top_count=3, alpha=0.5)
         for i, g in enumerate(seq.graphs, start=1):
             record = sel.process(g)
             for w, score in record.tested:
                 history = seq.slice_steps(1, i - 1)
                 window = apply_windowing(history, uniform_windowing(i - 1, w)).graphs[-1]
-                assert score == online_step_score(window, g, katz)
-                moved += score != online_step_score(window, g, KatzParams())
+                assert score == online_step_score(window, g, beta)
+                moved += score != online_step_score(window, g, 0.005)
     assert moved > 0
 
 
 def test_online_selector_refuses_a_graph_over_other_vertices():
-    sel = OnlineWindowSelector(4)
+    sel = OnlineWindowSelector(4, SpanScores(0.005), min_tests=10, top_count=10, alpha=0.5)
     sel.process(graph(4, [(0, 1)]))
     with pytest.raises(ValueError, match="vertex count mismatch"):
         sel.process(graph(5, [(0, 1)]))
@@ -340,14 +331,16 @@ def split_star_stream(periods: int, n: int = 10) -> GraphSequence:
 
 def test_linkpred_window_quality_peaks_at_the_planted_period():
     seq = split_star_stream(6)
-    q = {w: linkpred_window_quality(seq, w) for w in (1, 2, 3, 6)}
+    q = {w: linkpred_window_quality(seq, w, SpanScores(0.005)) for w in (1, 2, 3, 6)}
     assert q[3] > q[1]
     assert q[3] > q[2]
     assert q[3] > q[6]
-    sel = supervised_offline_select(seq, lambda s, w: linkpred_window_quality(s, w))
+    sel = supervised_offline_select(
+        seq, lambda s, w: linkpred_window_quality(s, w, SpanScores(0.005))
+    )
     assert sel.chosen == 3
     with pytest.raises(ValueError, match="window size 0 must be >= 1"):
-        linkpred_window_quality(seq, 0)
+        linkpred_window_quality(seq, 0, SpanScores(0.005))
 
 
 def test_cp_window_quality_peaks_at_the_aligned_size():
@@ -371,10 +364,10 @@ def test_attr_split_window_quality_rejects_oversized_windows():
         ({"y": "a"}, {"y": "b"}, {"y": "a"}, {"y": "b"}),
     )
     seq = seq_of(4, [(0, 2)], [(1, 3)], [(0, 2)], [(1, 3)])
-    assert 0.0 <= attr_split_window_quality(seq, 1, attrs, batch_size=2) <= 1.0
-    assert 0.0 <= attr_split_window_quality(seq, 2, attrs, batch_size=2) <= 1.0
+    assert 0.0 <= attr_split_window_quality(seq, 1, attrs, 0.5, 2) <= 1.0
+    assert 0.0 <= attr_split_window_quality(seq, 2, attrs, 0.5, 2) <= 1.0
     with pytest.raises(ValueError, match="exceeds"):
-        attr_split_window_quality(seq, 3, attrs, batch_size=2)
+        attr_split_window_quality(seq, 3, attrs, 0.5, 2)
 
 
 # --------------------------------------------------------------------------
@@ -415,14 +408,14 @@ def test_fourier_needs_two_steps():
 
 def test_jaccard_identical_graphs_select_one():
     seq = seq_of(8, *([[(0, 1), (2, 3)]] * 6))
-    assert jaccard_select(seq) == 1
+    assert jaccard_select(seq, 0.05) == 1
 
 
 def test_jaccard_disjoint_alternation_selects_two():
     a = [(0, 1), (2, 3)]
     b = [(4, 5), (6, 7)]
     seq = seq_of(8, *([a, b] * 4))
-    assert jaccard_select(seq) == 2
+    assert jaccard_select(seq, 0.05) == 2
 
 
 def test_jaccard_scan_oracle():
@@ -457,7 +450,7 @@ def test_jaccard_scan_oracle():
             if means[idx + 1] - means[idx] <= 0.05 * rise:
                 expected = idx + 1
                 break
-        assert jaccard_select(seq) == expected
+        assert jaccard_select(seq, 0.05) == expected
 
 
 def test_graph_entropy_hand_values():
@@ -520,7 +513,7 @@ def test_adage_converges_shortly_after_the_union_stabilizes():
     grow = [rnd(0.08) for _ in range(5)]
     quiet = [graph(30, [])] * 7
     seq = GraphSequence(30, tuple(grow + quiet), 1)
-    assert adage_select(seq) <= 5 + 3  # stabilization point plus patience
+    assert adage_select(seq, 0.01, 3) <= 5 + 3  # stabilization point plus patience
 
 
 def test_adage_never_converging_returns_full_length():
@@ -537,13 +530,13 @@ def test_adage_never_converging_returns_full_length():
             used += 2 * m
             steps.append([(vs[2 * j], vs[2 * j + 1]) for j in range(m)])
     seq = GraphSequence(used, tuple(graph(used, e) for e in steps), 1)
-    assert adage_select(seq) == seq.length
+    assert adage_select(seq, 0.01, 3) == seq.length
 
 
 def test_adage_skips_empty_prefixes():
     seq = seq_of(4, [], [], [(0, 1), (1, 2), (0, 3)], [(0, 1)])
     # degree-zero unions are skipped; convergence may never happen here
-    assert adage_select(seq) == seq.length
+    assert adage_select(seq, 0.01, 3) == seq.length
 
 
 def test_adage_exponent_matches_direct_computation():
@@ -553,7 +546,7 @@ def test_adage_exponent_matches_direct_computation():
         for _ in range(6)
     ]
     seq = GraphSequence(20, tuple(graphs), 1)
-    w = adage_select(seq)
+    w = adage_select(seq, 0.01, 3)
     union = union_graphs(seq.graphs[:w])
     degs = [d for d in union.degrees() if d >= 1]
     # the returned size's exponent is reproducible from the same prefix
