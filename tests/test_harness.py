@@ -78,6 +78,15 @@ def test_split_intervals_remainder_goes_first():
     assert plan.spans[-1] == (12, 13)
 
 
+def test_eval_params_refuses_integers_out_of_range():
+    for key in ("batch_size", "adage_patience"):
+        for value in (0, -5, 1.5, "2"):
+            with pytest.raises(ValueError, match=f"^{key} must be an integer >= 1$"):
+                EvalParams(**{key: value})
+    assert EvalParams(batch_size=None, adage_patience=1).batch_size is None
+    assert EvalParams(batch_size=1).batch_size == 1
+
+
 def test_eval_params_refuses_each_key_out_of_range():
     """Each key's range, stated once by `EvalParams`: values just inside it
     are kept, and values just outside it, NaN and inf where they lie

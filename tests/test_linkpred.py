@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from graphwin import (
+    EvalParams,
     average_precision,
     katz_matrix,
     katz_scores,
@@ -30,6 +31,13 @@ def walk_sum_oracle(adj: np.ndarray, beta: float, max_len: int) -> np.ndarray:
         power = power @ a
         total += beta**length * power
     return total
+
+
+def test_params_validation():
+    with pytest.raises(ValueError, match="^beta must lie in"):
+        EvalParams(beta=0.0)
+    with pytest.raises(ValueError, match="^beta must lie in"):
+        EvalParams(beta=1.0)
 
 
 def test_single_edge_closed_form():

@@ -9,6 +9,7 @@ from scipy.special import zeta
 
 from graphwin import (
     AdagePolicy,
+    EvalParams,
     GraphSequence,
     OnlineWindowSelector,
     ScoreLedger,
@@ -33,6 +34,18 @@ from graphwin import (
 from graphwin.temporal import ChangePointLabels, VertexAttributes, union_graphs
 
 from helpers import clique_edges, edge_set, graph, seq_of, trace_streams
+
+
+def test_selector_params_validation():
+    EvalParams(min_tests=math.inf, top_count=math.inf, alpha=1.0)
+    with pytest.raises(ValueError, match="^min_tests must be"):
+        EvalParams(min_tests=0.5)
+    with pytest.raises(ValueError, match="^top_count must be"):
+        EvalParams(top_count=0)
+    with pytest.raises(ValueError, match="^alpha must lie in"):
+        EvalParams(alpha=0.0)
+    with pytest.raises(ValueError, match="^alpha must lie in"):
+        EvalParams(alpha=1.5)
 
 
 # --------------------------------------------------------------------------
